@@ -3,7 +3,9 @@
 The overlay (root plus one domain manager) serves TCP attach points; an
 agent connects from this process over localhost and samples a scripted
 1 MiB/s workload; the melt session engine connects as a second TCP client
-and watches it. Time is accelerated (4 logical seconds per wall second).
+and watches it. Both clients run on one client-side SocketHost, the same
+host loop the overlay runs on. Time is accelerated (4 logical seconds per
+wall second).
 """
 
 import threading
@@ -12,10 +14,9 @@ import time
 from melt.agent import AgentConfig, AgentCore
 from melt.meltcli import CliCore, parse_cli
 from melt.scenario import SyntheticSource, WorkloadModel, parse_workload
-from melt.sockethost import serve_overlay
+from melt.sockethost import SocketHost, serve_overlay
 from melt.topology import parse_topology
 from melt.transport import transport_connect
-from melt.wire import FrameDecoder, encode_message
 
 topology = parse_topology("""
 [domain solo]
@@ -41,38 +42,28 @@ script = parse_workload([(1, "job 0 500 j1 n1"),
 model = WorkloadModel(topology, script)
 agent = AgentCore(AgentConfig.from_topology(topology, "n1"),
                   SyntheticSource(model, "n1"), topology)
-agent_chan = transport_connect(endpoints["n1"], "tcp")
 
 inv = parse_cli(["clnt=n1", "status", "io", "-delay=2s",
                  "-metrics=IO_RD_BW,IO_WR_BW"])
 tool = CliCore(inv, client_name="demo", base_time=0, hostname="skein", pid=1)
-tool_chan = transport_connect(endpoints["@root"], "tcp")
 
-decoders = {id(agent): FrameDecoder(), id(tool): FrameDecoder()}
-agent.start()
-tool.start()
+# the client side is a SocketHost too: each core dials its attach point
+# and talks over its own "up" link, as meltagent and melt do
+clients = SocketHost()
+for core, endpoint in ((agent, endpoints["n1"]), (tool, endpoints["@root"])):
+    clients.add_process(core)
+    clients.attach_channel(core, "up", transport_connect(endpoint))
+    core.start()
 
-clock = 0
 printed = 0
 deadline = time.time() + 20
 while time.time() < deadline and len(tool.frames) < 4:
-    for core, chan in ((agent, agent_chan), (tool, tool_chan)):
-        for _link, msg in core.outbox:
-            chan.send(encode_message(msg))
-        core.outbox.clear()
-        core.notes.clear()
-        for msg in decoders[id(core)].feed(chan.try_recv()):
-            core.on_message("up", msg)
-    while printed < len(tool.rendered):
-        print(tool.rendered[printed])
-        printed += 1
-    time.sleep(0.25)
-    clock += 1
-    agent.on_tick(clock)
-    tool.on_tick(clock)
+    clients.serve(1, wall_per_tick=0.25)
+    for text in tool.rendered[printed:]:
+        print(text)
+    printed = len(tool.rendered)
 
 tool.finish()
-for _link, msg in tool.outbox:
-    tool_chan.send(encode_message(msg))
+clients.flush(tool)
 stop.set()
 print(f"collected {len(tool.frames)} frames over real TCP")

@@ -37,7 +37,7 @@ from .simnet import SimHost
 from .sockethost import SocketHost, serve_overlay
 from .streams import StreamSpec, Target, parse_target
 from .topology import DomainSpec, OverlayTopology, load_topology, parse_topology
-from .transport import SimTransport, transport_connect
+from .transport import transport_connect
 from .wire import Message, decode_frame, encode_message
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "ClientCore", "CommandJobSource", "CountedKeyBody", "DomainSpec",
     "FileJobSource", "HistogramBody", "MeltmonCore", "Message", "MetricDef",
     "OverlayHandle", "OverlayTopology", "RunResult", "ScenarioSpec",
-    "SimCluster", "SimHost", "SimTransport", "SocketHost", "StatsFileSource",
+    "SimCluster", "SimHost", "SocketHost", "StatsFileSource",
     "StreamSpec", "SummaryAgg", "SummaryBody", "SyntheticSource", "Target",
     "WorkloadModel", "body_from_text", "body_to_text", "build_overlay",
     "catalog_for_role", "decode_frame", "display_value", "encode_message",

@@ -16,7 +16,6 @@ file contributes zero new events.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 
 from . import catalog, wire
@@ -420,9 +419,8 @@ class AgentCore(ProcessCore):
 
 def main(argv: list[str] | None = None) -> int:
     """Socket-mode agent entry point."""
+    from .sockethost import dial_core
     from .topology import load_topology
-    from .transport import transport_connect
-    from .wire import FrameDecoder
 
     args = sys.argv[1:] if argv is None else argv
     flags: dict[str, str] = {}
@@ -454,32 +452,19 @@ def main(argv: list[str] | None = None) -> int:
 
     agent = AgentCore(config, source, topology)
     try:
-        channel = transport_connect(flags["connect"], "tcp")
+        host, up = dial_core(agent, flags["connect"])
     except OSError as exc:
         print(f"meltagent: {exc}", file=sys.stderr)
         return 2
 
-    decoder = FrameDecoder()
-    agent.start()
-    clock = 0
     try:
-        while True:
-            for link, msg in agent.outbox:
-                channel.send(wire.encode_message(msg))
-            agent.outbox.clear()
-            agent.notes.clear()
-            data = channel.try_recv()
-            for msg in decoder.feed(data):
-                agent.on_message("up", msg)
-            time.sleep(1.0)
-            clock += 1
-            agent.on_tick(clock)
+        while not up.closed:
+            host.serve(1)
     except KeyboardInterrupt:
         agent.send_detach()
-        for link, msg in agent.outbox:
-            channel.send(wire.encode_message(msg))
-        channel.close()
+        host.flush(agent)
         return 0
-    except OSError as exc:
-        print(f"meltagent: connection lost: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        host.close()
+    print(f"meltagent: connection lost: {flags['connect']}", file=sys.stderr)
+    return 2

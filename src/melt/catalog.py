@@ -50,10 +50,6 @@ class MetricDef:
     roles: frozenset[str]
     accumulate: str         # sum | mean
 
-    @property
-    def default_interval_secs(self) -> int:
-        return CLASS_INTERVALS[self.metric_class]
-
 
 def _m(name, metric_class, kind, unit, label, roles, accumulate) -> MetricDef:
     return MetricDef(name, metric_class, kind, unit, label, frozenset(roles), accumulate)
@@ -154,12 +150,6 @@ def metrics_for_class(metric_class: str) -> list[MetricDef]:
     if metric_class not in CLASSES:
         raise ValueError(f"unknown metric class {metric_class!r}")
     return [d for d in CATALOG if d.metric_class == metric_class]
-
-
-def catalog_order(names) -> list[str]:
-    """Sort metric names into catalog (declaration) order."""
-    position = {d.name: i for i, d in enumerate(CATALOG)}
-    return sorted(names, key=lambda n: position[n])
 
 
 def export_table() -> str:

@@ -464,23 +464,8 @@ class CliCore(ClientCore):
         return RenderFrame(columns, rows)
 
 
-def run_status(invocation: CliInvocation, session: CliCore) -> None:
-    """Drive a status invocation on an attached session (tick externally)."""
-    if invocation.mode != "status":
-        raise UsageError("run_status needs a status invocation")
-    session.plan()
-
-
-def run_top(invocation: CliInvocation, session: CliCore) -> None:
-    if invocation.mode != "top":
-        raise UsageError("run_top needs a top invocation")
-    session.plan()
-
-
 def main(argv: list[str] | None = None) -> int:
-    import time
-
-    from .transport import transport_connect
+    from .sockethost import dial_core
 
     args = sys.argv[1:] if argv is None else argv
     try:
@@ -491,47 +476,29 @@ def main(argv: list[str] | None = None) -> int:
     if not inv.connect:
         print("melt: --connect=<root endpoint> is required", file=sys.stderr)
         return 1
+    core = CliCore(inv, base_time=None)
     try:
-        channel = transport_connect(inv.connect, "tcp")
+        host, up = dial_core(core, inv.connect)
     except OSError as exc:
         print(f"melt: {exc}", file=sys.stderr)
         return 2
 
-    core = CliCore(inv, base_time=None)
-    decoder = wire.FrameDecoder()
-    core.start()
     printed = 0
-    clock = 0
     try:
-        while not core.done:
-            for _link, msg in core.outbox:
-                channel.send(wire.encode_message(msg))
-            core.outbox.clear()
-            core.notes.clear()
-            for msg in decoder.feed(channel.try_recv()):
-                core.on_message("up", msg)
-            while printed < len(core.rendered):
-                print(core.rendered[printed])
-                printed += 1
-            time.sleep(1.0)
-            clock += 1
-            core.on_tick(clock)
-        core.finish()
-        for _link, msg in core.outbox:
-            channel.send(wire.encode_message(msg))
-        while printed < len(core.rendered):
-            print(core.rendered[printed])
-            printed += 1
-        if core.failure:
-            print(f"melt: {core.failure}", file=sys.stderr)
-        channel.close()
-        return core.exit_code or 0
+        while not core.done and not up.closed:
+            host.serve(1)
+            for text in core.rendered[printed:]:
+                print(text)
+            printed = len(core.rendered)
     except KeyboardInterrupt:
         core.finish()
-        for _link, msg in core.outbox:
-            channel.send(wire.encode_message(msg))
-        channel.close()
+        host.flush(core)
         return 0
-    except OSError as exc:
-        print(f"melt: connection lost: {exc}", file=sys.stderr)
+    finally:
+        host.close()
+    if not core.done:
+        print(f"melt: connection lost: {inv.connect}", file=sys.stderr)
         return 2
+    if core.failure:
+        print(f"melt: {core.failure}", file=sys.stderr)
+    return core.exit_code or 0

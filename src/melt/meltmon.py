@@ -230,10 +230,8 @@ class MeltmonCore(ClientCore):
 
 def main(argv: list[str] | None = None) -> int:
     """Socket-mode daemon entry point."""
-    import time
-
+    from .sockethost import dial_core
     from .topology import load_topology
-    from .transport import transport_connect
 
     args = sys.argv[1:] if argv is None else argv
     flags: dict[str, str] = {}
@@ -259,32 +257,20 @@ def main(argv: list[str] | None = None) -> int:
                          hostname=socket.gethostname(), pid=os.getpid(),
                          poll_secs=int(poll_text[:-1]), base_time=None)
     try:
-        channel = transport_connect(flags["connect"], "tcp")
+        host, up = dial_core(daemon, flags["connect"])
     except OSError as exc:
         print(f"meltmon: {exc}", file=sys.stderr)
         return 2
 
-    decoder = wire.FrameDecoder()
-    daemon.start()
-    clock = 0
     try:
-        while True:
-            for _link, msg in daemon.outbox:
-                channel.send(wire.encode_message(msg))
-            daemon.outbox.clear()
-            daemon.notes.clear()
-            for msg in decoder.feed(channel.try_recv()):
-                daemon.on_message("up", msg)
-            time.sleep(1.0)
-            clock += 1
-            daemon.on_tick(clock)
+        while not up.closed:
+            host.serve(1)
     except KeyboardInterrupt:
         daemon.detach()
-        for _link, msg in daemon.outbox:
-            channel.send(wire.encode_message(msg))
+        host.flush(daemon)
         daemon.close()
-        channel.close()
         return 0
-    except OSError as exc:
-        print(f"meltmon: connection lost: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        host.close()
+    print(f"meltmon: connection lost: {flags['connect']}", file=sys.stderr)
+    return 2

@@ -668,13 +668,6 @@ class OverlayHandle:
         self.host.flush(client)
         return client
 
-    def multicast_down(self, msg) -> None:
-        """Root-originated multicast; scope derives from the message content
-        (rate changes reach only domains that can produce the stream)."""
-        self.root.multicast(msg)
-        self.host.flush(self.root)
-        self.host.pump()
-
     def detach_client(self, name: str, clean: bool = True) -> None:
         client = self.clients.pop(name)
         if clean:

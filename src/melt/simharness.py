@@ -162,10 +162,6 @@ def oracle_aggregate(result: RunResult, stream_id: int, rnd: int) -> Body:
                         spec.aggregation, spec.hist_edges)
 
 
-def completed_rounds(result: RunResult, stream_id: int) -> list[int]:
-    return [e[3] for e in result.root_records(stream_id)]
-
-
 # --- message accounting ---------------------------------------------------------------
 
 

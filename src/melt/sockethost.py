@@ -1,125 +1,116 @@
-"""Socket-backed host: the same process cores served over real TCP.
+"""Socket backend of the host contract: the same process cores over real TCP.
 
-The overlay's internal links (ring, relay tree) run in process; agents and
-session clients attach over TCP listeners, identifying themselves with
-their first message (Attach), exactly as the protocol intends. This is the
-desk-scale deployment mode behind the ``--connect`` flags of meltagent,
-meltmon, and melt.
+:class:`SocketHost` is :class:`~melt.simnet.SimHost` plus TCP links: flush,
+delivery, link-closed handling and the message counters are the sim
+backend's, unchanged. In-process links (ring, relay tree) stay sim
+channels; agents and session clients attach over TCP listeners,
+identifying themselves with their first message (Attach), exactly as the
+protocol intends, and a process can dial out over a channel of its own.
+This is the desk-scale deployment mode behind the ``--connect`` flags of
+meltagent, meltmon, and melt, each of which runs its core as a one-process
+SocketHost with one dialed ``up`` link.
+
+The socket backend keeps no transcript: sends are counted, and notes,
+sends and link closures go to this module's logger at DEBUG.
 """
 
 from __future__ import annotations
 
+import selectors
+import threading
 import time
 
 from . import wire
-from .overlay import OverlayHandle, build_overlay
+from .overlay import ManagerProcess, OverlayHandle, RelayProcess, RootProcess, build_overlay
+from .simnet import LinkState, SimHost
 from .topology import OverlayTopology
-from .transport import ChannelClosedError, TcpListener, sim_channel_pair
+from .transport import TcpChannel, TcpListener, transport_connect
 
 
-class _Link:
-    def __init__(self, channel) -> None:
-        self.channel = channel
-        self.decoder = wire.FrameDecoder()
-        self.closed_notified = False
-
-
-class SocketHost:
-    """Event loop over process cores whose links may be sockets or in-process."""
+class SocketHost(SimHost):
+    """The shared host loop over links that may be sockets or in-process."""
 
     def __init__(self) -> None:
-        self.procs: list = []
-        self.links: dict[tuple[str, str], _Link] = {}
+        # logging is imported here, not at module level: loading it adds
+        # about 0.5 MB to peak RSS, which in-process runs should not pay
+        import logging
+
+        super().__init__()
+        self.log = logging.getLogger(__name__)
         self.listeners: list[tuple[object, TcpListener]] = []
+        self.selector = selectors.DefaultSelector()
         self._accept_seq = 0
-        self.now = 0
-        self.transcript: list[tuple] = []
 
-    def add_process(self, proc) -> None:
-        self.procs.append(proc)
+    def record(self, event: tuple) -> None:
+        self.log.debug("%s", event)
 
-    def drop_process(self, proc) -> None:
-        self.procs = [p for p in self.procs if p.pid != proc.pid]
-        for (pid, link) in [k for k in self.links if k[0] == proc.pid]:
-            self.links.pop((pid, link)).channel.close()
-
-    def wire(self, proc_a, link_a: str, proc_b, link_b: str) -> None:
-        end_a, end_b = sim_channel_pair()
-        self.links[(proc_a.pid, link_a)] = _Link(end_a)
-        self.links[(proc_b.pid, link_b)] = _Link(end_b)
+    def release(self, state: LinkState) -> None:
+        if isinstance(state.channel, TcpChannel):
+            try:
+                self.selector.unregister(state.channel)
+            except (KeyError, ValueError):
+                pass  # already released: a link found closed, then dropped
+        state.channel.close()
 
     def listen(self, proc, host: str = "127.0.0.1", port: int = 0) -> str:
         listener = TcpListener(host, port)
         self.listeners.append((proc, listener))
+        self.selector.register(listener, selectors.EVENT_READ, proc)
         return listener.endpoint
 
     def attach_channel(self, proc, link: str, channel) -> None:
         """Bind an outbound (dialed) channel as one of the process's links."""
-        self.links[(proc.pid, link)] = _Link(channel)
-
-    def flush(self, proc) -> None:
-        proc.notes.clear()
-        for link, msg in proc.outbox:
-            state = self.links.get((proc.pid, link))
-            if state is None:
-                continue
-            try:
-                state.channel.send(wire.encode_message(msg))
-            except ChannelClosedError:
-                pass
-        proc.outbox.clear()
+        self.selector.register(channel, selectors.EVENT_READ)
+        self.add_link(proc, link, LinkState(channel))
 
     def pump(self) -> None:
-        moved = True
-        while moved:
-            moved = False
-            for proc, listener in self.listeners:
-                channel = listener.accept()
+        """Accept on readable listeners, then deliver until quiescent; never blocks."""
+        for key, _events in self.selector.select(0):
+            if key.data is not None:
+                channel = key.fileobj.accept()
                 if channel is not None:
                     self._accept_seq += 1
-                    self.links[(proc.pid, f"tcp{self._accept_seq}")] = _Link(channel)
-                    moved = True
-            for proc in list(self.procs):
-                for key in [k for k in self.links if k[0] == proc.pid]:
-                    state = self.links.get(key)
-                    if state is None:
-                        continue
-                    try:
-                        data = state.channel.try_recv()
-                    except ChannelClosedError:
-                        if not state.closed_notified:
-                            state.closed_notified = True
-                            proc.on_link_closed(key[1])
-                            self.flush(proc)
-                            moved = True
-                        continue
-                    if not data:
-                        continue
-                    for msg in state.decoder.feed(data):
-                        proc.on_message(key[1], msg)
-                        self.flush(proc)
-                    moved = True
-
-    def tick(self, now: int) -> None:
-        self.now = now
-        for proc in list(self.procs):
-            proc.on_tick(now)
-            self.flush(proc)
-        self.pump()
+                    self.attach_channel(key.data, f"tcp{self._accept_seq}", channel)
+        super().pump()
 
     def serve(self, logical_seconds: int, wall_per_tick: float = 1.0,
               stop=None) -> None:
-        """Run the loop, mapping one logical second to ``wall_per_tick`` seconds."""
+        """Run the loop, mapping one logical second to ``wall_per_tick`` seconds.
+
+        Between ticks the host sleeps in the selector and pumps whenever a
+        listener or socket is readable. ``stop`` is checked once per tick.
+        """
         for t in range(self.now + 1, self.now + logical_seconds + 1):
-            deadline = time.monotonic() + wall_per_tick
-            self.tick(t)
-            while time.monotonic() < deadline:
-                self.pump()
-                if stop is not None and stop.is_set():
-                    return
-                time.sleep(min(0.005, wall_per_tick / 10))
             if stop is not None and stop.is_set():
                 return
+            deadline = time.monotonic() + wall_per_tick
+            self.tick(t)
+            while (left := deadline - time.monotonic()) > 0:
+                if self.selector.select(left):
+                    self.pump()
+
+    def close(self) -> None:
+        """Close every listener, every link and the selector."""
+        for _proc, listener in self.listeners:
+            listener.close()
+        for state in self.links.values():
+            state.channel.close()
+        self.selector.close()
+
+
+def dial_core(core, endpoint: str) -> tuple[SocketHost, TcpChannel]:
+    """Run ``core`` alone on a SocketHost whose ``up`` link dials ``endpoint``.
+
+    Starts the core and sends what it emitted on start. Returns the host
+    and the dialed channel; raises OSError if the endpoint is unreachable.
+    """
+    channel = transport_connect(endpoint)
+    host = SocketHost()
+    host.add_process(core)
+    host.attach_channel(core, "up", channel)
+    core.start()
+    host.flush(core)
+    return host, channel
 
 
 def serve_overlay(topology: OverlayTopology, bind: str = "127.0.0.1"):
@@ -154,8 +145,6 @@ class DistributedOverlay:
         self._stop = None
 
     def serve(self, logical_seconds: int, wall_per_tick: float = 1.0):
-        import threading
-
         self._stop = threading.Event()
         for host in self.hosts.values():
             thread = threading.Thread(
@@ -172,6 +161,8 @@ class DistributedOverlay:
             self._stop.set()
             for thread in self._threads:
                 thread.join(timeout=5)
+            for host in self.hosts.values():
+                host.close()
 
 
 def launch_distributed(topology: OverlayTopology,
@@ -183,10 +174,6 @@ def launch_distributed(topology: OverlayTopology,
     successor, relays their tree parent, the root the first manager for the
     multicast direction) and identifies itself with its process role.
     """
-    from . import wire as _wire
-    from .overlay import ManagerProcess, RelayProcess, RootProcess
-    from .transport import transport_connect
-
     order = list(topology.ring_order)
     hosts: dict[str, SocketHost] = {}
     cores: dict[str, object] = {}
@@ -208,27 +195,27 @@ def launch_distributed(topology: OverlayTopology,
             node = domain.node_at(pos)
             place(RelayProcess(f"rel.{node}", node))
 
-    def dial(core, link: str, target_pid: str, attach: _wire.Attach) -> None:
-        channel = transport_connect(endpoints[target_pid], "tcp")
+    def dial(core, link: str, target_pid: str, attach: wire.Attach) -> None:
+        channel = transport_connect(endpoints[target_pid])
         hosts[core.pid].attach_channel(core, link, channel)
         core.emit(link, attach)
         hosts[core.pid].flush(core)
 
     root = cores["root"]
     dial(root, "ring_next", f"mgr.{order[0]}",
-         _wire.Attach(topology.root_node, "-", "session-root", "-"))
+         wire.Attach(topology.root_node, "-", "session-root", "-"))
     for i, domain_id in enumerate(order):
         domain = topology.domain(domain_id)
         successor = "root" if i == len(order) - 1 else f"mgr.{order[i + 1]}"
         dial(cores[f"mgr.{domain_id}"], "up", successor,
-             _wire.Attach(domain.manager_node, domain_id, "manager", domain.lustre_role))
+             wire.Attach(domain.manager_node, domain_id, "manager", domain.lustre_role))
         for pos in domain.internal_positions():
             node = domain.node_at(pos)
             parent_pos = domain.tree_parent(pos)
             parent_pid = f"mgr.{domain_id}" if parent_pos == 0 \
                 else f"rel.{domain.node_at(parent_pos)}"
             dial(cores[f"rel.{node}"], "up", parent_pid,
-                 _wire.Attach(node, domain_id, "relay", domain.lustre_role))
+                 wire.Attach(node, domain_id, "relay", domain.lustre_role))
 
     # agents and clients attach where the tree expects them
     endpoints["@root"] = endpoints["root"]

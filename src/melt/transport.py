@@ -1,9 +1,10 @@
 """Duplex byte channels with two interchangeable backends.
 
 Everything above this layer is transport-agnostic: a channel is an ordered,
-reliable, bidirectional byte pipe with non-blocking reads. The simulated
-backend keeps byte queues in process (and lets a harness sever links); the
-TCP backend wraps real sockets, with endpoints given as host:port strings.
+reliable, bidirectional byte pipe with non-blocking reads. The in-process
+backend is a pair of byte queues (closing either end closes both, and each
+side drains what it was sent before it sees the close); the TCP backend
+wraps real sockets, with endpoints given as host:port strings.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ import socket
 
 
 class TransportError(OSError):
-    pass
-
-
-class UnknownEndpointError(TransportError):
     pass
 
 
@@ -45,10 +42,6 @@ class SimChannelEnd:
         del self._rx[:limit]
         return data
 
-    @property
-    def pending(self) -> int:
-        return len(self._rx)
-
     def close(self) -> None:
         self.closed = True
         if self.peer is not None:
@@ -59,37 +52,6 @@ def sim_channel_pair() -> tuple[SimChannelEnd, SimChannelEnd]:
     a, b = SimChannelEnd(), SimChannelEnd()
     a.peer, b.peer = b, a
     return a, b
-
-
-class SimListener:
-    def __init__(self, endpoint: str) -> None:
-        self.endpoint = endpoint
-        self.backlog: list[SimChannelEnd] = []
-
-    def accept(self) -> SimChannelEnd | None:
-        return self.backlog.pop(0) if self.backlog else None
-
-
-class SimTransport:
-    """Endpoint registry for simulated channels."""
-
-    def __init__(self) -> None:
-        self._listeners: dict[str, SimListener] = {}
-
-    def listen(self, endpoint: str) -> SimListener:
-        if endpoint in self._listeners:
-            raise TransportError(f"endpoint {endpoint!r} already registered")
-        listener = SimListener(endpoint)
-        self._listeners[endpoint] = listener
-        return listener
-
-    def connect(self, endpoint: str) -> SimChannelEnd:
-        listener = self._listeners.get(endpoint)
-        if listener is None:
-            raise UnknownEndpointError(f"unknown endpoint {endpoint!r}")
-        near, far = sim_channel_pair()
-        listener.backlog.append(far)
-        return near
 
 
 class TcpChannel:
@@ -169,16 +131,8 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def transport_connect(endpoint: str, kind: str = "tcp",
-                      sim: SimTransport | None = None,
-                      timeout: float = 5.0):
-    """Open a duplex channel to ``endpoint`` over the chosen transport."""
-    if kind == "simulated":
-        if sim is None:
-            raise TransportError("simulated transport requires a registry")
-        return sim.connect(endpoint)
-    if kind != "tcp":
-        raise TransportError(f"unknown transport kind {kind!r}")
+def transport_connect(endpoint: str, timeout: float = 5.0) -> TcpChannel:
+    """Open a TCP channel to ``endpoint`` (host:port)."""
     host, port = parse_endpoint(endpoint)
     try:
         sock = socket.create_connection((host, port), timeout=timeout)

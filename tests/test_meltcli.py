@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from melt import catalog
+from melt.agent import AgentConfig, AgentCore
 from melt.humanize import parse_human
 from melt.meltcli import MATRIX, UsageError, main, parse_cli, parse_duration
 from melt.meltmon import LOG_LINE_RE
 from melt.render import Column, RenderFrame, render
-from melt.scenario import DEFAULT_BASE_TIME, load_scenario
+from melt.scenario import (
+    DEFAULT_BASE_TIME, SyntheticSource, WorkloadModel, load_scenario, parse_workload,
+)
 from melt.simharness import SimCluster, resolve_scenario_path
+from melt.sockethost import dial_core, serve_overlay
+from melt.topology import parse_topology
+
+from simutil import ONE_DOMAIN
 
 MI = 1024 * 1024
 GI = 1024 ** 3
@@ -242,10 +251,40 @@ class TestSessionPatterns:
 class TestMainEntry:
     def test_usage_error_exit_1(self, capsys):
         assert main(["fs", "status", "nope"]) == 1
-        assert "matrix" in capsys.readouterr().err or True
+        assert capsys.readouterr().err == "melt: unknown metric class 'nope'\n"
 
     def test_missing_connect_exit_1(self):
         assert main(["fs", "status", "io"]) == 1
 
     def test_connect_refused_exit_2(self):
         assert main(["--connect=127.0.0.1:1", "fs", "status", "io"]) == 2
+
+    def test_once_against_served_overlay(self, capsys):
+        topology = parse_topology(ONE_DOMAIN)
+        host, _handle, endpoints = serve_overlay(topology)
+        model = WorkloadModel(topology, parse_workload([
+            (1, "job 0 100000 j1 n1"), (2, "io 0 100000 j1 1M 0 roundrobin")]))
+        agent = AgentCore(AgentConfig.from_topology(topology, "n1"),
+                          SyntheticSource(model, "n1"), topology)
+        agent_host, _up = dial_core(agent, endpoints["n1"])
+        stop = threading.Event()
+        threads = [threading.Thread(target=h.serve, daemon=True,
+                                    kwargs=dict(logical_seconds=100000,
+                                                wall_per_tick=tick, stop=stop))
+                   for h, tick in ((host, 0.05), (agent_host, 0.01))]
+        for thread in threads:
+            thread.start()
+        try:
+            code = main([f"--connect={endpoints['@root']}", "clnt=n1", "status", "io",
+                         "-once", "-metrics=IO_RD_BW"])
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=5)
+            assert not any(thread.is_alive() for thread in threads)
+            agent_host.close()
+            host.close()
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2  # one frame: header and one row
+        assert lines[0].split() == ["TIME", "RD_BW"]

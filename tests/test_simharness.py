@@ -17,10 +17,9 @@ from melt.simharness import (
     SimCluster, main, message_accounting, oracle_aggregate, resolve_scenario_path,
     run_scenario,
 )
-from melt.sockethost import serve_overlay
+from melt.sockethost import SocketHost, serve_overlay
 from melt.topology import parse_topology
 from melt.transport import transport_connect
-from melt.wire import FrameDecoder, encode_message
 
 from simutil import (
     ONE_DOMAIN, assert_body_matches_oracle, brute_force_topk, random_scenario,
@@ -28,6 +27,16 @@ from simutil import (
 )
 
 MI = 1024 * 1024
+
+
+def dial_clients(pairs) -> SocketHost:
+    """One client-side SocketHost; each core dials its endpoint as ``up``."""
+    clients = SocketHost()
+    for core, endpoint in pairs:
+        clients.add_process(core)
+        clients.attach_channel(core, "up", transport_connect(endpoint))
+        core.start()
+    return clients
 
 
 def load_testbed_spec():
@@ -241,43 +250,27 @@ class TestTcpDeployment:
             model = WorkloadModel(topo, script)
             agent = AgentCore(AgentConfig.from_topology(topo, "n1"),
                               SyntheticSource(model, "n1"), topo)
-            agent_chan = transport_connect(endpoints["n1"], "tcp")
-            agent_dec = FrameDecoder()
-            agent.start()
-
             inv = parse_cli(["clnt=n1", "status", "io", "-delay=1s",
                              "-metrics=IO_RD_BW"])
             from melt.meltcli import CliCore
             core = CliCore(inv, client_name="tcp-test", base_time=0,
                            hostname="skein", pid=1)
-            cli_chan = transport_connect(endpoints["@root"], "tcp")
-            cli_dec = FrameDecoder()
-            core.start()
+            clients = dial_clients([(agent, endpoints["n1"]), (core, endpoints["@root"])])
 
             deadline = time.time() + 15
-            clock = 0
             good_frame = None
             while time.time() < deadline and good_frame is None:
-                for proc, chan, dec in ((agent, agent_chan, agent_dec),
-                                        (core, cli_chan, cli_dec)):
-                    for _link, msg in proc.outbox:
-                        chan.send(encode_message(msg))
-                    proc.outbox.clear()
-                    proc.notes.clear()
-                    for msg in dec.feed(chan.try_recv()):
-                        proc.on_message("up", msg)
-                time.sleep(0.05)
-                clock += 1
-                agent.on_tick(clock)
-                core.on_tick(clock)
+                clients.serve(1, wall_per_tick=0.05)
                 for frame in core.frames:
                     for row in frame.rows:
                         if row[-1] == pytest.approx(MI, rel=0.01):
                             good_frame = frame
+            clients.close()
             assert good_frame is not None, "no frame carried the scripted rate"
         finally:
             stop.set()
             server.join(timeout=5)
+            host.close()
 
 
 class TestFullyDistributedDeployment:
@@ -313,41 +306,26 @@ root = skein
                 (2, "io 0 1500 j1 1M 0 roundrobin")])
             model = WorkloadModel(topo, script)
 
-            drivers = []
-            for node in ("a1", "a3", "a6"):  # relay-hosted, relay-child, leaf
-                agent = AgentCore(AgentConfig.from_topology(topo, node),
-                                  SyntheticSource(model, node), topo)
-                chan = transport_connect(cluster.endpoints[node], "tcp")
-                agent.start()
-                drivers.append((agent, chan, FrameDecoder()))
+            agents = [AgentCore(AgentConfig.from_topology(topo, node),
+                                SyntheticSource(model, node), topo)
+                      for node in ("a1", "a3", "a6")]  # relay-hosted, relay-child, leaf
 
             from melt.meltcli import CliCore
             inv = parse_cli(["fs=knot2", "status", "io", "-delay=1s",
                              "-metrics=IO_RD_BW"])
             core = CliCore(inv, client_name="dist-test", base_time=0,
                            hostname="skein", pid=1)
-            chan = transport_connect(cluster.endpoints["@root"], "tcp")
-            core.start()
-            drivers.append((core, chan, FrameDecoder()))
+            clients = dial_clients([(a, cluster.endpoints[a.node_id]) for a in agents]
+                                   + [(core, cluster.endpoints["@root"])])
 
             deadline = time.time() + 20
-            clock = 0
             three_up = None
             while time.time() < deadline and three_up is None:
-                for proc, chan_, dec in drivers:
-                    for _link, msg in proc.outbox:
-                        chan_.send(encode_message(msg))
-                    proc.outbox.clear()
-                    proc.notes.clear()
-                    for msg in dec.feed(chan_.try_recv()):
-                        proc.on_message("up", msg)
-                time.sleep(0.05)
-                clock += 1
-                for proc, _c, _d in drivers:
-                    proc.on_tick(clock)
+                clients.serve(1, wall_per_tick=0.05)
                 for record in core.records:
                     if record.actual_contributors == 3:
                         three_up = record
+            clients.close()
             assert three_up is not None, "never saw all three agents merged"
             from melt.aggregates import body_from_text
             body = body_from_text(three_up.aggregate_body)

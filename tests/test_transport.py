@@ -6,20 +6,14 @@ import time
 import pytest
 
 from melt.transport import (
-    ChannelClosedError, SimTransport, TcpListener, TransportError,
-    UnknownEndpointError, transport_connect,
+    ChannelClosedError, TcpListener, TransportError, sim_channel_pair, transport_connect,
 )
 from melt.wire import AttachAck, Detach, FrameDecoder, encode_message
 
 
 class TestSimTransport:
     def test_connect_and_fifo_order(self):
-        sim = SimTransport()
-        listener = sim.listen("skein")
-        client = transport_connect("skein", "simulated", sim=sim)
-        server = listener.accept()
-        assert server is not None
-
+        client, server = sim_channel_pair()
         a, b = Detach("one"), AttachAck(2)
         client.send(encode_message(a))
         client.send(encode_message(b))
@@ -27,22 +21,8 @@ class TestSimTransport:
         msgs = dec.feed(server.try_recv())
         assert msgs == [a, b]
 
-    def test_unknown_endpoint(self):
-        sim = SimTransport()
-        with pytest.raises(UnknownEndpointError, match="unknown endpoint"):
-            transport_connect("ghost", "simulated", sim=sim)
-
-    def test_duplicate_listen(self):
-        sim = SimTransport()
-        sim.listen("skein")
-        with pytest.raises(TransportError):
-            sim.listen("skein")
-
     def test_close_visible_to_peer(self):
-        sim = SimTransport()
-        listener = sim.listen("x")
-        client = sim.connect("x")
-        server = listener.accept()
+        client, server = sim_channel_pair()
         client.send(b"tail")
         client.close()
         assert server.try_recv() == b"tail"  # drained before the error
@@ -55,7 +35,7 @@ class TestSimTransport:
 class TestTcpTransport:
     def test_frames_roundtrip_over_localhost(self):
         listener = TcpListener("127.0.0.1", 0)
-        client = transport_connect(listener.endpoint, "tcp")
+        client = transport_connect(listener.endpoint)
         server = None
         deadline = time.time() + 2
         while server is None and time.time() < deadline:
@@ -84,11 +64,11 @@ class TestTcpTransport:
 
     def test_connection_refused(self):
         with pytest.raises(TransportError, match="failed"):
-            transport_connect("127.0.0.1:1", "tcp", timeout=0.3)
+            transport_connect("127.0.0.1:1", timeout=0.3)
 
     def test_endpoint_handoff_between_threads(self):
         listener = TcpListener("127.0.0.1", 0)
-        client = transport_connect(listener.endpoint, "tcp")
+        client = transport_connect(listener.endpoint)
         server = None
         deadline = time.time() + 2
         while server is None and time.time() < deadline:
@@ -110,7 +90,5 @@ class TestTcpTransport:
 
 
 def test_bad_kind_and_endpoint():
-    with pytest.raises(TransportError):
-        transport_connect("x:1", "carrier-pigeon")
     with pytest.raises(TransportError, match="host:port"):
-        transport_connect("no-port-here", "tcp")
+        transport_connect("no-port-here")
