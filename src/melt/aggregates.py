@@ -138,39 +138,51 @@ def empty_body(aggregation: str, edges: tuple[float, ...] = ()) -> Body:
 
 def merge(a: Body, b: Body) -> Body:
     """Merge two aggregate bodies of the same kind into a new body."""
-    if a.kind != b.kind:
-        raise AggregateKindError(f"cannot merge {a.kind} with {b.kind}")
-    if isinstance(a, SummaryBody) and isinstance(b, SummaryBody):
-        out = SummaryBody(dict(a.entries))
-        for key, agg in b.entries.items():
-            mine = out.entries.get(key)
-            out.entries[key] = agg.merge(mine) if mine else SummaryAgg(agg.count, agg.sum, agg.min, agg.max)
-        return out
-    if isinstance(a, HistogramBody) and isinstance(b, HistogramBody):
-        if a.edges != b.edges:
-            raise AggregateKindError("histogram edge mismatch")
-        out = HistogramBody(edges=a.edges, entries={k: list(v) for k, v in a.entries.items()})
-        for key, counts in b.entries.items():
-            mine = out.entries.get(key)
-            if mine is None:
-                out.entries[key] = list(counts)
-            else:
-                out.entries[key] = [x + y for x, y in zip(mine, counts)]
-        return out
-    if isinstance(a, CountedKeyBody) and isinstance(b, CountedKeyBody):
-        out = CountedKeyBody(dict(a.counts))
-        for key, count in b.counts.items():
-            out.counts[key] = out.counts.get(key, 0) + count
-        return out
-    raise AggregateKindError(f"cannot merge {type(a).__name__} with {type(b).__name__}")
+    return merge_all((a, b), a.kind, a.edges if isinstance(a, HistogramBody) else ())
 
 
 def merge_all(bodies, aggregation: str, edges: tuple[float, ...] = ()) -> Body:
-    """Fold bodies left to right in the given (canonical) order."""
+    """Fold bodies left to right in the given (canonical) order.
+
+    The fold goes into one accumulator in place; the input bodies are
+    neither changed nor aliased by the result.
+    """
     out = empty_body(aggregation, edges)
     for body in bodies:
-        out = merge(out, body)
+        _merge_into(out, body)
     return out
+
+
+def _merge_into(out: Body, b: Body) -> None:
+    """Add ``b`` into the accumulator ``out``, whose entries it owns."""
+    if out.kind != b.kind:
+        raise AggregateKindError(f"cannot merge {out.kind} with {b.kind}")
+    if isinstance(out, SummaryBody) and isinstance(b, SummaryBody):
+        entries = out.entries
+        for key, agg in b.entries.items():
+            mine = entries.get(key)
+            if mine is None:
+                entries[key] = SummaryAgg(agg.count, agg.sum, agg.min, agg.max)
+            else:  # operands in the order of agg.merge(mine)
+                mine.count = agg.count + mine.count
+                mine.sum = agg.sum + mine.sum
+                mine.min = min(agg.min, mine.min)
+                mine.max = max(agg.max, mine.max)
+        return
+    if isinstance(out, HistogramBody) and isinstance(b, HistogramBody):
+        if out.edges != b.edges:
+            raise AggregateKindError("histogram edge mismatch")
+        entries = out.entries
+        for key, counts in b.entries.items():
+            mine = entries.get(key)
+            entries[key] = list(counts) if mine is None else [x + y for x, y in zip(mine, counts)]
+        return
+    if isinstance(out, CountedKeyBody) and isinstance(b, CountedKeyBody):
+        tally = out.counts
+        for key, count in b.counts.items():
+            tally[key] = tally.get(key, 0) + count
+        return
+    raise AggregateKindError(f"cannot merge {type(out).__name__} with {type(b).__name__}")
 
 
 def fold_samples(contributions, aggregation: str, edges: tuple[float, ...] = ()) -> Body:

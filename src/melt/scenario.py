@@ -342,6 +342,18 @@ class WorkloadModel:
         self.active_mds = mds_nodes[seed % len(mds_nodes)] if mds_nodes else ""
         self.meta = [self._clamp(ev) for ev in workload.meta]
         self.paths = [self._clamp(ev) for ev in workload.paths]
+        # node -> its io flows and meta events, each in script order, so a
+        # client snapshot touches only its own events and sums in the same order
+        self.flows_of: dict[str, list[_Flow]] = {}
+        for flow in self.flows:
+            if flow is not None:
+                for node in dict.fromkeys(flow.nodes):
+                    self.flows_of.setdefault(node, []).append(flow)
+        self.meta_of: dict[str, list[MetaEvent]] = {}
+        for ev in self.meta:
+            if ev is not None:
+                for node in dict.fromkeys(self.jobs[ev.job_id].nodes):
+                    self.meta_of.setdefault(node, []).append(ev)
 
     def _clamp(self, ev):
         job = self.jobs[ev.job_id]
@@ -382,9 +394,7 @@ class WorkloadModel:
     def _client_io(self, node: str, t: int):
         """Yields (ost, rd_bytes, wr_bytes, rd_ops, wr_ops, rd_tsum, wr_tsum)."""
         per_ost: dict[str, list[float]] = {}
-        for flow in self.flows:
-            if flow is None or node not in flow.nodes:
-                continue
+        for flow in self.flows_of.get(node, ()):
             ov = _overlap(t, flow.start, flow.end)
             if ov <= 0:
                 continue
@@ -403,12 +413,8 @@ class WorkloadModel:
     def _client_meta_ops(self, node: str, t: int) -> dict[str, float]:
         """Cumulative metadata ops by raw counter name for one client."""
         out: dict[str, float] = {"META_OPS": 0.0}
-        for ev in self.meta:
-            if ev is None:
-                continue
+        for ev in self.meta_of.get(node, ()):
             nodes = self.jobs[ev.job_id].nodes
-            if node not in nodes:
-                continue
             ov = _overlap(t, ev.start, ev.end)
             share = ev.ops_per_s * ov / len(nodes)
             out["META_OPS"] += share
@@ -441,8 +447,8 @@ class WorkloadModel:
         snap.counters[("RPC_REQS", fs, "", "", "")] = meta_ops
         snap.counters[("RPC_WAIT_SUM", fs, "", "", "")] = meta_ops * RPC_WAIT_SECS
         dirty = 0.0
-        for flow in self.flows:
-            if flow is not None and node in flow.nodes and flow.start <= t < flow.end:
+        for flow in self.flows_of.get(node, ()):
+            if flow.start <= t < flow.end:
                 dirty += flow.write_bps * DIRTY_SECONDS
         snap.gauges[("IO_CLNT_DIRTY", fs)] = dirty
         self._loads(node, t, snap)

@@ -1,15 +1,27 @@
 """The host contract for overlay process cores, with its in-process backend.
 
 A host owns the processes, their links and the delivery loop: it flushes
-each process outbox through the wire codec, delivers decoded frames in
-registration order, tells a process when one of its links closes, and
-counts messages sent and received per process. :class:`SimHost` runs every
-link in process on a logical clock: each logical second every process gets
-a tick in registration order, then messages are pumped until the network
-is quiescent, so rounds are barrier-complete. Every frame still passes
+each process outbox through the wire codec, delivers decoded frames, tells
+a process when one of its links closes, and counts messages sent and
+received per process. :class:`SimHost` runs every link in process on a
+logical clock: each logical second every process gets a tick in
+registration order, then messages are pumped until the network is
+quiescent, so rounds are barrier-complete. Every frame still passes
 through the wire codec in both directions, keeping the layers above
 byte-exact with a socket deployment. The socket backend
 (:class:`melt.sockethost.SocketHost`) adds TCP links to the same loop.
+
+Delivery runs off a ready queue; idle links are never polled. A link is
+ready when a send has put bytes on it, when it or its in-process peer was
+closed, when a read left bytes (or a close) behind on it, or, in the
+socket backend, when the selector reports its socket readable. ``pump``
+works in passes. Each pass visits the processes that have a ready link in
+registration order and reads only their ready links, in the order the
+links were added. A process that becomes ready during a pass at a position
+after the one being visited is visited in that same pass; one at or before
+it waits for the next pass. That is the order a scan of every link of
+every process would deliver in, so the work of a round is proportional to
+the frames it moves, not to the number of links.
 
 The sim backend records every send, note and link closure in the
 transcript, which is what the flat-fold oracles and the message accounting
@@ -18,19 +30,27 @@ checks consume.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import wire
 from .transport import ChannelClosedError, sim_channel_pair
 
 
-@dataclass
+@dataclass(eq=False)
 class LinkState:
+    """One end of a link as its process sees it; ``add_link`` fills the owner fields."""
+
     channel: object  # SimChannelEnd or TcpChannel
-    peer_pid: str = "-"
-    peer_link: str = "-"
+    peer: LinkState | None = field(default=None, repr=False)  # the in-process other end
     decoder: wire.FrameDecoder = field(default_factory=wire.FrameDecoder)
     closed_notified: bool = False
+    pid: str = "-"       # owning process
+    name: str = ""       # link name within the owning process
+    rank: int = -1       # registration rank of the owning process
+    seq: int = -1        # position among the owning process's links
+    ready: bool = False  # queued to be read; a dropped link stays True forever
 
 
 def _msg_key(msg: wire.Message):
@@ -56,6 +76,14 @@ class SimHost:
         self.sent: dict[str, int] = {}
         self.received: dict[str, int] = {}
         self.now = 0
+        # the ready queue: rank -> ready links of that process; ranks to visit
+        # in this pass (a heap) and in the next; the rank being visited
+        self._rank: dict[str, int] = {}
+        self._ranks_issued = 0
+        self._ready: dict[int, list[LinkState]] = {}
+        self._pass: list[int] = []
+        self._later: list[int] = []
+        self._cursor = -1
 
     # --- construction ----------------------------------------------------------
 
@@ -67,22 +95,33 @@ class SimHost:
         self.proc_links.setdefault(proc.pid, [])
         self.sent.setdefault(proc.pid, 0)
         self.received.setdefault(proc.pid, 0)
+        self._rank[proc.pid] = self._ranks_issued
+        self._ranks_issued += 1
 
     def add_link(self, proc, link: str, state: LinkState) -> None:
+        state.pid, state.name, state.rank = proc.pid, link, self._rank[proc.pid]
+        state.seq = len(self.proc_links[proc.pid])
         self.links[(proc.pid, link)] = state
         self.proc_links[proc.pid].append(link)
 
     def wire(self, proc_a, link_a: str, proc_b, link_b: str) -> None:
         end_a, end_b = sim_channel_pair()
-        self.add_link(proc_a, link_a, LinkState(end_a, proc_b.pid, link_b))
-        self.add_link(proc_b, link_b, LinkState(end_b, proc_a.pid, link_a))
+        state_a, state_b = LinkState(end_a), LinkState(end_b)
+        state_a.peer, state_b.peer = state_b, state_a
+        self.add_link(proc_a, link_a, state_a)
+        self.add_link(proc_b, link_b, state_b)
 
     def drop_process(self, proc) -> None:
-        for link in self.proc_links.get(proc.pid, []):
+        for link in self.proc_links.pop(proc.pid, []):
             state = self.links.pop((proc.pid, link), None)
-            if state is not None:
-                self.release(state)
-        self.proc_links.pop(proc.pid, None)
+            if state is None:
+                continue
+            state.ready = True
+            self.release(state)
+            if state.peer is not None:
+                self.wake(state.peer)
+        rank = self._rank.pop(proc.pid, None)
+        self._ready.pop(rank, None)
         self.by_pid.pop(proc.pid, None)
         self.procs = [p for p in self.procs if p.pid != proc.pid]
 
@@ -92,6 +131,9 @@ class SimHost:
         if state is None:
             raise KeyError(f"no link {link!r} on {pid}")
         state.channel.close()
+        self.wake(state)
+        if state.peer is not None:
+            self.wake(state.peer)
 
     # --- backend hooks -----------------------------------------------------------
 
@@ -105,9 +147,24 @@ class SimHost:
 
     # --- delivery ----------------------------------------------------------------
 
-    def flush(self, proc) -> bool:
+    def wake(self, state: LinkState) -> None:
+        """Queue a link to be read: in this pass if its process comes after
+        the one being visited, else in the next."""
+        if state.ready:
+            return
+        state.ready = True
+        queued = self._ready.get(state.rank)
+        if queued is not None:
+            queued.append(state)
+            return
+        self._ready[state.rank] = [state]
+        if state.rank > self._cursor:
+            heapq.heappush(self._pass, state.rank)
+        else:
+            self._later.append(state.rank)
+
+    def flush(self, proc) -> None:
         """Encode and send everything in a process outbox; drain its notes."""
-        progress = False
         for note in proc.notes:
             self.record((note[0], self.now) + tuple(note[1:]))
         proc.notes.clear()
@@ -125,51 +182,68 @@ class SimHost:
                              type(msg).__name__))
                 continue
             self.sent[proc.pid] += 1
-            event = ("send", self.now, proc.pid, state.peer_pid, type(msg).__name__,
-                     _msg_key(msg))
+            peer = state.peer
+            event = ("send", self.now, proc.pid, "-" if peer is None else peer.pid,
+                     type(msg).__name__, _msg_key(msg))
             if isinstance(msg, wire.Data):
                 event += (msg.round, msg.window_secs, msg.expected_contributors,
                           msg.actual_contributors)
             self.record(event)
-            progress = True
+            if peer is not None:
+                self.wake(peer)
         proc.outbox.clear()
-        return progress
 
-    def _deliver_to(self, proc) -> bool:
-        progress = False
-        for link in list(self.proc_links.get(proc.pid, [])):
-            state = self.links.get((proc.pid, link))
-            if state is None:
-                continue
+    def _deliver(self, rank: int) -> None:
+        """Read the ready links of one process, in the order they were added."""
+        states = self._ready.pop(rank, None)
+        if states is None:
+            return  # dropped after it was queued
+        proc = self.by_pid[states[0].pid]
+        states.sort(key=attrgetter("seq"))
+        for state in states:
+            state.ready = False
             try:
                 data = state.channel.try_recv()
             except ChannelClosedError:
-                data = b""
                 if not state.closed_notified:
                     state.closed_notified = True
                     self.release(state)
-                    self.record(("link-closed", self.now, proc.pid, link))
-                    proc.on_link_closed(link)
-                    progress |= self.flush(proc) or True
+                    self.record(("link-closed", self.now, proc.pid, state.name))
+                    proc.on_link_closed(state.name)
+                    self.flush(proc)
+                continue
             if not data:
                 continue
+            if state.peer is not None and state.channel.readable:
+                self.wake(state)  # more than one read's worth, or a close behind it
             for msg in state.decoder.feed(data):
                 self.received[proc.pid] += 1
-                proc.on_message(link, msg)
+                proc.on_message(state.name, msg)
                 self.flush(proc)
-            progress = True
-        return progress
 
     def pump(self, limit: int = 100_000) -> None:
-        """Deliver messages until the network is quiescent."""
+        """Deliver messages until the network is quiescent, in passes over
+        the ready queue (see the module docstring for the order)."""
         for proc in self.procs:
-            self.flush(proc)
-        for _ in range(limit):
-            progress = False
-            for proc in list(self.procs):
-                progress |= self._deliver_to(proc)
-            if not progress:
-                return
+            if proc.outbox or proc.notes:
+                self.flush(proc)
+        try:
+            for _ in range(limit):
+                if not self._pass:
+                    return
+                while self._pass:
+                    self._cursor = heapq.heappop(self._pass)
+                    self._deliver(self._cursor)
+                self._cursor = -1
+                self._pass, self._later = self._later, self._pass
+                heapq.heapify(self._pass)
+        finally:
+            # after an exception, keep every queued rank for the next pump
+            self._cursor = -1
+            if self._later:
+                self._pass += self._later
+                self._later = []
+                heapq.heapify(self._pass)
         raise RuntimeError("message pump did not quiesce")
 
     def tick(self, now: int) -> None:

@@ -59,18 +59,24 @@ class SocketHost(SimHost):
         return listener.endpoint
 
     def attach_channel(self, proc, link: str, channel) -> None:
-        """Bind an outbound (dialed) channel as one of the process's links."""
-        self.selector.register(channel, selectors.EVENT_READ)
-        self.add_link(proc, link, LinkState(channel))
+        """Bind a TCP channel as one of the process's links; its first read
+        is queued at once, since the peer may have sent before it was bound."""
+        state = LinkState(channel)
+        self.add_link(proc, link, state)
+        self.selector.register(channel, selectors.EVENT_READ, state)
+        self.wake(state)
 
     def pump(self) -> None:
-        """Accept on readable listeners, then deliver until quiescent; never blocks."""
+        """Queue readable sockets, accept on readable listeners, then deliver
+        until quiescent; never blocks."""
         for key, _events in self.selector.select(0):
-            if key.data is not None:
-                channel = key.fileobj.accept()
-                if channel is not None:
-                    self._accept_seq += 1
-                    self.attach_channel(key.data, f"tcp{self._accept_seq}", channel)
+            if isinstance(key.data, LinkState):
+                self.wake(key.data)
+                continue
+            channel = key.fileobj.accept()
+            if channel is not None:
+                self._accept_seq += 1
+                self.attach_channel(key.data, f"tcp{self._accept_seq}", channel)
         super().pump()
 
     def serve(self, logical_seconds: int, wall_per_tick: float = 1.0,

@@ -42,6 +42,11 @@ class SimChannelEnd:
         del self._rx[:limit]
         return data
 
+    @property
+    def readable(self) -> bool:
+        """Whether ``try_recv`` would return bytes or raise ChannelClosedError."""
+        return bool(self._rx) or self.closed
+
     def close(self) -> None:
         self.closed = True
         if self.peer is not None:

@@ -21,6 +21,7 @@ from .streams import StreamSpec
 MAGIC = b"\x4d\x4c"
 VERSION = 1
 HEADER_LEN = 8
+_LENGTH = struct.Struct(">I")  # payload length field, at offset 4
 MAX_PAYLOAD = 2 ** 32 - 1
 
 DIRECTIONS = ("up-consumer", "agent-producer")
@@ -136,25 +137,21 @@ def _escape(value: str) -> str:
 
 
 def _unescape(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\":
-            if i + 1 >= len(value):
+    if "\\" not in value:
+        return value
+    # split pairs backslashes left to right, as a scan would, so a backslash
+    # left in a part is valid only as the start of a \n escape
+    parts = value.split("\\\\")
+    for i, part in enumerate(parts):
+        plain = part.replace("\\n", "\n")
+        if "\\" in plain:
+            rest = part.replace("\\n", "")
+            at = rest.index("\\")
+            if at + 1 == len(rest):  # only possible at the end of the value
                 raise ProtocolError("dangling escape in payload value")
-            nxt = value[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-            elif nxt == "n":
-                out.append("\n")
-            else:
-                raise ProtocolError(f"bad escape \\{nxt} in payload value")
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+            raise ProtocolError(f"bad escape \\{rest[at + 1]} in payload value")
+        parts[i] = plain
+    return "\\".join(parts)
 
 
 def _num(x: float) -> str:
@@ -314,6 +311,39 @@ def encode_message(msg: Message) -> bytes:
     return MAGIC + bytes((VERSION, code)) + struct.pack(">I", len(payload)) + payload
 
 
+def _frame_at(buf, pos: int) -> tuple[Message | None, int]:
+    """Decode the frame that starts at ``buf[pos]``.
+
+    Returns (message, offset just past it), or (None, pos) when only an
+    incomplete prefix is there. Malformed data raises :class:`ProtocolError`.
+    """
+    avail = len(buf) - pos
+    if buf[pos:pos + 2] != MAGIC[: min(2, avail)]:
+        raise ProtocolError(f"bad magic {bytes(buf[pos:pos + 2])!r}")
+    if avail >= 3 and buf[pos + 2] != VERSION:
+        raise ProtocolError(f"unsupported protocol version {buf[pos + 2]}")
+    if avail >= 4 and buf[pos + 3] not in CODE_TYPES:
+        raise ProtocolError(f"unknown msg_type code {buf[pos + 3]}")
+    if avail < HEADER_LEN:
+        return None, pos
+    (length,) = _LENGTH.unpack_from(buf, pos + 4)
+    end = pos + HEADER_LEN + length
+    if len(buf) < end:
+        return None, pos
+    return decode_payload(buf[pos + 3], buf[pos + HEADER_LEN:end]), end
+
+
+def _frames(buf) -> tuple[list[Message], int]:
+    """Every complete frame at the start of ``buf``, and the offset after them."""
+    out: list[Message] = []
+    pos = 0
+    while True:
+        msg, pos = _frame_at(buf, pos)
+        if msg is None:
+            return out, pos
+        out.append(msg)
+
+
 def decode_frame(buf: bytes) -> tuple[Message | None, bytes]:
     """Decode one frame from ``buf``.
 
@@ -321,42 +351,34 @@ def decode_frame(buf: bytes) -> tuple[Message | None, bytes]:
     buffer holds only an incomplete prefix. Malformed data raises
     :class:`ProtocolError`.
     """
-    if buf[:2] != MAGIC[: min(2, len(buf))]:
-        raise ProtocolError(f"bad magic {buf[:2]!r}")
-    if len(buf) >= 3 and buf[2] != VERSION:
-        raise ProtocolError(f"unsupported protocol version {buf[2]}")
-    if len(buf) >= 4 and buf[3] not in CODE_TYPES:
-        raise ProtocolError(f"unknown msg_type code {buf[3]}")
-    if len(buf) < HEADER_LEN:
-        return None, buf
-    code = buf[3]
-    (length,) = struct.unpack(">I", buf[4:8])
-    end = HEADER_LEN + length
-    if len(buf) < end:
-        return None, buf
-    msg = decode_payload(code, buf[HEADER_LEN:end])
-    return msg, buf[end:]
+    msg, end = _frame_at(buf, 0)
+    return (None, buf) if msg is None else (msg, buf[end:])
 
 
 def decode_all(buf: bytes) -> tuple[list[Message], bytes]:
     """Decode every complete frame in ``buf``; returns messages + remainder."""
-    out: list[Message] = []
-    while True:
-        msg, buf = decode_frame(buf)
-        if msg is None:
-            return out, buf
-        out.append(msg)
+    msgs, end = _frames(buf)
+    return msgs, buf[end:]
 
 
 class FrameDecoder:
-    """Incremental decoder for one byte-stream direction of a channel."""
+    """Incremental decoder for one byte-stream direction of a channel.
+
+    Fed bytes go into one bytearray that is decoded at an advancing offset
+    and then trimmed from the front, so a feed costs time linear in the
+    bytes it brings, however many frames they hold. After a
+    :class:`ProtocolError` the decoder still holds everything fed since the
+    last successful feed.
+    """
 
     def __init__(self) -> None:
-        self._buf = b""
+        self._buf = bytearray()
 
     def feed(self, data: bytes) -> list[Message]:
-        self._buf += data
-        msgs, self._buf = decode_all(self._buf)
+        buf = self._buf
+        buf += data
+        msgs, end = _frames(buf)
+        del buf[:end]
         return msgs
 
     @property

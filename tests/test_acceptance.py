@@ -6,6 +6,7 @@ criterion.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import time
@@ -343,6 +344,19 @@ def test_c10_determinism(tmp_path):
     bytes_a, bytes_b = out_a.read_bytes(), out_b.read_bytes()
     assert bytes_a == bytes_b and len(bytes_a) > 10_000
     ok(10, f"determinism (two runs, byte-identical {len(bytes_a)}-byte transcripts)")
+
+
+# sha256 of `meltsim run testbed.cfg --transcript` (312,036 bytes). c10 compares
+# two runs of the same code; this pins the delivery order across changes.
+TESTBED_TRANSCRIPT_SHA256 = "27c8b0af0f1c30b7eafb92f0cf285c5cfb55d248925f440d213dc565637e606b"
+
+
+def test_c10_golden_transcript_digest(tmp_path):
+    out = tmp_path / "testbed.log"
+    assert meltsim_main(["run", "testbed.cfg", "--transcript", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 312_036
+    assert hashlib.sha256(data).hexdigest() == TESTBED_TRANSCRIPT_SHA256
 
 
 def _random_message(rng: random.Random) -> wire.Message:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -137,6 +138,66 @@ def test_counted_merge_laws(a, b, c):
     assert merge(a, b).counts == merge(b, a).counts
     assert merge(merge(a, b), c).counts == merge(a, merge(b, c)).counts
     assert merge(a, empty_body("counted-key")).counts == a.counts
+
+
+HIST_EDGES = (1.0, 10.0, 100.0)
+
+histogram_bodies = st.builds(
+    lambda samples: fold_samples(samples, "histogram", HIST_EDGES),
+    st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from(["IO_RD_BW"]),
+                       st.floats(0, 500, allow_nan=False), st.integers(1, 3)), max_size=8),
+)
+
+
+def reference_merge(a, b):
+    """The copying pairwise merge the in-place fold replaced."""
+    if isinstance(a, SummaryBody):
+        out = SummaryBody(dict(a.entries))
+        for key, one in b.entries.items():
+            mine = out.entries.get(key)
+            out.entries[key] = one.merge(mine) if mine else SummaryAgg(
+                one.count, one.sum, one.min, one.max)
+        return out
+    if isinstance(a, HistogramBody):
+        out = HistogramBody(edges=a.edges, entries={k: list(v) for k, v in a.entries.items()})
+        for key, counts in b.entries.items():
+            mine = out.entries.get(key)
+            out.entries[key] = list(counts) if mine is None else [
+                x + y for x, y in zip(mine, counts)]
+        return out
+    out = CountedKeyBody(dict(a.counts))
+    for key, count in b.counts.items():
+        out.counts[key] = out.counts.get(key, 0) + count
+    return out
+
+
+def inner_objects(body):
+    values = body.counts.values() if isinstance(body, CountedKeyBody) else body.entries.values()
+    return {id(v) for v in values if not isinstance(v, int)}
+
+
+BODIES = {"summary": summary_bodies, "histogram": histogram_bodies,
+          "counted-key": counted_bodies}
+
+
+@pytest.mark.parametrize("kind", list(BODIES))
+def test_merge_all_is_left_fold_and_leaves_inputs_alone(kind):
+    edges = HIST_EDGES if kind == "histogram" else ()
+
+    @given(st.lists(BODIES[kind], min_size=1, max_size=6))
+    @settings(max_examples=60)
+    def check(children):
+        before = copy.deepcopy(children)
+        want = empty_body(kind, edges)
+        for child in children:
+            want = reference_merge(want, child)
+        got = merge_all(children, kind, edges)
+        assert got == want
+        assert merge(children[0], children[-1]) == reference_merge(children[0], children[-1])
+        assert children == before
+        assert not inner_objects(got) & set().union(*map(inner_objects, children))
+
+    check()
 
 
 def test_histogram_merge_and_conservation():

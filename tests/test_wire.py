@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import struct
 
 import pytest
@@ -152,6 +153,43 @@ class TestConcatenation:
         assert got == SAMPLE_MESSAGES
         assert dec.pending_bytes == 0
 
+    def test_decoder_16k_frames_one_buffer_and_7_byte_chunks(self):
+        rng = random.Random(16000)
+        frames = []
+        for i in range(16_000):
+            if i % 3:
+                msg = SAMPLE_MESSAGES[rng.randrange(len(SAMPLE_MESSAGES))]
+            else:
+                body = "".join(rng.choice("ab \\\n=%9") for _ in range(rng.randrange(200)))
+                msg = Data(i, i, 1, 4, 3, body)
+            frames.append(encode_message(msg))
+        want = []
+        for frame in frames:
+            msg, rest = decode_frame(frame)
+            assert rest == b""
+            want.append(msg)
+        blob = b"".join(frames)
+
+        whole = FrameDecoder()
+        assert whole.feed(blob) == want
+        assert whole.pending_bytes == 0
+
+        chunked = FrameDecoder()
+        longest = max(map(len, frames))
+        got = []
+        for i in range(0, len(blob), 7):
+            got.extend(chunked.feed(blob[i:i + 7]))
+            assert chunked.pending_bytes < longest
+        assert got == want
+        assert chunked.pending_bytes == 0
+
+    def test_decoder_keeps_fed_bytes_after_protocol_error(self):
+        good, bad = encode_message(Detach("a")), b"\x00\x00" + encode_message(Detach("b"))[2:]
+        dec = FrameDecoder()
+        with pytest.raises(ProtocolError, match="magic"):
+            dec.feed(good + bad)
+        assert dec.pending_bytes == len(good) + len(bad)
+
 
 free_text = st.text(min_size=1, max_size=30)
 token = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789._-", min_size=1, max_size=12)
@@ -200,3 +238,39 @@ def test_jobmap_rejects_commas_in_nodes():
 def test_subscribe_rejects_bad_direction():
     with pytest.raises(ValueError, match="direction"):
         Subscribe(1, "sideways")
+
+
+def reference_unescape(value: str) -> str:
+    """The original per-character unescape, kept as the reference."""
+    out = []
+    i = 0
+    while i < len(value):
+        ch = value[i]
+        if ch == "\\":
+            if i + 1 >= len(value):
+                raise ProtocolError("dangling escape in payload value")
+            nxt = value[i + 1]
+            if nxt == "\\":
+                out.append("\\")
+            elif nxt == "n":
+                out.append("\n")
+            else:
+                raise ProtocolError(f"bad escape \\{nxt} in payload value")
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def _outcome(fn, value):
+    try:
+        return "ok", fn(value)
+    except ProtocolError as exc:
+        return "error", str(exc)
+
+
+@given(st.text(alphabet="\\\\\\nnnx\n=é", max_size=40))
+@settings(max_examples=1000)
+def test_unescape_matches_reference(value):
+    assert _outcome(wire._unescape, value) == _outcome(reference_unescape, value)
