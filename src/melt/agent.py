@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import catalog, wire
 from .aggregates import body_to_text, fold_samples
-from .overlay import ProcessCore
+from .overlay import ProcessCore, apply_rate_override, overridden_interval
 from .streams import AgentIdentity, StreamSpec, group_key, parse_target, produced_metrics
 from .topology import OverlayTopology
 
@@ -216,16 +216,8 @@ class AgentCore(ProcessCore):
         self.emit("up", wire.Subscribe(spec.stream_id, "agent-producer"))
 
     def apply_rate(self, msg: wire.SetRate) -> None:
-        if msg.stream_id not in self.specs:
-            return
-        per_stream = self.overrides.setdefault(msg.stream_id, {})
-        for metric in msg.metric_names:
-            if msg.interval_secs == 0:
-                per_stream.pop(metric, None)
-            else:
-                per_stream[metric] = msg.interval_secs
-        if not per_stream:
-            self.overrides.pop(msg.stream_id, None)
+        if msg.stream_id in self.specs:
+            apply_rate_override(self.overrides, msg)
 
     def apply_job_map(self, msg: wire.JobMapUpdate) -> None:
         if msg.epoch <= self.jobmap_epoch:
@@ -240,9 +232,7 @@ class AgentCore(ProcessCore):
     # --- sampling intervals ------------------------------------------------------
 
     def stream_interval(self, stream_id: int) -> int:
-        values = [self.specs[stream_id].interval_secs]
-        values.extend(self.overrides.get(stream_id, {}).values())
-        return min(values)
+        return overridden_interval(self.specs[stream_id], self.overrides)
 
     def effective_interval(self, metric: str) -> int:
         values = [self.config.class_intervals[catalog.metric(metric).metric_class]]
@@ -419,23 +409,17 @@ class AgentCore(ProcessCore):
 
 def main(argv: list[str] | None = None) -> int:
     """Socket-mode agent entry point."""
-    from .sockethost import dial_core
+    from .sockethost import parse_flags, run_core
     from .topology import load_topology
 
     args = sys.argv[1:] if argv is None else argv
-    flags: dict[str, str] = {}
-    for arg in args:
-        if not arg.startswith("--") or "=" not in arg:
-            print(f"meltagent: bad argument {arg!r}", file=sys.stderr)
-            return 1
-        key, _, value = arg[2:].partition("=")
-        flags[key] = value
-    for needed in ("node", "domain", "role", "connect"):
-        if needed not in flags:
-            print(f"meltagent: --{needed}=... is required", file=sys.stderr)
-            return 1
-
-    topology = load_topology(flags["config"]) if "config" in flags else None
+    try:
+        flags = parse_flags(args, ("node", "domain", "role", "connect", "config", "source"),
+                            ("node", "domain", "role", "connect"))
+        topology = load_topology(flags["config"]) if "config" in flags else None
+    except (ValueError, OSError) as exc:
+        print(f"meltagent: {exc}", file=sys.stderr)
+        return 1
     if topology is not None and topology.has_node(flags["node"]):
         config = AgentConfig.from_topology(topology, flags["node"])
     else:
@@ -451,20 +435,4 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     agent = AgentCore(config, source, topology)
-    try:
-        host, up = dial_core(agent, flags["connect"])
-    except OSError as exc:
-        print(f"meltagent: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        while not up.closed:
-            host.serve(1)
-    except KeyboardInterrupt:
-        agent.send_detach()
-        host.flush(agent)
-        return 0
-    finally:
-        host.close()
-    print(f"meltagent: connection lost: {flags['connect']}", file=sys.stderr)
-    return 2
+    return run_core("meltagent", agent, flags["connect"], agent.send_detach)

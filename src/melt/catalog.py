@@ -118,7 +118,6 @@ AVG_SOURCES = {
 
 AUX_COUNTERS = ("IO_RD_OPS", "IO_WR_OPS", "IO_RD_TIME_SUM", "IO_WR_TIME_SUM", "RPC_WAIT_SUM")
 KNOWN_COUNTERS = frozenset(RAW_TO_RATE) | frozenset(AUX_COUNTERS)
-GAUGE_METRICS = frozenset(d.name for d in CATALOG if d.kind == "gauge" and d.name not in AVG_SOURCES)
 
 # metric that carries each counted-key event class
 COUNTED_CLASS_METRIC = {"op": "OP_COUNT", "path": "PATH_COUNT", "client": "CLIENT_COUNT"}

@@ -69,8 +69,9 @@ def _matrix_row_text(kind: str, mode: str) -> str:
 
 
 def parse_duration(text: str) -> int:
-    if len(text) < 2 or not text[:-1].isdigit() or text[-1] not in "smh":
-        raise UsageError(f"bad duration {text!r}, want <int><s|m|h>")
+    if len(text) < 2 or not text[:-1].isdigit() or text[-1] not in "smh" \
+            or int(text[:-1]) < 1:
+        raise UsageError(f"bad duration {text!r}, want <int><s|m|h> of at least 1s")
     return int(text[:-1]) * {"s": 1, "m": 60, "h": 3600}[text[-1]]
 
 
@@ -465,7 +466,7 @@ class CliCore(ClientCore):
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .sockethost import dial_core
+    from .sockethost import run_core
 
     args = sys.argv[1:] if argv is None else argv
     try:
@@ -477,28 +478,18 @@ def main(argv: list[str] | None = None) -> int:
         print("melt: --connect=<root endpoint> is required", file=sys.stderr)
         return 1
     core = CliCore(inv, base_time=None)
-    try:
-        host, up = dial_core(core, inv.connect)
-    except OSError as exc:
-        print(f"melt: {exc}", file=sys.stderr)
-        return 2
-
     printed = 0
-    try:
-        while not core.done and not up.closed:
-            host.serve(1)
-            for text in core.rendered[printed:]:
-                print(text)
-            printed = len(core.rendered)
-    except KeyboardInterrupt:
-        core.finish()
-        host.flush(core)
-        return 0
-    finally:
-        host.close()
-    if not core.done:
-        print(f"melt: connection lost: {inv.connect}", file=sys.stderr)
-        return 2
+
+    def step() -> bool:
+        nonlocal printed
+        for text in core.rendered[printed:]:
+            print(text)
+        printed = len(core.rendered)
+        return core.done
+
+    code = run_core("melt", core, inv.connect, core.finish, step)
+    if code is not None:
+        return code
     if core.failure:
         print(f"melt: {core.failure}", file=sys.stderr)
     return core.exit_code or 0

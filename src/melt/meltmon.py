@@ -230,47 +230,29 @@ class MeltmonCore(ClientCore):
 
 def main(argv: list[str] | None = None) -> int:
     """Socket-mode daemon entry point."""
-    from .sockethost import dial_core
+    from .sockethost import parse_flags, run_core
     from .topology import load_topology
 
     args = sys.argv[1:] if argv is None else argv
-    flags: dict[str, str] = {}
-    for arg in args:
-        key, _, value = arg.lstrip("-").partition("=")
-        flags[key] = value
-    for needed in ("connect", "config", "jobmap"):
-        if needed not in flags:
-            print(f"meltmon: --{needed}=... is required", file=sys.stderr)
-            return 1
-
-    topology = load_topology(flags["config"])
     try:
+        flags = parse_flags(args, ("connect", "config", "jobmap", "poll", "log-dir"),
+                            ("connect", "config", "jobmap"))
+        topology = load_topology(flags["config"])
         job_source = parse_adapter_spec(flags["jobmap"])
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"meltmon: {exc}", file=sys.stderr)
         return 1
     poll_text = flags.get("poll", "60s")
-    if not poll_text.endswith("s") or not poll_text[:-1].isdigit():
-        print(f"meltmon: bad --poll value {poll_text!r}, want <int>s", file=sys.stderr)
+    if not poll_text.endswith("s") or not poll_text[:-1].isdigit() or int(poll_text[:-1]) < 1:
+        print(f"meltmon: bad --poll value {poll_text!r}, want <int>s of at least 1s",
+              file=sys.stderr)
         return 1
     daemon = MeltmonCore(topology, job_source, log_dir=flags.get("log-dir"),
                          hostname=socket.gethostname(), pid=os.getpid(),
                          poll_secs=int(poll_text[:-1]), base_time=None)
-    try:
-        host, up = dial_core(daemon, flags["connect"])
-    except OSError as exc:
-        print(f"meltmon: {exc}", file=sys.stderr)
-        return 2
 
-    try:
-        while not up.closed:
-            host.serve(1)
-    except KeyboardInterrupt:
+    def goodbye() -> None:
         daemon.detach()
-        host.flush(daemon)
         daemon.close()
-        return 0
-    finally:
-        host.close()
-    print(f"meltmon: connection lost: {flags['connect']}", file=sys.stderr)
-    return 2
+
+    return run_core("meltmon", daemon, flags["connect"], goodbye)

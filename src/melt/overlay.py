@@ -20,10 +20,28 @@ from dataclasses import dataclass, field
 from . import wire
 from .aggregates import AggregateError, body_from_text, body_to_text, merge_all
 from .streams import StreamSpec, parse_target, producer_roles_for, validate_target_exists
-from .topology import OverlayTopology
+from .topology import DomainSpec, OverlayTopology
 
 SESSION_EPOCH = 1
 ROUND_TIMEOUT_FACTOR = 2  # real-mode straggler bound; never fires in simulation
+RING_ROLES = frozenset({"manager", "session-root"})  # openers of a ring link, not a tree link
+
+
+def apply_rate_override(overrides: dict[int, dict[str, int]], msg: wire.SetRate) -> None:
+    """Record one SetRate in a stream -> metric -> interval table; 0 withdraws."""
+    per_stream = overrides.setdefault(msg.stream_id, {})
+    for metric in msg.metric_names:
+        if msg.interval_secs == 0:
+            per_stream.pop(metric, None)
+        else:
+            per_stream[metric] = msg.interval_secs
+    if not per_stream:
+        overrides.pop(msg.stream_id, None)
+
+
+def overridden_interval(spec: StreamSpec, overrides: dict[int, dict[str, int]]) -> int:
+    """A stream's round interval: the fastest of its own and its overrides."""
+    return min((spec.interval_secs, *overrides.get(spec.stream_id, {}).values()))
 
 
 class ProcessCore:
@@ -87,12 +105,15 @@ class GatherNode(ProcessCore):
 
     # --- link topology -------------------------------------------------------
 
-    def add_child_link(self, link: str) -> None:
-        self.tree_children.append(link)
-
-    def set_ring_prev(self, link: str, produces: bool) -> None:
-        self.ring_prev_link = link
-        self.ring_prev_produces = produces
+    def bind_link(self, link: str, opener_role: str) -> None:
+        """Bind a link another process opened to this one, by that process's
+        role: a ring predecessor (data flows in only from a manager) or a
+        tree child."""
+        if opener_role in RING_ROLES:
+            self.ring_prev_link = link
+            self.ring_prev_produces = opener_role == "manager"
+        elif link not in self.tree_children:
+            self.tree_children.append(link)
 
     def producer_links(self, stream_id: int) -> list[str]:
         links = []
@@ -106,10 +127,7 @@ class GatherNode(ProcessCore):
         return [l for l in self.producer_links(stream_id) if l not in self.dead_links]
 
     def effective_interval(self, stream_id: int) -> int:
-        spec = self.specs[stream_id]
-        values = [spec.interval_secs]
-        values.extend(self.overrides.get(stream_id, {}).values())
-        return min(values)
+        return overridden_interval(self.specs[stream_id], self.overrides)
 
     # --- message handling ----------------------------------------------------
 
@@ -136,20 +154,13 @@ class GatherNode(ProcessCore):
             self.note("unexpected-message", self.pid, type(msg).__name__)
 
     def handle_attach(self, link: str, msg: wire.Attach) -> None:
-        # a socket-mode bootstrap binds ring links through the same handshake
-        if msg.process_role == "manager":
-            self.set_ring_prev(link, produces=True)
-            self.emit(link, wire.AttachAck(SESSION_EPOCH))
-            return
-        if msg.process_role == "session-root":
-            self.set_ring_prev(link, produces=False)
-            self.emit(link, wire.AttachAck(SESSION_EPOCH))
+        # a socket-mode bootstrap binds ring and tree links through this handshake
+        self.bind_link(link, msg.process_role)
+        self.emit(link, wire.AttachAck(SESSION_EPOCH))
+        if msg.process_role in RING_ROLES:
             return
         if msg.process_role == "agent":
             self.agent_children[link] = msg.node_id
-        if link not in self.tree_children:
-            self.tree_children.append(link)
-        self.emit(link, wire.AttachAck(SESSION_EPOCH))
         for sid in sorted(self.specs):
             self.emit(link, wire.CreateStream(self.specs[sid]))
         if self.jobmap_msg is not None:
@@ -188,14 +199,7 @@ class GatherNode(ProcessCore):
 
     def handle_set_rate(self, link: str, msg: wire.SetRate) -> None:
         if msg.stream_id in self.specs:
-            per_stream = self.overrides.setdefault(msg.stream_id, {})
-            for metric in msg.metric_names:
-                if msg.interval_secs == 0:
-                    per_stream.pop(metric, None)
-                else:
-                    per_stream[metric] = msg.interval_secs
-            if not per_stream:
-                self.overrides.pop(msg.stream_id, None)
+            apply_rate_override(self.overrides, msg)
         self.forward_multicast(msg)
 
     def handle_jobmap(self, link: str, msg: wire.JobMapUpdate) -> None:
@@ -211,8 +215,10 @@ class GatherNode(ProcessCore):
         if link == self.ring_prev_link or link in self.tree_children:
             self.dead_links.add(link)
             self.recheck_pending()
-        else:
-            self.link_down(link)
+        elif link == "up":
+            self.dead_links.add(link)
+            if self.up_lost_note:
+                self.note(self.up_lost_note, self.pid)
 
     def remove_child(self, link: str, clean: bool) -> None:
         if link in self.tree_children:
@@ -289,21 +295,24 @@ class GatherNode(ProcessCore):
                 self.note("round-timeout", self.pid, sid, rnd)
                 self.complete_round(sid, rnd)
 
-    # --- role-specific hooks -----------------------------------------------------
+    # --- role-specific hooks: relays and managers send toward the root over
+    # "up" and multicast down their tree; the root overrides what it needs
 
-    def deliver_up(self, record: wire.Data) -> None:
-        raise NotImplementedError
+    up_lost_note = ""  # noted when the "up" link closes
+
+    def send_up(self, msg) -> None:
+        if "up" not in self.dead_links:
+            self.emit("up", msg)
+
+    def send_down(self, msg) -> None:
+        for link in self.tree_children:
+            if link not in self.dead_links:
+                self.emit(link, msg)
+
+    deliver_up = forward_error = send_up
+    forward_multicast = send_down
 
     def forward_subscribe(self, msg: wire.Subscribe) -> None:
-        pass
-
-    def forward_multicast(self, msg) -> None:
-        raise NotImplementedError
-
-    def forward_error(self, msg: wire.Error) -> None:
-        raise NotImplementedError
-
-    def link_down(self, link: str) -> None:
         pass
 
 
@@ -311,27 +320,7 @@ class RelayProcess(GatherNode):
     """Internal tree process on a member node with heap children."""
 
     kind = "relay"
-
-    def deliver_up(self, record: wire.Data) -> None:
-        if "up" not in self.dead_links:
-            self.emit("up", record)
-
-    def forward_subscribe(self, msg: wire.Subscribe) -> None:
-        if "up" not in self.dead_links:
-            self.emit("up", msg)
-
-    def forward_multicast(self, msg) -> None:
-        for link in self.tree_children:
-            if link not in self.dead_links:
-                self.emit(link, msg)
-
-    def forward_error(self, msg: wire.Error) -> None:
-        if "up" not in self.dead_links:
-            self.emit("up", msg)
-
-    def link_down(self, link: str) -> None:
-        if link == "up":
-            self.dead_links.add(link)
+    forward_subscribe = GatherNode.send_up
 
 
 class ManagerProcess(GatherNode):
@@ -339,6 +328,7 @@ class ManagerProcess(GatherNode):
 
     kind = "manager"
     always_emits = True
+    up_lost_note = "ring-link-lost"
 
     def __init__(self, pid: str, node_id: str, domain_id: str, domain_role: str,
                  up_is_root: bool) -> None:
@@ -359,24 +349,9 @@ class ManagerProcess(GatherNode):
 
     def forward_multicast(self, msg) -> None:
         if self.scope_allows_tree(msg):
-            for link in self.tree_children:
-                if link not in self.dead_links:
-                    self.emit(link, msg)
-        if not self.up_is_root and "up" not in self.dead_links:
-            self.emit("up", msg)
-
-    def deliver_up(self, record: wire.Data) -> None:
-        if "up" not in self.dead_links:
-            self.emit("up", record)
-
-    def forward_error(self, msg: wire.Error) -> None:
-        if "up" not in self.dead_links:
-            self.emit("up", msg)
-
-    def link_down(self, link: str) -> None:
-        if link == "up":
-            self.dead_links.add(link)
-            self.note("ring-link-lost", self.pid)
+            self.send_down(msg)
+        if not self.up_is_root:
+            self.send_up(msg)
 
 
 @dataclass
@@ -405,7 +380,10 @@ class RootProcess(GatherNode):
         self.by_name: dict[str, int] = {}
         self.next_stream_id = 1
         self.client_links: dict[str, str] = {}  # link -> client name
-        self.known_jobs: set[str] = set()
+
+    @property
+    def known_jobs(self) -> set[str]:
+        return {job for job, _ in self.jobmap_msg.entries} if self.jobmap_msg else set()
 
     # clients speak to the root directly
     def on_message(self, link: str, msg: wire.Message) -> None:
@@ -430,7 +408,7 @@ class RootProcess(GatherNode):
         elif isinstance(msg, wire.SetRate):
             self.client_set_rate(link, msg)
         elif isinstance(msg, wire.JobMapUpdate):
-            self.client_jobmap(link, msg)
+            self.handle_jobmap(link, msg)
         elif isinstance(msg, wire.Detach):
             self.detach_client(link)
         else:
@@ -479,13 +457,6 @@ class RootProcess(GatherNode):
             self.emit(link, wire.Error("unknown-stream", f"no stream {msg.stream_id}"))
             return
         self.handle_set_rate(link, msg)
-
-    def client_jobmap(self, link: str, msg: wire.JobMapUpdate) -> None:
-        if self.jobmap_msg is not None and msg.epoch <= self.jobmap_msg.epoch:
-            return
-        self.jobmap_msg = msg
-        self.known_jobs = {job for job, _ in msg.entries}
-        self.multicast(msg)
 
     def detach_client(self, link: str) -> None:
         self.client_links.pop(link, None)
@@ -613,7 +584,72 @@ class ClientCore(ProcessCore):
         pass
 
 
-# --- construction ------------------------------------------------------------
+# --- the process graph ---------------------------------------------------------
+#
+# The overlay is described once, here, and every deployment places this one
+# description: build_overlay puts every process on one host with in-process
+# links, sockethost.serve_overlay adds TCP attach points to that, and
+# sockethost.launch_distributed gives every process a host of its own and
+# dials every link over TCP.
+
+ROOT_PID = "root"
+
+
+def process_id(domain: DomainSpec, pos: int) -> str:
+    """Pid of the process at a tree position: the manager at 0, else a relay."""
+    return f"mgr.{domain.domain_id}" if pos == 0 else f"rel.{domain.node_at(pos)}"
+
+
+def overlay_processes(topology: OverlayTopology) -> dict[str, GatherNode]:
+    """pid -> core: the root, the managers in ring order, then each domain's
+    relays, in the order a host registers them."""
+    procs: dict[str, GatherNode] = {
+        ROOT_PID: RootProcess(ROOT_PID, topology.root_node, topology)}
+    order = topology.ring_order
+    for i, domain_id in enumerate(order):
+        domain = topology.domain(domain_id)
+        pid = process_id(domain, 0)
+        procs[pid] = ManagerProcess(pid, domain.manager_node, domain_id,
+                                    domain.lustre_role, up_is_root=(i == len(order) - 1))
+    for domain_id in order:
+        domain = topology.domain(domain_id)
+        for pos in domain.internal_positions():
+            pid = process_id(domain, pos)
+            procs[pid] = RelayProcess(pid, domain.node_at(pos))
+    return procs
+
+
+def overlay_links(topology: OverlayTopology) -> list[tuple[str, str, str, str, wire.Attach]]:
+    """Every ring and tree link in wiring order, as (pid, link, peer pid,
+    peer link, Attach): the pid end opens the link and names itself with
+    the Attach. The ring runs root -> first manager -> ... -> last manager
+    -> root; in each domain tree, every relay links up to its heap parent."""
+    managers = [process_id(topology.domain(d), 0) for d in topology.ring_order]
+    links = [(ROOT_PID, "ring_next", managers[0], "ring_prev",
+              wire.Attach(topology.root_node, "-", "session-root", "-"))]
+    for domain_id, pid, successor in zip(topology.ring_order, managers,
+                                         managers[1:] + [ROOT_PID]):
+        domain = topology.domain(domain_id)
+        links.append((pid, "up", successor, "ring_prev",
+                      wire.Attach(domain.manager_node, domain_id, "manager", domain.lustre_role)))
+    for domain_id in topology.ring_order:
+        domain = topology.domain(domain_id)
+        for pos in domain.internal_positions():
+            links.append((process_id(domain, pos), "up",
+                          process_id(domain, domain.tree_parent(pos)), f"c{pos}",
+                          wire.Attach(domain.node_at(pos), domain_id, "relay",
+                                      domain.lustre_role)))
+    return links
+
+
+def attach_point(topology: OverlayTopology, node_id: str) -> tuple[str, str]:
+    """(pid, link name) where a member node's agent attaches: the node's own
+    relay if it hosts one, else the process of its heap parent."""
+    domain = topology.domain_of_node(node_id)
+    pos = domain.position(node_id)
+    owner = pos if domain.tree_children(pos) else domain.tree_parent(pos)
+    return process_id(domain, owner), f"a{pos}"
+
 
 @dataclass
 class OverlayHandle:
@@ -629,15 +665,8 @@ class OverlayHandle:
 
     def attach_point(self, node_id: str) -> tuple[ProcessCore, str]:
         """(process, link name) where this node's agent plugs into its tree."""
-        domain = self.topology.domain_of_node(node_id)
-        pos = domain.member_nodes.index(node_id) + 1
-        if domain.tree_children(pos):
-            return self.relays[node_id], f"a{pos}"
-        parent_pos = domain.tree_parent(pos)
-        if parent_pos == 0:
-            return self.managers[domain.domain_id], f"a{pos}"
-        return self.relays[domain.node_at(parent_pos)], f"a{pos}"
-
+        pid, link = attach_point(self.topology, node_id)
+        return self.host.by_pid[pid], link
     def attach_agent(self, agent: ProcessCore) -> ProcessCore:
         node_id = agent.node_id
         if not self.topology.has_node(node_id):
@@ -678,47 +707,13 @@ class OverlayHandle:
 
 
 def build_overlay(topology: OverlayTopology, host) -> OverlayHandle:
-    """Instantiate root, managers, and relays on ``host`` and wire the graph."""
-    root = RootProcess("root", topology.root_node, topology)
-    host.add_process(root)
-
-    managers: dict[str, ManagerProcess] = {}
-    order = list(topology.ring_order)
-    for i, domain_id in enumerate(order):
-        domain = topology.domain(domain_id)
-        managers[domain_id] = ManagerProcess(
-            f"mgr.{domain_id}", domain.manager_node, domain_id,
-            domain.lustre_role, up_is_root=(i == len(order) - 1))
-        host.add_process(managers[domain_id])
-
-    relays: dict[str, RelayProcess] = {}
-    for domain_id in order:
-        domain = topology.domain(domain_id)
-        for pos in domain.internal_positions():
-            node = domain.node_at(pos)
-            relay = RelayProcess(f"rel.{node}", node)
-            relays[node] = relay
-            host.add_process(relay)
-
-    # ring: root -> first manager -> ... -> last manager -> root
-    first, last = managers[order[0]], managers[order[-1]]
-    host.wire(root, "ring_next", first, "ring_prev")
-    first.set_ring_prev("ring_prev", produces=False)
-    for a, b in zip(order, order[1:]):
-        host.wire(managers[a], "up", managers[b], "ring_prev")
-        managers[b].set_ring_prev("ring_prev", produces=True)
-    host.wire(last, "up", root, "ring_prev")
-    root.set_ring_prev("ring_prev", produces=True)
-
-    # domain trees: relays wired to their heap parents
-    for domain_id in order:
-        domain = topology.domain(domain_id)
-        for pos in domain.internal_positions():
-            node = domain.node_at(pos)
-            parent_pos = domain.tree_parent(pos)
-            parent = managers[domain_id] if parent_pos == 0 else relays[domain.node_at(parent_pos)]
-            link = f"c{pos}"
-            host.wire(relays[node], "up", parent, link)
-            parent.add_child_link(link)
-
-    return OverlayHandle(topology, host, root, managers, relays)
+    """Place the process graph on ``host`` with in-process links."""
+    procs = overlay_processes(topology)
+    for proc in procs.values():
+        host.add_process(proc)
+    for pid, link, peer, peer_link, attach in overlay_links(topology):
+        host.wire(procs[pid], link, procs[peer], peer_link)
+        procs[peer].bind_link(peer_link, attach.process_role)
+    managers = {p.domain_id: p for p in procs.values() if isinstance(p, ManagerProcess)}
+    relays = {p.node_id: p for p in procs.values() if isinstance(p, RelayProcess)}
+    return OverlayHandle(topology, host, procs[ROOT_PID], managers, relays)

@@ -21,6 +21,7 @@ the seed-selected MDS node of a fail-over pair reports metadata activity.
 from __future__ import annotations
 
 import datetime as _dt
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -188,14 +189,28 @@ def parse_workload(lines, source: str = "<workload>") -> WorkloadScript:
     for ev in [*io, *meta, *paths]:
         if ev.job_id not in declared:
             raise ConfigError(f"{source}: event references undeclared job {ev.job_id!r}")
-    for j in jobs:
-        for other in jobs:
-            if other is j or other.end <= j.start or j.end <= other.start:
-                continue
-            shared = set(j.nodes) & set(other.nodes)
-            if shared:
-                raise ConfigError(f"{source}: node {sorted(shared)[0]} is in overlapping "
-                                  f"jobs {j.job_id} and {other.job_id}")
+    # a node runs one job at a time: sweep each node's jobs by start time and
+    # name the clash a scan of all pairs in job order would meet first
+    by_node: dict[str, list[int]] = {}
+    for i, job in enumerate(jobs):
+        for node in set(job.nodes):
+            by_node.setdefault(node, []).append(i)
+    clash = None
+    for on_node in by_node.values():
+        running: list[tuple[int, int]] = []  # heap of (end, index) still running
+        for i in sorted(on_node, key=lambda i: jobs[i].start):
+            while running and running[0][0] <= jobs[i].start:
+                heapq.heappop(running)
+            for _end, k in running:
+                pair = (min(i, k), max(i, k))
+                if clash is None or pair < clash:
+                    clash = pair
+            heapq.heappush(running, (jobs[i].end, i))
+    if clash is not None:
+        j, other = jobs[clash[0]], jobs[clash[1]]
+        shared = set(j.nodes) & set(other.nodes)
+        raise ConfigError(f"{source}: node {sorted(shared)[0]} is in overlapping "
+                          f"jobs {j.job_id} and {other.job_id}")
     return WorkloadScript(tuple(jobs), tuple(io), tuple(meta), tuple(paths), tuple(loads))
 
 

@@ -74,7 +74,7 @@ class SimCluster:
             if fault.kind == "detach-agent":
                 self.handle.detach_agent(fault.subject, clean=False)
             else:  # drop-ring-link: sever the domain's outgoing data-direction edge
-                self.host.sever_link(f"mgr.{fault.subject}", "up")
+                self.host.sever_link(self.handle.managers[fault.subject].pid, "up")
 
     # --- session clients ----------------------------------------------------------
 

@@ -17,11 +17,12 @@ sends and link closures go to this module's logger at DEBUG.
 from __future__ import annotations
 
 import selectors
+import sys
 import threading
 import time
 
-from . import wire
-from .overlay import ManagerProcess, OverlayHandle, RelayProcess, RootProcess, build_overlay
+from .overlay import (ROOT_PID, OverlayHandle, attach_point, build_overlay, overlay_links,
+                      overlay_processes)
 from .simnet import LinkState, SimHost
 from .topology import OverlayTopology
 from .transport import TcpChannel, TcpListener, transport_connect
@@ -119,6 +120,53 @@ def dial_core(core, endpoint: str) -> tuple[SocketHost, TcpChannel]:
     return host, channel
 
 
+def parse_flags(args: list[str], known: tuple[str, ...],
+                required: tuple[str, ...]) -> dict[str, str]:
+    """``--key=value`` arguments of a binary; ValueError names the first
+    malformed, unknown or missing one."""
+    flags: dict[str, str] = {}
+    for arg in args:
+        if not arg.startswith("--") or "=" not in arg:
+            raise ValueError(f"bad argument {arg!r}")
+        key, _, value = arg[2:].partition("=")
+        if key not in known:
+            raise ValueError(f"unknown option {arg.partition('=')[0]!r}")
+        flags[key] = value
+    for needed in required:
+        if needed not in flags:
+            raise ValueError(f"--{needed}=... is required")
+    return flags
+
+
+def run_core(prog: str, core, endpoint: str, goodbye, step=None) -> int | None:
+    """Serve a binary's core with its ``up`` link dialed to ``endpoint``.
+
+    Runs one logical second per wall second until the link closes, or
+    until ``step``, called after each second, returns True; then it
+    returns None. On Ctrl-C it calls ``goodbye``, sends what the core
+    emitted and returns 0. If the endpoint cannot be reached or the link
+    is lost, it prints ``<prog>: ...`` to stderr and returns 2.
+    """
+    try:
+        host, up = dial_core(core, endpoint)
+    except OSError as exc:
+        print(f"{prog}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        while not up.closed:
+            host.serve(1)
+            if step is not None and step():
+                return None
+    except KeyboardInterrupt:
+        goodbye()
+        host.flush(core)
+        return 0
+    finally:
+        host.close()
+    print(f"{prog}: connection lost: {endpoint}", file=sys.stderr)
+    return 2
+
+
 def serve_overlay(topology: OverlayTopology, bind: str = "127.0.0.1"):
     """Build the overlay on one SocketHost with TCP attach points.
 
@@ -132,10 +180,10 @@ def serve_overlay(topology: OverlayTopology, bind: str = "127.0.0.1"):
     endpoints: dict[str, str] = {"@root": host.listen(handle.root, bind)}
     opened: dict[str, str] = {}
     for node in topology.all_nodes():
-        proc, _link = handle.attach_point(node)
-        if proc.pid not in opened:
-            opened[proc.pid] = host.listen(proc, bind)
-        endpoints[node] = opened[proc.pid]
+        pid, _link = attach_point(topology, node)
+        if pid not in opened:
+            opened[pid] = host.listen(host.by_pid[pid], bind)
+        endpoints[node] = opened[pid]
     return host, handle, endpoints
 
 
@@ -163,76 +211,37 @@ class DistributedOverlay:
         return self._stop
 
     def stop(self) -> None:
+        """Stop serving, if it was started, and close every host."""
         if self._stop is not None:
             self._stop.set()
             for thread in self._threads:
                 thread.join(timeout=5)
-            for host in self.hosts.values():
-                host.close()
+        for host in self.hosts.values():
+            host.close()
 
 
 def launch_distributed(topology: OverlayTopology,
                        bind: str = "127.0.0.1") -> DistributedOverlay:
     """Run root, managers, and relays as separate hosts joined only by TCP.
 
-    Ring and tree links bootstrap through the normal attach handshake: each
-    process dials its data-direction successor (managers their ring
-    successor, relays their tree parent, the root the first manager for the
-    multicast direction) and identifies itself with its process role.
+    Every process listens on its own host; then the opening end of each
+    ring and tree link dials its peer and names itself with the link's
+    Attach, which binds the link at the peer through the normal handshake.
     """
-    order = list(topology.ring_order)
+    cores = overlay_processes(topology)
     hosts: dict[str, SocketHost] = {}
-    cores: dict[str, object] = {}
     endpoints: dict[str, str] = {}
-
-    def place(core) -> None:
-        host = SocketHost()
-        host.add_process(core)
-        hosts[core.pid] = host
-        cores[core.pid] = core
-        endpoints[core.pid] = host.listen(core, bind)
-
-    place(RootProcess("root", topology.root_node, topology))
-    for i, domain_id in enumerate(order):
-        domain = topology.domain(domain_id)
-        place(ManagerProcess(f"mgr.{domain_id}", domain.manager_node, domain_id,
-                             domain.lustre_role, up_is_root=(i == len(order) - 1)))
-        for pos in domain.internal_positions():
-            node = domain.node_at(pos)
-            place(RelayProcess(f"rel.{node}", node))
-
-    def dial(core, link: str, target_pid: str, attach: wire.Attach) -> None:
-        channel = transport_connect(endpoints[target_pid])
-        hosts[core.pid].attach_channel(core, link, channel)
-        core.emit(link, attach)
-        hosts[core.pid].flush(core)
-
-    root = cores["root"]
-    dial(root, "ring_next", f"mgr.{order[0]}",
-         wire.Attach(topology.root_node, "-", "session-root", "-"))
-    for i, domain_id in enumerate(order):
-        domain = topology.domain(domain_id)
-        successor = "root" if i == len(order) - 1 else f"mgr.{order[i + 1]}"
-        dial(cores[f"mgr.{domain_id}"], "up", successor,
-             wire.Attach(domain.manager_node, domain_id, "manager", domain.lustre_role))
-        for pos in domain.internal_positions():
-            node = domain.node_at(pos)
-            parent_pos = domain.tree_parent(pos)
-            parent_pid = f"mgr.{domain_id}" if parent_pos == 0 \
-                else f"rel.{domain.node_at(parent_pos)}"
-            dial(cores[f"rel.{node}"], "up", parent_pid,
-                 wire.Attach(node, domain_id, "relay", domain.lustre_role))
+    for pid, core in cores.items():
+        hosts[pid] = SocketHost()
+        hosts[pid].add_process(core)
+        endpoints[pid] = hosts[pid].listen(core, bind)
+    for pid, link, peer, _peer_link, attach in overlay_links(topology):
+        hosts[pid].attach_channel(cores[pid], link, transport_connect(endpoints[peer]))
+        cores[pid].emit(link, attach)
+        hosts[pid].flush(cores[pid])
 
     # agents and clients attach where the tree expects them
-    endpoints["@root"] = endpoints["root"]
+    endpoints["@root"] = endpoints[ROOT_PID]
     for node in topology.all_nodes():
-        domain = topology.domain_of_node(node)
-        pos = domain.member_nodes.index(node) + 1
-        if domain.tree_children(pos):
-            endpoints[node] = endpoints[f"rel.{node}"]
-        else:
-            parent_pos = domain.tree_parent(pos)
-            parent_pid = f"mgr.{domain.domain_id}" if parent_pos == 0 \
-                else f"rel.{domain.node_at(parent_pos)}"
-            endpoints[node] = endpoints[parent_pid]
+        endpoints[node] = endpoints[attach_point(topology, node)[0]]
     return DistributedOverlay(hosts, cores, endpoints)

@@ -41,6 +41,17 @@ class DomainSpec:
     lustre_role: str
     filesystems: tuple[str, ...] = ()
     osts: tuple[str, ...] = ()
+    _positions: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._positions.update((node, pos) for pos, node in enumerate(self.member_nodes, 1))
+
+    def position(self, node: str) -> int:
+        """Tree position of a member (1-based; 0 is the manager)."""
+        try:
+            return self._positions[node]
+        except KeyError:
+            raise KeyError(f"{node!r} is not a member of domain {self.domain_id}") from None
 
     def tree_children(self, pos: int) -> list[int]:
         """Heap children of tree position ``pos`` (0 is the manager)."""
@@ -68,11 +79,10 @@ class DomainSpec:
 
     def osts_of(self, node: str) -> tuple[str, ...]:
         """OSTs served by one member, assigned round-robin from the domain list."""
-        if node not in self.member_nodes or not self.osts:
+        pos = self._positions.get(node)
+        if pos is None:
             return ()
-        idx = self.member_nodes.index(node)
-        n = len(self.member_nodes)
-        return tuple(ost for j, ost in enumerate(self.osts) if j % n == idx)
+        return self.osts[pos - 1::len(self.member_nodes)]
 
 
 @dataclass(frozen=True)

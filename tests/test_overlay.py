@@ -6,8 +6,9 @@ import pytest
 
 from melt import wire
 from melt.aggregates import body_from_text, body_to_text
-from melt.overlay import RelayProcess
+from melt.overlay import RelayProcess, attach_point, overlay_links, overlay_processes
 from melt.streams import StreamSpec
+from melt.topology import parse_topology
 
 from simutil import (
     FIVE_DOMAINS, ONE_DOMAIN, add_driver, attach_agents, create_stream,
@@ -111,7 +112,7 @@ class TestGatherMerge:
         relay = RelayProcess("rel.x", "x")
         relay.specs[1] = io_stream_spec(interval=10)
         for link in ("a1", "a2"):
-            relay.add_child_link(link)
+            relay.bind_link(link, "agent")
             relay.handle_producer_subscribe(link, wire.Subscribe(1, "agent-producer"))
         return relay
 
@@ -369,3 +370,33 @@ class TestCrossDomainGrouping:
         assert agg.sum == pytest.approx(2 * 2 * 1024 * 1024, rel=1e-9)
         assert record.actual_contributors == 5
         assert record.expected_contributors == 5
+
+
+def reference_attach_point(topology, node):
+    """The attach rule written out with ``.index`` and explicit heap arithmetic."""
+    domain = topology.domain_of_node(node)
+    pos = domain.member_nodes.index(node) + 1
+    if domain.fanout * pos + 1 <= len(domain.member_nodes):
+        return f"rel.{node}", f"a{pos}"
+    parent = (pos - 1) // domain.fanout
+    owner = f"mgr.{domain.domain_id}" if parent == 0 else f"rel.{domain.member_nodes[parent - 1]}"
+    return owner, f"a{pos}"
+
+
+@pytest.mark.parametrize("fanout", [2, 4])
+@pytest.mark.parametrize("members", [1, 5, 32, 4097])
+def test_attach_point_matches_index_reference(members, fanout):
+    topology = parse_topology(deep_domain(members, fanout))
+    for node in topology.all_nodes():
+        assert attach_point(topology, node) == reference_attach_point(topology, node)
+
+
+def test_graph_places_every_attach_point_and_link_end():
+    topology = parse_topology(deep_domain(32, fanout=4))
+    procs = overlay_processes(topology)
+    assert list(procs)[:2] == ["root", "mgr.big"]
+    for pid, link, peer, peer_link, attach in overlay_links(topology):
+        assert pid in procs and peer in procs
+        assert procs[pid].node_id == attach.node_id
+    for node in topology.all_nodes():
+        assert attach_point(topology, node)[0] in procs

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melt.scenario import (
-    DEFAULT_BASE_TIME, WorkloadModel, parse_scenario, parse_workload,
+    DEFAULT_BASE_TIME, JobEvent, WorkloadModel, parse_scenario, parse_workload,
 )
 from melt.topology import ConfigError, parse_topology
 
@@ -80,6 +82,42 @@ class TestWorkloadGrammar:
     def test_bad_interval(self):
         with pytest.raises(ConfigError, match="interval"):
             parse_workload(lines("job 9 3 j1 c1"))
+
+
+def reference_overlap_error(jobs: list[JobEvent], source: str) -> str | None:
+    """The pairwise check parse_workload made before its node index."""
+    for j in jobs:
+        for other in jobs:
+            if other is j or other.end <= j.start or j.end <= other.start:
+                continue
+            shared = set(j.nodes) & set(other.nodes)
+            if shared:
+                return (f"{source}: node {sorted(shared)[0]} is in overlapping "
+                        f"jobs {j.job_id} and {other.job_id}")
+    return None
+
+
+JOB_SETS = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(1, 12),
+              st.lists(st.sampled_from(["c1", "c2", "c3", "c4", "c5", "c6"]),
+                       min_size=1, max_size=4)),
+    max_size=14)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JOB_SETS)
+def test_overlap_check_matches_pairwise_reference(specs):
+    jobs = [JobEvent(start, start + length, f"j{i}", tuple(nodes))
+            for i, (start, length, nodes) in enumerate(specs)]
+    expected = reference_overlap_error(jobs, "<gen>")
+    job_lines = lines(*(f"job {j.start} {j.end} {j.job_id} {' '.join(j.nodes)}" for j in jobs))
+    try:
+        script = parse_workload(job_lines, "<gen>")
+    except ConfigError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert script.jobs == tuple(jobs)
 
 
 class TestScenarioFile:

@@ -52,6 +52,16 @@ class TestParsing:
         assert mapping["knot2-OST0003"] == "oss04"
         assert len(mapping) == 8
 
+    @pytest.mark.parametrize("members, osts", [(1, 3), (3, 2), (3, 7), (5, 5)])
+    def test_osts_of_matches_round_robin_reference(self, members, osts):
+        domain = DomainSpec("o", "om", tuple(f"o{i}" for i in range(members)), 2, "oss",
+                            ("f",), tuple(f"f-OST{j:04d}" for j in range(osts)))
+        for idx, node in enumerate(domain.member_nodes):
+            assert domain.osts_of(node) == tuple(
+                ost for j, ost in enumerate(domain.osts) if j % members == idx)
+            assert domain.position(node) == idx + 1
+        assert domain.osts_of("stranger") == ()
+
     def test_unknown_key_rejected(self):
         bad = SMALL.replace("fanout = 2", "fanout = 2\ncolour = blue")
         with pytest.raises(ConfigError, match="colour"):
