@@ -314,6 +314,18 @@ class AgentCore(ProcessCore):
                 out.append((key, delta))
         return out
 
+    def _group_deltas(self, raws: tuple[str, ...], spec: StreamSpec, snap: SourceSnapshot,
+                      prev: SourceSnapshot, target) -> dict[str, float]:
+        """Per-group sums of the deltas of the raw counters ``raws``, added
+        in counter order."""
+        sums: dict[str, float] = {}
+        for raw in raws:
+            for key, delta in self._deltas(raw, snap, prev, target):
+                group = self._group(spec, key)
+                if group is not None:
+                    sums[group] = sums.get(group, 0.0) + delta
+        return sums
+
     def build_contributions(self, sid: int, snap: SourceSnapshot,
                             prev: SourceSnapshot, window: int) -> list[tuple[str, str, float, float]]:
         """(group, metric, value, weight) tuples for one stream round."""
@@ -340,40 +352,24 @@ class AgentCore(ProcessCore):
                 continue
 
             if metric == "IO_CLNT_NUM":
-                active: dict[str, float] = {}
-                for raw in ("IO_RD_BYTES", "IO_WR_BYTES"):
-                    for key, delta in self._deltas(raw, snap, prev, target):
-                        group = self._group(spec, key)
-                        if group is not None:
-                            active[group] = active.get(group, 0.0) + delta
+                active = self._group_deltas(("IO_RD_BYTES", "IO_WR_BYTES"),
+                                            spec, snap, prev, target)
                 for group in sorted(g for g, d in active.items() if d > 0):
                     out.append((group, metric, 1.0, 1.0))
                 continue
 
             if metric in catalog.AVG_SOURCES:
                 num_raw, den_raw = catalog.AVG_SOURCES[metric]
-                nums: dict[str, float] = {}
-                dens: dict[str, float] = {}
-                for key, delta in self._deltas(num_raw, snap, prev, target):
-                    group = self._group(spec, key)
-                    if group is not None:
-                        nums[group] = nums.get(group, 0.0) + delta
-                for key, delta in self._deltas(den_raw, snap, prev, target):
-                    group = self._group(spec, key)
-                    if group is not None:
-                        dens[group] = dens.get(group, 0.0) + delta
+                nums = self._group_deltas((num_raw,), spec, snap, prev, target)
+                dens = self._group_deltas((den_raw,), spec, snap, prev, target)
                 for group in sorted(dens):
                     if dens[group] > 0:
                         out.append((group, metric, nums.get(group, 0.0) / dens[group], dens[group]))
                 continue
 
             if mdef.kind == "rate":
-                raw = catalog.RATE_TO_RAW[metric]
-                sums: dict[str, float] = {}
-                for key, delta in self._deltas(raw, snap, prev, target):
-                    group = self._group(spec, key)
-                    if group is not None:
-                        sums[group] = sums.get(group, 0.0) + delta
+                sums = self._group_deltas((catalog.RATE_TO_RAW[metric],),
+                                          spec, snap, prev, target)
                 for group in sorted(sums):
                     out.append((group, metric, sums[group] / window, 1.0))
                 continue
@@ -391,19 +387,6 @@ class AgentCore(ProcessCore):
                 group = self._group(spec, key)
                 if group is not None:
                     out.append((group, metric, value, 1.0))
-        return out
-
-    def collect_node_load(self, snap: SourceSnapshot) -> list[tuple[str, float]]:
-        """Validated node-load gauges from one snapshot."""
-        out = []
-        for name in ("LOAD_CPU_PCT", "LOAD_MEM_PCT"):
-            value = snap.gauges.get((name, ""))
-            if value is None:
-                continue
-            if not 0.0 <= value <= 100.0:
-                self.note("gauge-out-of-range", self.pid, name, value)
-                continue
-            out.append((name, value))
         return out
 
 

@@ -216,9 +216,8 @@ def display_value(body: SummaryBody, group: str, metric: str) -> float:
     return agg.sum
 
 
-def select_topk(body: Body, k: int, key_metric: str | None = None,
-                order: str = "desc") -> list[tuple[str, float]]:
-    """Rank groups (or counted keys) and keep the top k.
+def select_topk(body: Body, k: int, key_metric: str | None = None) -> list[tuple[str, float]]:
+    """Rank groups (or counted keys) by descending value and keep the top k.
 
     Ties break toward ascending key text. For summary bodies the rank value
     is :func:`display_value` of ``key_metric``; for counted-key bodies it is
@@ -226,8 +225,6 @@ def select_topk(body: Body, k: int, key_metric: str | None = None,
     """
     if k < 1:
         raise AggregateError(f"k must be >= 1, got {k}")
-    if order not in ("desc", "asc"):
-        raise AggregateError(f"order must be desc or asc, got {order!r}")
 
     if isinstance(body, CountedKeyBody):
         ranked = [(key, float(count)) for key, count in body.counts.items()]
@@ -240,8 +237,7 @@ def select_topk(body: Body, k: int, key_metric: str | None = None,
     else:
         raise AggregateError("top-k over histogram bodies is not defined")
 
-    sign = -1.0 if order == "desc" else 1.0
-    ranked.sort(key=lambda kv: (sign * kv[1], kv[0]))
+    ranked.sort(key=lambda kv: (-kv[1], kv[0]))
     return ranked[:k]
 
 

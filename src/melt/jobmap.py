@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import subprocess
 
+COMMAND_TIMEOUT_SECS = 10.0
+
 
 class JobMapParseError(ValueError):
     pass
@@ -61,15 +63,14 @@ class FileJobSource:
 class CommandJobSource:
     kind = "command"
 
-    def __init__(self, argv: list[str], timeout: float = 10.0) -> None:
+    def __init__(self, argv: list[str]) -> None:
         if not argv:
             raise ValueError("command adapter needs an argv")
         self.argv = argv
-        self.timeout = timeout
 
     def read(self) -> str:
         result = subprocess.run(self.argv, capture_output=True, text=True,
-                                timeout=self.timeout)
+                                timeout=COMMAND_TIMEOUT_SECS)
         if result.returncode != 0:
             raise JobMapParseError(
                 f"job command {self.argv[0]} exited {result.returncode}")

@@ -397,8 +397,6 @@ class CliCore(ClientCore):
         else:
             frame = self.build_status_frame()
         frame.epoch_secs = epoch
-        frame.group_pair_label = GROUP_COLUMN.get(inv.group, "job").lower() \
-            if inv.group != "none" else "job"
         return frame
 
     def build_status_frame(self) -> RenderFrame:

@@ -37,9 +37,6 @@ LOG_LINE_RE = re.compile(
     r"[ \d]\d \d{2}:\d{2}:\d{2} \S+ melt\[\d+\]: "
     r"[A-Za-z_]+=\S+( [A-Z][A-Z0-9_]*=\S+)*$")
 
-GROUP_LABELS = {"job": "job", "client": "client", "ost": "ost", "server": "server"}
-
-
 def format_log_timestamp(epoch_secs: int) -> str:
     """``Jan 15 11:22:33`` with a space-padded day, UTC."""
     stamp = _dt.datetime.fromtimestamp(epoch_secs, tz=_dt.timezone.utc)
@@ -49,8 +46,8 @@ def format_log_timestamp(epoch_secs: int) -> str:
 
 def group_pair(spec: StreamSpec, group: str) -> str:
     """The ``job=tait.1111`` style pair naming a record row."""
-    if spec.group_by in GROUP_LABELS:
-        return f"{GROUP_LABELS[spec.group_by]}={group or 'unassigned'}"
+    if spec.group_by != "none":
+        return f"{spec.group_by}={group or 'unassigned'}"
     target = parse_target(spec.target)
     if target.name is None:
         return f"{target.kind}=all"
@@ -83,7 +80,8 @@ def parse_log_line(line: str) -> tuple[str, str, tuple[str, str], dict[str, floa
 
 
 class LogSink:
-    """Append-only performance log; keeps lines in memory, optionally on disk."""
+    """Append-only performance log: a file in ``directory``, or else lines
+    kept in memory."""
 
     def __init__(self, name: str, directory: str | None = None) -> None:
         self.name = name
@@ -92,8 +90,9 @@ class LogSink:
             if directory else None
 
     def write(self, line: str) -> None:
-        self.lines.append(line)
-        if self._fh is not None:
+        if self._fh is None:
+            self.lines.append(line)
+        else:
             self._fh.write(line + "\n")
             self._fh.flush()
 
@@ -109,8 +108,7 @@ def write_log_record(sink: LogSink, epoch_secs: int, host: str, pid: int,
     return line
 
 
-def default_stream_specs(topology: OverlayTopology,
-                         capacity: int = 1024) -> list[StreamSpec]:
+def default_stream_specs(topology: OverlayTopology) -> list[StreamSpec]:
     """The daemon's default streams, in deterministic creation order."""
     specs = []
     for fs in topology.filesystems():
@@ -118,7 +116,7 @@ def default_stream_specs(topology: OverlayTopology,
             metrics = tuple(d.name for d in catalog.metrics_for_class(cls))
             specs.append(StreamSpec(
                 0, f"meltmon/{fs}/{cls}", f"fs={fs}", metrics, "summary", (),
-                "job", catalog.CLASS_INTERVALS[cls], capacity))
+                "job", catalog.CLASS_INTERVALS[cls], 1024))
     for role in ("oss", "mds"):
         for node in topology.servers(role):
             classes = catalog.ROLE_CLASSES[role]
@@ -127,7 +125,7 @@ def default_stream_specs(topology: OverlayTopology,
                             and d.metric_class not in catalog.COUNTED_CLASSES)
             specs.append(StreamSpec(
                 0, f"meltmon/srv/{node}", f"{role}={node}", metrics, "summary", (),
-                "none", 10, capacity))
+                "none", 10, 1024))
     return specs
 
 

@@ -25,6 +25,7 @@ from .topology import DomainSpec, OverlayTopology
 SESSION_EPOCH = 1
 ROUND_TIMEOUT_FACTOR = 2  # real-mode straggler bound; never fires in simulation
 RING_ROLES = frozenset({"manager", "session-root"})  # openers of a ring link, not a tree link
+RECORDS_KEPT = 1024  # a session client's record history; older records are dropped
 
 
 def apply_rate_override(overrides: dict[int, dict[str, int]], msg: wire.SetRate) -> None:
@@ -519,7 +520,7 @@ class ClientCore(ProcessCore):
         self.specs: dict[int, StreamSpec] = {}
         self.stream_ids: dict[str, int] = {}
         self.created: list[int] = []
-        self.records: list[wire.Data] = []
+        self.records: list[wire.Data] = []  # the latest RECORDS_KEPT
         self.errors: list[wire.Error] = []
         self.jobmap: wire.JobMapUpdate | None = None
 
@@ -542,6 +543,8 @@ class ClientCore(ProcessCore):
             self.on_subscribed(msg.stream_id)
         elif isinstance(msg, wire.Data):
             self.records.append(msg)
+            if len(self.records) > RECORDS_KEPT:
+                del self.records[0]
             self.on_record(msg)
         elif isinstance(msg, wire.JobMapUpdate):
             self.jobmap = msg

@@ -30,7 +30,6 @@ class RenderFrame:
     columns: list[Column]
     rows: list[list]            # cell per column; floats for metrics, str for text
     epoch_secs: int = 0         # wall-clock of the underlying round
-    group_pair_label: str = "job"
 
     def header_labels(self) -> list[str]:
         return [c.label for c in self.columns]
@@ -101,19 +100,15 @@ def render_kv(frame: RenderFrame) -> str:
 
 
 def render_log(frame: RenderFrame, host: str, pid: int) -> str:
+    """Daemon-grammar lines; the group pair is the last text column, keyed
+    by its lower-case name, or ``job=all`` when the frame has none."""
+    texts = [i for i, col in enumerate(frame.columns) if col.kind == "text"]
     lines = []
     for row in frame.rows:
-        group = None
-        values = []
-        for col, cell in zip(frame.columns, row):
-            if col.kind == "time":
-                continue
-            if col.kind == "text":
-                if group is None:
-                    group = str(cell)
-                continue
-            values.append((col.key, cell, col.unit))
-        pair = f"{frame.group_pair_label}={group if group is not None else 'all'}"
+        pair = f"{frame.columns[texts[-1]].key.lower()}={row[texts[-1]]}" \
+            if texts else "job=all"
+        values = [(col.key, cell, col.unit) for col, cell in zip(frame.columns, row)
+                  if col.kind not in ("time", "text")]
         lines.append(format_log_line(frame.epoch_secs, host, pid, pair, values))
     return "\n".join(lines)
 

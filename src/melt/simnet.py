@@ -37,6 +37,8 @@ from operator import attrgetter
 from . import wire
 from .transport import ChannelClosedError, sim_channel_pair
 
+MAX_PUMP_PASSES = 100_000  # more means messages keep causing messages: pump raises
+
 
 @dataclass(eq=False)
 class LinkState:
@@ -221,14 +223,14 @@ class SimHost:
                 proc.on_message(state.name, msg)
                 self.flush(proc)
 
-    def pump(self, limit: int = 100_000) -> None:
+    def pump(self) -> None:
         """Deliver messages until the network is quiescent, in passes over
         the ready queue (see the module docstring for the order)."""
         for proc in self.procs:
             if proc.outbox or proc.notes:
                 self.flush(proc)
         try:
-            for _ in range(limit):
+            for _ in range(MAX_PUMP_PASSES):
                 if not self._pass:
                     return
                 while self._pass:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import socket
 
+SIM_RECV_BYTES = 1 << 20  # most bytes one try_recv returns, per backend
+TCP_RECV_BYTES = 1 << 16
+
 
 class TransportError(OSError):
     pass
@@ -33,13 +36,13 @@ class SimChannelEnd:
             raise ChannelClosedError("send on closed channel")
         self.peer._rx.extend(data)
 
-    def try_recv(self, limit: int = 1 << 20) -> bytes:
+    def try_recv(self) -> bytes:
         if not self._rx:
             if self.closed:
                 raise ChannelClosedError("recv on closed channel")
             return b""
-        data = bytes(self._rx[:limit])
-        del self._rx[:limit]
+        data = bytes(self._rx[:SIM_RECV_BYTES])
+        del self._rx[:SIM_RECV_BYTES]
         return data
 
     @property
@@ -81,11 +84,11 @@ class TcpChannel:
                 raise ChannelClosedError(str(exc)) from exc
             view = view[sent:]
 
-    def try_recv(self, limit: int = 1 << 16) -> bytes:
+    def try_recv(self) -> bytes:
         if self.closed:
             raise ChannelClosedError("recv on closed channel")
         try:
-            data = self._sock.recv(limit)
+            data = self._sock.recv(TCP_RECV_BYTES)
         except BlockingIOError:
             return b""
         except OSError as exc:

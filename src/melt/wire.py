@@ -6,7 +6,9 @@ ordered ``key=value`` lines terminated by LF; values escape backslash as
 ``\\\\`` and LF as ``\\n``; repeated fields use indexed keys (``job.0.id``).
 Floats are serialized as the shortest decimal that round-trips binary64.
 
-Any magic or version mismatch is a hard error; there is no negotiation.
+Any magic or version mismatch is a hard error; there is no negotiation. A
+payload longer than ``MAX_PAYLOAD`` (64 MiB) is refused on encode, and on
+decode as soon as a header announces it.
 Node lists inside JobMapUpdate are comma-joined, so node ids used there must
 not contain commas or newlines (enforced at construction).
 """
@@ -14,7 +16,8 @@ not contain commas or newlines (enforced at construction).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as declared_fields
+from typing import get_type_hints
 
 from .streams import StreamSpec
 
@@ -22,7 +25,7 @@ MAGIC = b"\x4d\x4c"
 VERSION = 1
 HEADER_LEN = 8
 _LENGTH = struct.Struct(">I")  # payload length field, at offset 4
-MAX_PAYLOAD = 2 ** 32 - 1
+MAX_PAYLOAD = 64 << 20  # bytes; both ends refuse a larger payload
 
 DIRECTIONS = ("up-consumer", "agent-producer")
 
@@ -160,124 +163,75 @@ def _num(x: float) -> str:
     return repr(x)
 
 
-# --- payload field tables -----------------------------------------------------
-
-def _fields_of(msg: Message) -> list[tuple[str, str]]:
-    """Ordered (key, value-text) pairs for one message."""
-    if isinstance(msg, Attach):
-        return [("node_id", msg.node_id), ("domain_id", msg.domain_id),
-                ("process_role", msg.process_role), ("lustre_role", msg.lustre_role)]
-    if isinstance(msg, AttachAck):
-        return [("session_epoch", str(msg.session_epoch))]
-    if isinstance(msg, CreateStream):
-        s = msg.spec
-        pairs = [("stream_id", str(s.stream_id)), ("name", s.name),
-                 ("target", s.target), ("metrics", ",".join(s.metric_names)),
-                 ("aggregation", s.aggregation)]
-        if s.aggregation == "histogram":
-            pairs.append(("edges", ",".join(_num(e) for e in s.hist_edges)))
-        pairs += [("group_by", s.group_by), ("interval_secs", str(s.interval_secs)),
-                  ("buffer_capacity", str(s.buffer_capacity))]
-        return pairs
-    if isinstance(msg, StreamCreated):
-        return [("stream_id", str(msg.stream_id))]
-    if isinstance(msg, Subscribe):
-        return [("stream_id", str(msg.stream_id)), ("direction", msg.direction)]
-    if isinstance(msg, SubscribeAck):
-        return [("stream_id", str(msg.stream_id))]
-    if isinstance(msg, Data):
-        return [("stream_id", str(msg.stream_id)), ("round", str(msg.round)),
-                ("window_secs", str(msg.window_secs)),
-                ("expected_contributors", str(msg.expected_contributors)),
-                ("actual_contributors", str(msg.actual_contributors)),
-                ("aggregate_body", msg.aggregate_body)]
-    if isinstance(msg, SetRate):
-        return [("stream_id", str(msg.stream_id)),
-                ("metric_names", ",".join(msg.metric_names)),
-                ("interval_secs", str(msg.interval_secs))]
-    if isinstance(msg, JobMapUpdate):
-        pairs = [("epoch", str(msg.epoch))]
-        for i, (job_id, nodes) in enumerate(msg.entries):
-            pairs.append((f"job.{i}.id", job_id))
-            pairs.append((f"job.{i}.nodes", ",".join(nodes)))
-        return pairs
-    if isinstance(msg, Detach):
-        return [("node_id", msg.node_id)]
-    if isinstance(msg, Error):
-        return [("code", msg.code), ("text", msg.text)]
-    raise ProtocolError(f"unencodable message {type(msg).__name__}")
-
+# --- payload schema -----------------------------------------------------------
+# A message's payload keys are its dataclass fields in declaration order: int
+# fields travel as decimal text, tuple fields comma-joined, str fields as they
+# are. CreateStream carries its spec's fields instead (metric_names as
+# ``metrics``, hist_edges as ``edges`` and only for histograms), and
+# JobMapUpdate its entries as indexed ``job.<i>.id``/``job.<i>.nodes`` keys.
 
 def _split_csv(value: str) -> tuple[str, ...]:
     return tuple(p for p in value.split(",") if p) if value else ()
 
 
-def _build(code: int, fields: dict[str, str], order: list[str]) -> Message:
-    def need(key: str) -> str:
-        if key not in fields:
-            raise ProtocolError(f"payload missing mandatory key {key!r}")
-        return fields[key]
+def _join_nums(values) -> str:
+    return ",".join(map(_num, values))
 
-    def need_int(key: str) -> int:
-        try:
-            return int(need(key))
-        except ValueError:
-            raise ProtocolError(f"payload key {key!r} is not an integer") from None
 
-    cls = CODE_TYPES[code]
+def _floats(value: str) -> tuple[float, ...]:
+    return tuple(map(float, _split_csv(value)))
+
+
+# (encode, decode) per declared field type
+_CODECS = {
+    int: (str, int),
+    str: (str, str),
+    tuple[str, ...]: (",".join, _split_csv),
+    tuple[float, ...]: (_join_nums, _floats),
+}
+
+
+def _plan(cls: type, **keys: str) -> tuple:
+    """(attribute, payload key, encode, decode) per field of ``cls``, in
+    declaration order; ``keys`` renames the payload key of some attributes."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, keys.get(f.name, f.name), *_CODECS[hints[f.name]])
+                 for f in declared_fields(cls))
+
+
+_PLANS = {cls: _plan(cls) for cls in MESSAGE_TYPES
+          if cls not in (CreateStream, JobMapUpdate)}
+_SPEC_PLAN = _plan(StreamSpec, metric_names="metrics", hist_edges="edges")
+# keyed by "is a histogram"
+_SPEC_PLANS = {hist: tuple(p for p in _SPEC_PLAN if hist or p[1] != "edges")
+               for hist in (False, True)}
+# aggregation says whether edges travel, so the decoder reads both first
+_SPEC_READS = {hist: sorted(plan, key=lambda p: p[1] not in ("aggregation", "edges"))
+               for hist, plan in _SPEC_PLANS.items()}
+
+
+def _read(fields: dict[str, str], key: str, decode):
+    if key not in fields:
+        raise ProtocolError(f"payload missing mandatory key {key!r}")
     try:
-        if cls is Attach:
-            return Attach(need("node_id"), need("domain_id"),
-                          need("process_role"), need("lustre_role"))
-        if cls is AttachAck:
-            return AttachAck(need_int("session_epoch"))
-        if cls is CreateStream:
-            aggregation = need("aggregation")
-            edges = ()
-            if aggregation == "histogram":
-                edges = tuple(float(e) for e in _split_csv(need("edges")))
-            return CreateStream(StreamSpec(
-                stream_id=need_int("stream_id"), name=need("name"),
-                target=need("target"), metric_names=_split_csv(need("metrics")),
-                aggregation=aggregation, hist_edges=edges,
-                group_by=need("group_by"), interval_secs=need_int("interval_secs"),
-                buffer_capacity=need_int("buffer_capacity")))
-        if cls is StreamCreated:
-            return StreamCreated(need_int("stream_id"))
-        if cls is Subscribe:
-            return Subscribe(need_int("stream_id"), need("direction"))
-        if cls is SubscribeAck:
-            return SubscribeAck(need_int("stream_id"))
-        if cls is Data:
-            return Data(need_int("stream_id"), need_int("round"), need_int("window_secs"),
-                        need_int("expected_contributors"), need_int("actual_contributors"),
-                        need("aggregate_body"))
-        if cls is SetRate:
-            return SetRate(need_int("stream_id"), _split_csv(need("metric_names")),
-                           need_int("interval_secs"))
-        if cls is JobMapUpdate:
-            entries = []
-            i = 0
-            while f"job.{i}.id" in fields:
-                entries.append((fields[f"job.{i}.id"],
-                                _split_csv(need(f"job.{i}.nodes"))))
-                i += 1
-            expected = 1 + 2 * i
-            if len(order) != expected:
-                raise ProtocolError("job map payload has stray keys")
-            return JobMapUpdate(need_int("epoch"), tuple(entries))
-        if cls is Detach:
-            return Detach(need("node_id"))
-        if cls is Error:
-            return Error(need("code"), need("text"))
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
-    raise ProtocolError(f"unknown msg_type code {code}")
+        return decode(fields[key])
+    except ValueError:
+        if decode is int:
+            raise ProtocolError(f"payload key {key!r} is not an integer") from None
+        raise
 
 
 def encode_payload(msg: Message) -> bytes:
-    lines = [f"{key}={_escape(value)}\n" for key, value in _fields_of(msg)]
-    return "".join(lines).encode("utf-8")
+    cls = type(msg)
+    if cls is JobMapUpdate:
+        pairs = [("epoch", str(msg.epoch))]
+        for i, (job_id, nodes) in enumerate(msg.entries):
+            pairs += ((f"job.{i}.id", job_id), (f"job.{i}.nodes", ",".join(nodes)))
+    else:
+        obj, plan = (msg.spec, _SPEC_PLANS[msg.spec.aggregation == "histogram"]) \
+            if cls is CreateStream else (msg, _PLANS[cls])
+        pairs = [(key, encode(getattr(obj, attr))) for attr, key, encode, _ in plan]
+    return "".join([f"{key}={_escape(text)}\n" for key, text in pairs]).encode("utf-8")
 
 
 def decode_payload(code: int, payload: bytes) -> Message:
@@ -286,7 +240,6 @@ def decode_payload(code: int, payload: bytes) -> Message:
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"payload is not UTF-8: {exc}") from None
     fields: dict[str, str] = {}
-    order: list[str] = []
     for line in text.split("\n"):
         if not line:
             continue
@@ -296,8 +249,26 @@ def decode_payload(code: int, payload: bytes) -> Message:
         if key in fields:
             raise ProtocolError(f"duplicate payload key {key!r}")
         fields[key] = _unescape(value)
-        order.append(key)
-    return _build(code, fields, order)
+    cls = CODE_TYPES[code]
+    try:
+        if cls is CreateStream:
+            plan = _SPEC_READS[fields.get("aggregation") == "histogram"]
+            return CreateStream(StreamSpec(
+                **{attr: _read(fields, key, decode) for attr, key, _, decode in plan}))
+        if cls is JobMapUpdate:
+            entries = []
+            i = 0
+            while f"job.{i}.id" in fields:
+                entries.append((fields[f"job.{i}.id"],
+                                _read(fields, f"job.{i}.nodes", _split_csv)))
+                i += 1
+            if len(fields) != 1 + 2 * i:
+                raise ProtocolError("job map payload has stray keys")
+            return JobMapUpdate(_read(fields, "epoch", int), tuple(entries))
+        return cls(**{attr: _read(fields, key, decode)
+                      for attr, key, _, decode in _PLANS[cls]})
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def encode_message(msg: Message) -> bytes:
@@ -307,7 +278,7 @@ def encode_message(msg: Message) -> bytes:
         raise ProtocolError(f"unencodable message {type(msg).__name__}")
     payload = encode_payload(msg)
     if len(payload) > MAX_PAYLOAD:
-        raise ProtocolError("payload exceeds 2^32-1 bytes")
+        raise ProtocolError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
     return MAGIC + bytes((VERSION, code)) + struct.pack(">I", len(payload)) + payload
 
 
@@ -327,6 +298,8 @@ def _frame_at(buf, pos: int) -> tuple[Message | None, int]:
     if avail < HEADER_LEN:
         return None, pos
     (length,) = _LENGTH.unpack_from(buf, pos + 4)
+    if length > MAX_PAYLOAD:
+        raise ProtocolError(f"frame announces {length} payload bytes, more than {MAX_PAYLOAD}")
     end = pos + HEADER_LEN + length
     if len(buf) < end:
         return None, pos

@@ -261,11 +261,15 @@ class TestNodeLoad:
     def test_out_of_range_gauge_omitted(self):
         host, handle, model = make_sim(ONE_DOMAIN)
         attach_agents(handle, model)
+        client = add_driver(handle)
+        sid = create_stream(handle, client, io_stream_spec(
+            name="load", target="clnt=n1", metrics=("LOAD_CPU_PCT", "LOAD_MEM_PCT"),
+            interval=2))
         agent = handle.agents["n1"]
         snap = SourceSnapshot(gauges={("LOAD_CPU_PCT", ""): 180.0,
                                       ("LOAD_MEM_PCT", ""): 20.0})
-        loads = agent.collect_node_load(snap)
-        assert loads == [("LOAD_MEM_PCT", 20.0)]
+        tuples = agent.build_contributions(sid, snap, SourceSnapshot(), 2)
+        assert tuples == [("", "LOAD_MEM_PCT", 20.0, 1.0)]
         assert any(n[0] == "gauge-out-of-range" for n in agent.notes)
 
     def test_router_reports_load_but_feeds_no_targets(self):
@@ -273,9 +277,7 @@ class TestNodeLoad:
             "fs = knot2\n", "")
         host, handle, model = make_sim(text, ("load n1 0 40 12 30",))
         attach_agents(handle, model)
-        agent = handle.agents["n1"]
-        loads = agent.collect_node_load(model.snapshot("n1", 5))
-        assert ("LOAD_CPU_PCT", 12.0) in loads
+        assert model.snapshot("n1", 5).gauges[("LOAD_CPU_PCT", "")] == 12.0
 
         # a clnt target must name a client-role node
         client = add_driver(handle)

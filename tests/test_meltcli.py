@@ -10,10 +10,11 @@ from melt import catalog
 from melt.agent import AgentConfig, AgentCore
 from melt.humanize import parse_human
 from melt.meltcli import MATRIX, UsageError, main, parse_cli, parse_duration
-from melt.meltmon import LOG_LINE_RE
+from melt.meltmon import LOG_LINE_RE, parse_log_line
 from melt.render import Column, RenderFrame, render
 from melt.scenario import (
-    DEFAULT_BASE_TIME, SyntheticSource, WorkloadModel, load_scenario, parse_workload,
+    DEFAULT_BASE_TIME, SyntheticSource, WorkloadModel, load_scenario, parse_scenario,
+    parse_workload,
 )
 from melt.simharness import SimCluster, resolve_scenario_path
 from melt.sockethost import dial_core, serve_overlay
@@ -237,6 +238,35 @@ class TestSessionPatterns:
         keys = [row[0] for row in core.frames[0].rows]
         assert keys[0] == "/proj/alpha/data"  # highest scripted access rate
         assert len(keys) <= 3
+
+    def test_log_top_paths_pairs_path_with_its_count(self):
+        cluster = self.make()
+        core = run_cli(cluster, ["mds=mds1", "-format=log", "top", "path",
+                                 "-delay=10s", "-once"], 11)
+        rows = core.frames[0].rows
+        lines = core.rendered[0].splitlines()
+        assert rows and len(lines) == len(rows)
+        for line, (path, count) in zip(lines, rows):
+            assert LOG_LINE_RE.match(line)
+            _stamp, _host, pair, values = parse_log_line(line)
+            assert pair == ("path", path)
+            assert values == {"COUNT": count}
+        assert lines[0].split("]: ")[1].startswith("path=/proj/alpha/data COUNT=")
+
+    def test_log_two_filesystems_pairs_job_not_filesystem(self):
+        text = open(resolve_scenario_path("testbed.cfg"), encoding="utf-8").read()
+        two_fs = text.replace("fs = knot2\n\n[domain conway]", "fs = alpha\n\n[domain conway]")
+        assert two_fs != text
+        cluster = SimCluster(parse_scenario(two_fs))
+        core = run_cli(cluster, ["-group=job", "-format=log", "fs", "status", "io",
+                                 "-delay=10s"], 21)
+        assert [c.key for c in core.frames[0].columns[:3]] == ["TIME", "FS", "JOB"]
+        rows = [row for frame in core.frames for row in frame.rows]
+        lines = [line for text in core.rendered for line in text.splitlines()]
+        assert len(lines) == len(rows)
+        assert "tait.1111" in {row[2] for row in rows}
+        for line, row in zip(lines, rows):
+            assert parse_log_line(line)[2] == ("job", row[2])
 
     def test_once_withdraws_override_on_exit(self):
         cluster = self.make()

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from melt.jobmap import WorkloadJobSource
 from melt.meltmon import (
     LOG_LINE_RE, LogSink, MeltmonCore, default_stream_specs, format_log_line,
     format_log_timestamp, parse_log_line, write_log_record,
 )
 from melt.scenario import DEFAULT_BASE_TIME, load_scenario
+from melt.overlay import RECORDS_KEPT
 from melt.simharness import SimCluster, resolve_scenario_path
+
+from simutil import ONE_DOMAIN, attach_agents, make_sim, run_ticks
 
 MI = 1024 * 1024
 
@@ -51,6 +55,33 @@ class TestLogLineGrammar:
                          [("IO_RD_BW", 0, "bytes_per_sec")])
         sink.close()
         assert (tmp_path / "melt-test.log").read_text().count("\n") == 1
+
+
+def test_long_running_daemon_keeps_flat_memory(tmp_path):
+    host, handle, model = make_sim(
+        ONE_DOMAIN, ("job 0 100000 j1 n1", "io 0 100000 j1 1M 1M roundrobin"))
+    attach_agents(handle, model)
+    clock = [0]
+    daemon = MeltmonCore(handle.topology, WorkloadJobSource(model, lambda: clock[0]),
+                         log_dir=str(tmp_path), poll_secs=60,
+                         base_time=DEFAULT_BASE_TIME)
+    handle.add_client(daemon)
+    host.pump()
+    sizes = []
+    for t in range(1, 3601):
+        clock[0] = t
+        host.tick(t)
+        if t % 600 == 0:
+            sizes.append((len(daemon.records),
+                          sum(len(s.lines) for s in daemon.sinks.values())))
+    daemon.close()
+    # four 10 s class streams: 1440 records, past the cap
+    assert sizes[-1] == (RECORDS_KEPT, 0)
+    assert all(n <= RECORDS_KEPT and kept == 0 for n, kept in sizes)
+    assert daemon.records[-1].round == 3600
+    written = (tmp_path / "melt-knot2.log").read_text().splitlines()
+    assert len(written) == 720  # one j1 row per io and rpc round; lock and meta are empty
+    assert all(LOG_LINE_RE.match(line) for line in written)
 
 
 class TestDefaultStreams:
