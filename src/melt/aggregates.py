@@ -9,12 +9,21 @@ any tree of partial merges equals the flat fold of the underlying samples
 
 Top-k selection happens only at the presentation point; the full key set
 always travels the tree.
+
+Leaves write bodies with :func:`body_to_text` and consumers read them with
+:func:`body_from_text`. Relays merge on the text: :func:`merge_texts`
+checks each child's lines with the same parser, passes a line whose key
+only one child sends through verbatim, and folds and re-formats only the
+keys that several children share. For every body a melt process writes,
+its output is byte-identical to ``body_to_text(merge_all(...))`` of the
+parsed children.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .catalog import metric as metric_def
 
@@ -86,6 +95,11 @@ class SummaryBody:
         return sorted({g for g, _ in self.entries})
 
 
+def _check_edges(edges: tuple[float, ...]) -> None:
+    if any(a >= b for a, b in zip(edges, edges[1:])):
+        raise AggregateError("histogram edges must be strictly increasing")
+
+
 @dataclass
 class HistogramBody:
     kind = "histogram"
@@ -93,8 +107,7 @@ class HistogramBody:
     entries: dict[tuple[str, str], list[int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
-            raise AggregateError("histogram edges must be strictly increasing")
+        _check_edges(self.edges)
 
     def add(self, group: str, metric: str, value: float, weight: float = 1.0) -> None:
         counts = self.entries.get((group, metric))
@@ -243,62 +256,213 @@ def select_topk(body: Body, k: int, key_metric: str | None = None) -> list[tuple
 
 # --- wire text encoding -------------------------------------------------------
 
+def _summary_line(key: tuple[str, str], values: tuple) -> str | None:
+    """The line of one (count, sum, min, max) entry; None for count 0."""
+    count, total, lo, hi = values
+    if count == 0:
+        return None
+    if not (math.isfinite(count) and math.isfinite(total)):
+        raise AggregateError(f"summary of {key!r} overflows")
+    return (f"g {_esc(key[0])} {_esc(key[1])} {_num(count)} "
+            f"{_num(total)} {_num(lo)} {_num(hi)}")
+
+
+def _histogram_line(key: tuple[str, str], counts: list[int]) -> str:
+    return f"h {_esc(key[0])} {_esc(key[1])} " + " ".join(str(c) for c in counts)
+
+
+def _counted_line(key: str, count: int) -> str:
+    return f"c {_esc(key)} {count}"
+
+
+def _edges_line(edges: tuple[float, ...]) -> str:
+    return "edges " + " ".join(_num(e) for e in edges)
+
+
 def body_to_text(body: Body) -> str:
     """Deterministic line encoding carried inside Data records."""
     lines = [f"kind={body.kind}"]
     if isinstance(body, SummaryBody):
-        for (group, metric), agg in sorted(body.entries.items()):
-            if agg.empty:
-                continue
-            lines.append(f"g {_esc(group)} {_esc(metric)} {_num(agg.count)} "
-                         f"{_num(agg.sum)} {_num(agg.min)} {_num(agg.max)}")
+        for key, agg in sorted(body.entries.items()):
+            line = _summary_line(key, (agg.count, agg.sum, agg.min, agg.max))
+            if line is not None:
+                lines.append(line)
     elif isinstance(body, HistogramBody):
-        lines.append("edges " + " ".join(_num(e) for e in body.edges))
-        for (group, metric), counts in sorted(body.entries.items()):
-            lines.append(f"h {_esc(group)} {_esc(metric)} " + " ".join(str(c) for c in counts))
+        lines.append(_edges_line(body.edges))
+        lines.extend(_histogram_line(key, counts) for key, counts in sorted(body.entries.items()))
     else:
-        for key, count in sorted(body.counts.items()):
-            lines.append(f"c {_esc(key)} {count}")
+        lines.extend(_counted_line(key, count) for key, count in sorted(body.counts.items()))
     return "\n".join(lines)
 
 
-def body_from_text(text: str) -> Body:
+def _bad(kind: str, line: str) -> AggregateError:
+    return AggregateError(f"bad {kind} line {line!r}")
+
+
+def _parse(text: str, tag: int = 0) -> tuple[str, tuple[float, ...], list[tuple]]:
+    """Check one body's lines; return (kind, edges, entries).
+
+    This is the one reader of the line format. Each entry is
+    ``(key, tag, line, values)`` in line order: ``key`` is the unescaped
+    (group, metric) pair, or the unescaped counted key; ``values`` are the
+    summary's finite (count, sum, min, max), the histogram's bucket counts,
+    or the counted key's count. A malformed line, or a number that is not
+    finite or, where a count is due, not an integer, raises
+    :class:`AggregateError`.
+    """
     lines = text.split("\n")
-    if not lines or not lines[0].startswith("kind="):
+    if not lines[0].startswith("kind="):
         raise AggregateError("aggregate body missing kind line")
     kind = lines[0][len("kind="):]
     rest = [ln for ln in lines[1:] if ln]
+    escaped = "%" in text  # else no token needs unescaping
+    entries: list[tuple] = []
+    append = entries.append
+    isfinite = math.isfinite
 
     if kind == "summary":
-        body = SummaryBody()
         for ln in rest:
-            parts = ln.split(" ")
-            if len(parts) != 7 or parts[0] != "g":
-                raise AggregateError(f"bad summary line {ln!r}")
-            group, metric = _unesc(parts[1]), _unesc(parts[2])
-            body.entries[(group, metric)] = SummaryAgg(
-                float(parts[3]), float(parts[4]), float(parts[5]), float(parts[6]))
-        return body
+            try:
+                head, group, metric, count, total, lo, hi = ln.split(" ")
+                values = (float(count), float(total), float(lo), float(hi))
+            except ValueError:  # too few or many fields, or a field not a number
+                raise _bad(kind, ln) from None
+            if head != "g" or not (isfinite(values[0]) and isfinite(values[1])
+                                   and isfinite(values[2]) and isfinite(values[3])):
+                raise _bad(kind, ln)
+            if escaped:
+                group, metric = _unesc(group), _unesc(metric)
+            append(((group, metric), tag, ln, values))
+        return kind, (), entries
 
     if kind == "histogram":
         if not rest or not rest[0].startswith("edges"):
             raise AggregateError("histogram body missing edges line")
-        edge_parts = rest[0].split(" ")[1:]
-        body = HistogramBody(edges=tuple(float(e) for e in edge_parts))
+        try:
+            edges = tuple(float(e) for e in rest[0].split(" ")[1:])
+        except ValueError:
+            raise _bad(kind, rest[0]) from None
+        if not all(map(isfinite, edges)):
+            raise _bad(kind, rest[0])
+        _check_edges(edges)
+        width = len(edges) + 4
         for ln in rest[1:]:
             parts = ln.split(" ")
-            if len(parts) != 3 + len(body.edges) + 1 or parts[0] != "h":
-                raise AggregateError(f"bad histogram line {ln!r}")
-            body.entries[(_unesc(parts[1]), _unesc(parts[2]))] = [int(c) for c in parts[3:]]
-        return body
+            if len(parts) != width or parts[0] != "h":
+                raise _bad(kind, ln)
+            try:
+                values = list(map(int, parts[3:]))
+            except ValueError:
+                raise _bad(kind, ln) from None
+            group, metric = parts[1], parts[2]
+            if escaped:
+                group, metric = _unesc(group), _unesc(metric)
+            append(((group, metric), tag, ln, values))
+        return kind, edges, entries
 
     if kind == "counted-key":
-        body = CountedKeyBody()
         for ln in rest:
-            parts = ln.split(" ")
-            if len(parts) != 3 or parts[0] != "c":
-                raise AggregateError(f"bad counted-key line {ln!r}")
-            body.counts[_unesc(parts[1])] = int(parts[2])
-        return body
+            try:
+                head, key, count = ln.split(" ")
+                count = int(count)
+            except ValueError:
+                raise _bad(kind, ln) from None
+            if head != "c":
+                raise _bad(kind, ln)
+            append((_unesc(key) if escaped else key, tag, ln, count))
+        return kind, (), entries
 
     raise AggregateError(f"unknown aggregate kind {kind!r}")
+
+
+def body_from_text(text: str) -> Body:
+    """The body a text encodes; a key repeated within it keeps its last line."""
+    kind, edges, entries = _parse(text)
+    if kind == "summary":
+        return SummaryBody({key: SummaryAgg(*values) for key, _tag, _ln, values in entries})
+    if kind == "histogram":
+        return HistogramBody(edges, {key: values for key, _tag, _ln, values in entries})
+    return CountedKeyBody({key: count for key, _tag, _ln, count in entries})
+
+
+# --- relay merge on text --------------------------------------------------------
+
+def _fold_summary(acc: tuple, new: tuple) -> tuple:
+    # operands in _merge_into's order
+    return (new[0] + acc[0], new[1] + acc[1], min(new[2], acc[2]), max(new[3], acc[3]))
+
+
+def _fold_histogram(acc: list, new: list) -> list:
+    return [x + y for x, y in zip(acc, new)]
+
+
+def _fold_counted(acc: int, new: int) -> int:
+    return acc + new
+
+
+_TEXT_MERGE = {
+    "summary": (_fold_summary, _summary_line),
+    "histogram": (_fold_histogram, _histogram_line),
+    "counted-key": (_fold_counted, _counted_line),
+}
+
+
+def merge_texts(texts, aggregation: str, edges: tuple[float, ...] = ()) -> str:
+    """A relay's hop: merge child body texts, in producer order, into the
+    text of their merged body.
+
+    Every child is checked by :func:`body_from_text`'s parser before any
+    kind or edge check, so errors come in the order and with the texts that
+    ``merge_all(map(body_from_text, texts), aggregation, edges)`` raises.
+    The lines are then stable-sorted once by unescaped key, which is linear
+    on children that arrive sorted and still orders one that does not. A
+    key that one child sends passes through as that child's line, verbatim
+    (a summary line with count 0 is dropped). A key that several children
+    send takes each child's last line for it, is folded in producer order
+    as :func:`merge_all` folds, and is formatted anew.
+
+    For every body :func:`body_to_text` wrote, the result is byte-identical
+    to ``body_to_text(merge_all(...))`` of the same children. A valid but
+    non-canonical spelling on a one-owner line (``1.0``, ``%41``) is kept
+    as it came, so it reads back as an equal value.
+    """
+    parsed = [_parse(text, tag) for tag, text in enumerate(texts)]
+    out = empty_body(aggregation, edges)
+    out_edges = out.edges if isinstance(out, HistogramBody) else ()
+    for kind, child_edges, _entries in parsed:
+        if kind != out.kind:
+            raise AggregateKindError(f"cannot merge {out.kind} with {kind}")
+        if child_edges != out_edges:
+            raise AggregateKindError("histogram edge mismatch")
+    lines = [f"kind={out.kind}"]
+    if isinstance(out, HistogramBody):
+        lines.append(_edges_line(out_edges))
+    entries = [entry for _kind, _edges, child in parsed for entry in child]
+    if not entries:
+        return "\n".join(lines)
+    entries.sort(key=itemgetter(0))
+    entries.append((None, -1, "", None))  # closes the last run
+    fold, fmt = _TEXT_MERGE[out.kind]
+    drop_empty = isinstance(out, SummaryBody)
+    append = lines.append
+    # the run of the current key: the values folded from earlier children
+    # (None while one child owns it) and the current child's last line
+    runs = iter(entries)
+    key, tag, line, values = next(runs)
+    acc = None
+    for next_key, next_tag, next_line, next_values in runs:
+        if next_key == key:
+            if next_tag != tag:
+                acc = values if acc is None else fold(acc, values)
+                tag = next_tag
+            line, values = next_line, next_values
+            continue
+        if acc is None:
+            if not (drop_empty and values[0] == 0):
+                append(line)
+        else:
+            merged = fmt(key, fold(acc, values))
+            if merged is not None:
+                append(merged)
+        key, tag, line, values, acc = next_key, next_tag, next_line, next_values, None
+    return "\n".join(lines)

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import wire
-from .aggregates import AggregateError, body_from_text, body_to_text, merge_all
+from .aggregates import AggregateError, merge_texts
 from .streams import StreamSpec, parse_target, producer_roles_for, validate_target_exists
 from .topology import DomainSpec, OverlayTopology
 
@@ -248,12 +248,9 @@ class GatherNode(ProcessCore):
         spec = self.specs[sid]
         contributions = self.pending.pop((sid, rnd), {})
         order = self.producer_links(sid)
-        bodies = []
+        texts = [contributions[link].aggregate_body for link in order if link in contributions]
         try:
-            for link in order:
-                if link in contributions:
-                    bodies.append(body_from_text(contributions[link].aggregate_body))
-            merged = merge_all(bodies, spec.aggregation, spec.hist_edges)
+            body = merge_texts(texts, spec.aggregation, spec.hist_edges)
         except AggregateError as exc:
             self.note("merge-fault", self.pid, sid, rnd, str(exc))
             self.forward_error(wire.Error("merge-fault", f"stream {sid} round {rnd}: {exc}"))
@@ -271,7 +268,7 @@ class GatherNode(ProcessCore):
         if contributed:
             window = contributions[contributed[0]].window_secs
         self.emitted[sid] = rnd
-        record = wire.Data(sid, rnd, window, expected, actual, body_to_text(merged))
+        record = wire.Data(sid, rnd, window, expected, actual, body)
         self.deliver_up(record)
 
     def on_tick(self, now: int) -> None:

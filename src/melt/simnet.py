@@ -23,6 +23,10 @@ it waits for the next pass. That is the order a scan of every link of
 every process would deliver in, so the work of a round is proportional to
 the frames it moves, not to the number of links.
 
+A frame the codec rejects ends only the link it came on: the host records
+a ``link-fault`` event with the reason, releases the link and tells its
+process, as for a link found closed; the other links go on.
+
 The sim backend records every send, note and link closure in the
 transcript, which is what the flat-fold oracles and the message accounting
 checks consume.
@@ -204,24 +208,40 @@ class SimHost:
         states.sort(key=attrgetter("seq"))
         for state in states:
             state.ready = False
+            if state.closed_notified:
+                continue
             try:
                 data = state.channel.try_recv()
             except ChannelClosedError:
-                if not state.closed_notified:
-                    state.closed_notified = True
-                    self.release(state)
-                    self.record(("link-closed", self.now, proc.pid, state.name))
-                    proc.on_link_closed(state.name)
-                    self.flush(proc)
+                self.close_link(proc, state, ("link-closed", self.now, proc.pid, state.name))
                 continue
             if not data:
                 continue
             if state.peer is not None and state.channel.readable:
                 self.wake(state)  # more than one read's worth, or a close behind it
-            for msg in state.decoder.feed(data):
+            try:
+                msgs = state.decoder.feed(data)
+            except wire.ProtocolError as exc:
+                # a malformed frame ends only its own link; the frames that
+                # came in the same read before it go with it
+                self.close_link(proc, state,
+                                ("link-fault", self.now, proc.pid, state.name, str(exc)))
+                if state.peer is not None:
+                    self.wake(state.peer)
+                continue
+            for msg in msgs:
                 self.received[proc.pid] += 1
                 proc.on_message(state.name, msg)
                 self.flush(proc)
+
+    def close_link(self, proc, state: LinkState, event: tuple) -> None:
+        """Release a link found closed or faulty, record ``event`` and tell
+        its process, once."""
+        state.closed_notified = True
+        self.release(state)
+        self.record(event)
+        proc.on_link_closed(state.name)
+        self.flush(proc)
 
     def pump(self) -> None:
         """Deliver messages until the network is quiescent, in passes over

@@ -335,3 +335,161 @@ class TestTextCodec:
             body_from_text("kind=summary\ng too few")
         with pytest.raises(AggregateError):
             body_from_text("kind=wat")
+
+
+# --- relay merge on text ----------------------------------------------------------
+
+def reference_merge_texts(texts, aggregation, edges=()):
+    """The relay hop before merge_texts: parse every child, fold, re-text."""
+    return body_to_text(merge_all([body_from_text(t) for t in texts], aggregation, edges))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AggregateError as exc:
+        return type(exc), str(exc)
+
+
+# "a b" sorts before "a!" unescaped but after it escaped ("a%20b" > "a!")
+TEXT_KEYS = ["", "a", "a b", "a!", "a%", "a%20", "b\nc", "%25", "z"]
+TEXT_METRICS = ["IO_RD_BW", "M x"]
+TEXT_EDGES = (1.0, 10.0)
+finite = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+
+summary_rows = st.tuples(st.sampled_from(TEXT_KEYS), st.sampled_from(TEXT_METRICS),
+                         st.sampled_from([0, 1, -1, 2, 0.5, 3]), finite, finite, finite)
+histogram_rows = st.tuples(st.sampled_from(TEXT_KEYS), st.sampled_from(TEXT_METRICS),
+                           st.lists(st.integers(-3, 9), min_size=3, max_size=3))
+counted_rows = st.tuples(st.sampled_from(TEXT_KEYS), st.integers(-3, 9))
+ROWS = {"summary": summary_rows, "histogram": histogram_rows, "counted-key": counted_rows}
+
+
+def child_text(kind, rows, ordered, edges=TEXT_EDGES):
+    """A child body as a melt process spells it: ``_num`` numbers, ``_esc``
+    keys. Rows may repeat a key and carry a count of 0; unless ``ordered``,
+    the lines stay in the order drawn."""
+    if ordered:
+        rows = sorted(rows, key=lambda row: row[:-1] if kind == "counted-key" else row[:2])
+    lines = [f"kind={kind}"]
+    if kind == "histogram":
+        lines.append("edges " + " ".join(agg._num(e) for e in edges))
+    for row in rows:
+        if kind == "summary":
+            group, metric, *values = row
+            lines.append(f"g {agg._esc(group)} {agg._esc(metric)} "
+                         + " ".join(agg._num(v) for v in values))
+        elif kind == "histogram":
+            group, metric, counts = row
+            lines.append(f"h {agg._esc(group)} {agg._esc(metric)} "
+                         + " ".join(map(str, counts)))
+        else:
+            lines.append(f"c {agg._esc(row[0])} {row[1]}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", list(ROWS))
+def test_merge_texts_is_byte_identical_to_the_parse_path(kind):
+    edges = TEXT_EDGES if kind == "histogram" else ()
+    children = st.tuples(st.lists(ROWS[kind], max_size=6), st.booleans())
+
+    @given(st.lists(children, max_size=5))
+    @settings(max_examples=300)
+    def check(drawn):
+        texts = [child_text(kind, rows, ordered) for rows, ordered in drawn]
+        assert outcome(agg.merge_texts, texts, kind, edges) == \
+            outcome(reference_merge_texts, texts, kind, edges)
+
+    check()
+
+
+def test_merge_texts_edge_cases():
+    one = child_text("summary", [("a b", "M", 1, 2, 2, 2), ("a!", "M", 1, 5, 5, 5)], True)
+    # lines go in unescaped key order, which is not the order of their text
+    assert one.split("\n")[1:] == ["g a%20b M 1 2 2 2", "g a! M 1 5 5 5"]
+    two = child_text("summary", [("a b", "M", 1, 1, 1, 1), ("a!", "M", 2, 1, 0, 1)], True)
+    cancel = child_text("summary", [("a b", "M", -1, -2, 1, 1)], True)
+    repeated = child_text("counted-key", [("k", 1), ("k", 4)], True)
+    unsorted = child_text("counted-key", [("z", 2), ("k", 3), ("a", 1)], False)
+    cases = [
+        ([one, cancel], "summary", ()),            # a b merges to count 0
+        ([one], "summary", ()),                    # one child passes through
+        ([one, two, one], "summary", ()),
+        ([repeated, repeated], "counted-key", ()),  # each child's last line
+        ([unsorted, repeated], "counted-key", ()),
+        ([], "summary", ()), ([], "histogram", TEXT_EDGES), ([], "counted-key", ()),
+    ]
+    for texts, kind, edges in cases:
+        assert agg.merge_texts(texts, kind, edges) == reference_merge_texts(texts, kind, edges)
+    assert agg.merge_texts([one, cancel], "summary") == "kind=summary\ng a! M 1 5 5 5"
+    assert agg.merge_texts([repeated, repeated], "counted-key") == "kind=counted-key\nc k 8"
+    assert agg.merge_texts([], "histogram", TEXT_EDGES) == "kind=histogram\nedges 1 10"
+
+
+MISMATCHED = [child_text("summary", [("a", "M", 1, 1, 1, 1)], True),
+              child_text("counted-key", [("a", 1)], True),
+              child_text("histogram", [("a", "M", [1, 0, 0])], True),
+              child_text("histogram", [("a", "M", [1, 0])], True, edges=(2.0,)),
+              "kind=summary\ng a M 1 x 1 1",
+              "kind=counted-key\nc a 1.5"]
+
+
+@given(st.lists(st.sampled_from(MISMATCHED), max_size=4),
+       st.sampled_from(["summary", "histogram", "counted-key", "wat"]))
+@settings(max_examples=300)
+def test_merge_texts_raises_what_the_parse_path_raises(texts, kind):
+    edges = TEXT_EDGES if kind == "histogram" else ()
+    assert outcome(agg.merge_texts, texts, kind, edges) == \
+        outcome(reference_merge_texts, texts, kind, edges)
+
+
+def test_merge_texts_error_order():
+    summary, counted, histogram, other_edges, bad_sum, bad_count = MISMATCHED
+    with pytest.raises(AggregateKindError, match="cannot merge summary with counted-key"):
+        agg.merge_texts([summary, counted, histogram], "summary")
+    with pytest.raises(AggregateKindError, match="histogram edge mismatch"):
+        agg.merge_texts([histogram, other_edges, summary], "histogram", TEXT_EDGES)
+    # every child is parsed before any kind is checked
+    with pytest.raises(AggregateError, match="bad counted-key line 'c a 1.5'"):
+        agg.merge_texts([counted, summary, bad_count], "counted-key")
+
+
+def test_merge_texts_keeps_non_canonical_spellings_equal():
+    children = ["kind=summary\ng a%41 M 1.0 2.50 +2.5 25e-1",
+                "kind=summary\ng b M 2 3 1 2\ng c M 1 1_0 10 10.",
+                "kind=summary\ng b M 1.0 1e0 1 1\ng d M 0.0 1 1 1"]
+    merged = agg.merge_texts(children, "summary")
+    assert merged.split("\n")[1] == "g a%41 M 1.0 2.50 +2.5 25e-1"  # one owner: verbatim
+    assert body_from_text(merged) == body_from_text(reference_merge_texts(children, "summary"))
+    counted = ["kind=counted-key\nc k 007", "kind=counted-key\nc j +3\nc k 1"]
+    assert body_from_text(agg.merge_texts(counted, "counted-key")).counts == {"j": 3, "k": 8}
+    hist = ["kind=histogram\nedges 1.0 1e1\nh g M 01 2 3"]
+    assert body_from_text(agg.merge_texts(hist, "histogram", TEXT_EDGES)).entries == \
+        {("g", "M"): [1, 2, 3]}
+
+
+def test_merged_summary_overflow_is_an_aggregate_error():
+    huge = "kind=summary\ng a M 1 1e308 1 1"
+    with pytest.raises(AggregateError, match="overflows"):
+        agg.merge_texts([huge, huge], "summary")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind=summary\ng a b x 1 1 1", "bad summary line 'g a b x 1 1 1'"),
+    ("kind=summary\ng a b 1 nan 1 1", "bad summary line"),
+    ("kind=summary\ng a b 1 1 -inf 1", "bad summary line"),
+    ("kind=summary\ng a b 1 1 1 1e999", "bad summary line"),
+    ("kind=histogram\nedges 1 2\nh a b 1 2.5 3", "bad histogram line 'h a b 1 2.5 3'"),
+    ("kind=histogram\nedges 1 x\nh a b 1 2 3", "bad histogram line 'edges 1 x'"),
+    ("kind=histogram\nedges 1 inf\nh a b 1 2 3", "bad histogram line 'edges 1 inf'"),
+    ("kind=counted-key\nc a 1.5", "bad counted-key line 'c a 1.5'"),
+    ("kind=counted-key\nc a x", "bad counted-key line"),
+], ids=["summary-word", "summary-nan", "summary-inf", "summary-overflow",
+        "histogram-count", "histogram-edge", "histogram-inf-edge", "counted-float",
+        "counted-word"])
+def test_bad_numbers_raise_aggregate_error(text, message):
+    kind = text.split("\n")[0][len("kind="):]
+    edges = (1.0, 2.0) if kind == "histogram" else ()
+    for parse in (body_from_text, lambda t: agg.merge_texts([t], kind, edges)):
+        with pytest.raises(AggregateError, match=message.replace("(", r"\(")):
+            parse(text)

@@ -151,13 +151,35 @@ class TestGatherMerge:
         assert len(sends) == 1
         assert sends[0].actual_contributors == 1
 
-    def test_merge_kind_mismatch_drops_round_with_error(self):
+    def assert_merge_fault(self, bad, reason):
         relay = self.make_relay()
         relay.on_message("a1", wire.Data(1, 10, 10, 1, 1, self.body_text(1, 5, 5, 5)))
-        relay.on_message("a2", wire.Data(1, 10, 10, 1, 1, "kind=counted-key\nc k 3"))
+        relay.on_message("a2", wire.Data(1, 10, 10, 1, 1, bad))
         msgs = [m for _, m in relay.outbox]
         assert any(isinstance(m, wire.Error) and m.code == "merge-fault" for m in msgs)
         assert not any(isinstance(m, wire.Data) for m in msgs)
+        (note,) = [n for n in relay.notes if n[0] == "merge-fault"]
+        assert note[1:4] == (relay.pid, 1, 10) and reason in note[4]
+        # the next round merges as usual
+        relay.outbox.clear()
+        for link in ("a1", "a2"):
+            relay.on_message(link, wire.Data(1, 20, 10, 1, 1, self.body_text(1, 5, 5, 5)))
+        assert [m.round for _, m in relay.outbox if isinstance(m, wire.Data)] == [20]
+
+    def test_merge_kind_mismatch_drops_round_with_error(self):
+        self.assert_merge_fault("kind=counted-key\nc k 3", "cannot merge summary with counted-key")
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("kind=summary\ng a b x 1 1 1", "bad summary line"),
+        ("kind=summary\ng a b 1 nan 1 1", "bad summary line"),
+        ("kind=summary\ng a b 1 1 inf 1", "bad summary line"),
+        ("kind=histogram\nedges 1 2\nh a b 1 2.5 3", "bad histogram line"),
+        ("kind=histogram\nedges 1 x\nh a b 1 2 3", "bad histogram line"),
+        ("kind=counted-key\nc k 1.5", "bad counted-key line"),
+    ], ids=["summary-word", "summary-nan", "summary-inf", "histogram-count",
+            "histogram-edge", "counted-float"])
+    def test_bad_number_drops_round_with_error(self, bad, reason):
+        self.assert_merge_fault(bad, reason)
 
     def test_nonmonotone_round_dropped(self):
         relay = self.make_relay()

@@ -110,3 +110,21 @@ def test_severed_link_is_seen_by_both_ends_in_order():
     assert log == [("a", "closed b"), ("b", "closed a")]
     assert [e for e in host.transcript if e[0] == "link-closed"] == [
         ("link-closed", 0, "a", "b"), ("link-closed", 0, "b", "a")]
+
+
+def test_malformed_frame_ends_only_its_link():
+    log: list = []
+    a, b, c = Node("a", log), Node("b", log), Node("c", log)
+    host = hosted(a, b, c)
+    host.wire(a, "b", b, "a")
+    host.wire(c, "b", b, "c")
+    host.links[("a", "b")].channel.send(b"BADMAGIC" + wire.encode_message(wire.Detach("x")))
+    host.wake(host.links[("b", "a")])
+    c.outbox.append(("b", wire.Detach("y")))
+    host.pump()
+    assert log == [("b", "closed a"), ("b", "y"), ("a", "closed b")]
+    assert [e for e in host.transcript if e[0] in ("link-fault", "link-closed")] == [
+        ("link-fault", 0, "b", "a", "bad magic b'BA'"), ("link-closed", 0, "a", "b")]
+    c.outbox.append(("b", wire.Detach("z")))
+    host.pump()
+    assert log[-1] == ("b", "z")

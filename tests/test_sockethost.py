@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import socket
 import threading
+import time
 
 import pytest
 
@@ -12,8 +13,12 @@ from melt import agent, meltcli, meltmon
 from melt.overlay import ClientCore, attach_point
 from melt.simharness import resolve_scenario_path
 from melt.sockethost import SocketHost, dial_core, launch_distributed, serve_overlay
-from melt.topology import load_topology
-from melt.wire import Data, encode_message
+from melt.streams import StreamSpec
+from melt.topology import load_topology, parse_topology
+from melt.transport import parse_endpoint
+from melt.wire import (MAGIC, MAX_PAYLOAD, TYPE_CODES, VERSION, Attach, CreateStream, Data,
+                       FrameDecoder, StreamCreated, Subscribe, SubscribeAck,
+                       encode_message)
 
 from simutil import ONE_DOMAIN
 
@@ -133,3 +138,111 @@ def test_both_socket_deployments_attach_each_node_at_the_same_process():
     finally:
         host.close()
         cluster.stop()
+
+
+class RelayRig:
+    """``serve_overlay`` for one small client domain, driven over raw
+    loopback sockets: a session consumer at ``@root`` and a producer that
+    attaches to the deepest relay as a relay child."""
+
+    def __init__(self) -> None:
+        names = ",".join(f"c{i:03d}" for i in range(24))
+        topology = parse_topology(
+            f"[domain big]\nmanager = bigmgr\nmembers = {names}\nfanout = 4\n"
+            "role = client\nfs = knot2\n[ring]\norder = big\nroot = skein\n")
+        self.host, _handle, self.endpoints = serve_overlay(topology)
+        self.decoders: dict[socket.socket, FrameDecoder] = {}
+        self.cons = self.connect("@root")
+        self.send(self.cons, Attach("test-consumer", "-", "session-client", "-"))
+        self.send(self.cons, CreateStream(StreamSpec(
+            0, "test/relay", "fs=knot2", ("IO_RD_BW",), "summary", (), "job", 1, 1024)))
+        (created,) = self.pump_until(self.cons, StreamCreated)
+        self.sid = created.stream_id
+        self.send(self.cons, Subscribe(self.sid, "up-consumer"))
+        self.pump_until(self.cons, SubscribeAck)
+        domain = topology.domain("big")
+        deepest = domain.internal_positions()[-1]
+        leaf = domain.node_at(domain.tree_children(deepest)[0])
+        self.prod = self.connect(domain.node_at(deepest))
+        self.send(self.prod, Attach(leaf, "big", "relay", "client"))
+        self.pump_until(self.prod, CreateStream)
+        self.send(self.prod, Subscribe(self.sid, "agent-producer"))
+        self.host.pump()
+
+    def connect(self, node: str) -> socket.socket:
+        sock = socket.create_connection(parse_endpoint(self.endpoints[node]), timeout=5.0)
+        sock.setblocking(False)
+        self.decoders[sock] = FrameDecoder()
+        return sock
+
+    @staticmethod
+    def send(sock: socket.socket, msg) -> None:
+        sock.sendall(encode_message(msg))
+
+    def pump_until(self, sock: socket.socket, want, deadline_s: float = 5.0) -> list:
+        """Pump the host until ``sock`` receives a ``want``; return those."""
+        deadline = time.monotonic() + deadline_s
+        while time.monotonic() < deadline:
+            self.host.pump()
+            try:
+                data = sock.recv(1 << 20)
+            except BlockingIOError:
+                continue
+            assert data, "the overlay closed a test connection"
+            got = [m for m in self.decoders[sock].feed(data) if isinstance(m, want)]
+            if got:
+                return got
+        raise TimeoutError(f"no {want.__name__} from the overlay")
+
+    def produce(self, rnd: int, body: str) -> None:
+        self.send(self.prod, Data(self.sid, rnd, 1, 1, 1, body))
+
+    def close(self) -> None:
+        for sock in self.decoders:
+            sock.close()
+        self.host.close()
+
+
+GOOD_BODY = "kind=summary\ng tait.7 IO_RD_BW 2 10 4 6"
+
+
+def pump_until_logged(rig: RelayRig, caplog, text: str) -> None:
+    with caplog.at_level(logging.DEBUG, logger="melt.sockethost"):
+        deadline = time.monotonic() + 5.0
+        while text not in caplog.text and time.monotonic() < deadline:
+            rig.host.pump()
+    assert text in caplog.text
+
+
+def test_bad_body_is_a_merge_fault_and_the_next_round_arrives(caplog):
+    rig = RelayRig()
+    try:
+        rig.produce(1, "kind=summary\ng tait.7 IO_RD_BW 2 x 4 6")
+        pump_until_logged(rig, caplog, "'stream-fault', 0, 'root', 'merge-fault'")
+        assert "bad summary line" in caplog.text
+        rig.produce(2, GOOD_BODY)
+        (record,) = rig.pump_until(rig.cons, Data)
+        assert (record.round, record.aggregate_body) == (2, GOOD_BODY)
+    finally:
+        rig.close()
+
+
+@pytest.mark.parametrize("frame, reason", [
+    (b"BADMAGIC", "bad magic b'BA'"),
+    (MAGIC + bytes((VERSION, TYPE_CODES[Data])) + (MAX_PAYLOAD + 1).to_bytes(4, "big"),
+     "announces"),
+], ids=["bad-magic", "oversized-length"])
+def test_bad_frame_closes_only_its_link(frame, reason, caplog):
+    rig = RelayRig()
+    try:
+        bad = rig.connect("@root")
+        bad.sendall(frame)
+        pump_until_logged(rig, caplog, "'link-fault'")
+        assert reason in caplog.text
+        bad.settimeout(5.0)
+        assert bad.recv(1) == b""  # the overlay closed the faulty link
+        rig.produce(1, GOOD_BODY)
+        (record,) = rig.pump_until(rig.cons, Data)
+        assert (record.round, record.aggregate_body) == (1, GOOD_BODY)
+    finally:
+        rig.close()
