@@ -15,6 +15,7 @@ file contributes zero new events.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -52,12 +53,25 @@ class IdleSource:
         return SourceSnapshot(ts=now)
 
 
+def _stats_value(text: str, what: str, where: str) -> float:
+    """A gauge or counter value; a word, ``nan``, ``inf`` or a number too
+    large for a float (``1e999``) rejects the file."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise StatsParseError(f"{where}: bad {what} value {text!r}")
+    return value
+
+
 def read_stats_file(path: str) -> SourceSnapshot:
     """Parse one stats snapshot file; any malformed line rejects the file.
 
     Grammar: header ``ts <unix-seconds>``; counter lines
     ``<metric> <fs>[:<ost>] <cumulative-value>``; gauge lines
     ``gauge <metric> <value>``; event lines ``event <op> <path> [<client>]``.
+    Values must be finite numbers.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -78,10 +92,7 @@ def read_stats_file(path: str) -> SourceSnapshot:
         if parts[0] == "gauge":
             if len(parts) != 3:
                 raise StatsParseError(f"{path}:{lineno}: gauge line needs metric and value")
-            try:
-                snap.gauges[(parts[1], "")] = float(parts[2])
-            except ValueError:
-                raise StatsParseError(f"{path}:{lineno}: bad gauge value {parts[2]!r}") from None
+            snap.gauges[(parts[1], "")] = _stats_value(parts[2], "gauge", f"{path}:{lineno}")
         elif parts[0] == "event":
             if len(parts) not in (3, 4):
                 raise StatsParseError(f"{path}:{lineno}: event line needs op and path")
@@ -98,10 +109,7 @@ def read_stats_file(path: str) -> SourceSnapshot:
             key = (metric, fs, ost, "", "")
             if key in snap.counters:
                 raise StatsParseError(f"{path}:{lineno}: duplicate counter for {metric} {loc}")
-            try:
-                snap.counters[key] = float(parts[2])
-            except ValueError:
-                raise StatsParseError(f"{path}:{lineno}: bad counter value {parts[2]!r}") from None
+            snap.counters[key] = _stats_value(parts[2], "counter", f"{path}:{lineno}")
     if not saw_ts:
         raise StatsParseError(f"{path}: missing 'ts' header")
     return snap

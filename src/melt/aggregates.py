@@ -17,6 +17,14 @@ only one child sends through verbatim, and folds and re-formats only the
 keys that several children share. For every body a melt process writes,
 its output is byte-identical to ``body_to_text(merge_all(...))`` of the
 parsed children.
+
+A relay hop may pass :func:`merge_texts` a memo of lines already checked:
+a dict from (kind, histogram width) to ``{line: (key, values)}``. A line
+found there is not split or checked again; a line joins it only after it
+has passed, so a bad line fails wherever it arrives, with the same error.
+Output and errors are the same with or without a memo. The memo's owner
+decides its scope; the overlay keeps one per host for the round in flight
+of each stream (``overlay.LineMemo``).
 """
 
 from __future__ import annotations
@@ -276,7 +284,7 @@ def _counted_line(key: str, count: int) -> str:
 
 
 def _edges_line(edges: tuple[float, ...]) -> str:
-    return "edges " + " ".join(_num(e) for e in edges)
+    return " ".join(["edges", *map(_num, edges)])  # "edges" alone for no edges
 
 
 def body_to_text(body: Body) -> str:
@@ -299,7 +307,65 @@ def _bad(kind: str, line: str) -> AggregateError:
     return AggregateError(f"bad {kind} line {line!r}")
 
 
-def _parse(text: str, tag: int = 0) -> tuple[str, tuple[float, ...], list[tuple]]:
+def _summary_entries(lines: list[str], tag: int, escaped: bool, width: int) -> list[tuple]:
+    entries: list[tuple] = []
+    append = entries.append
+    isfinite = math.isfinite
+    for ln in lines:
+        try:
+            head, group, metric, count, total, lo, hi = ln.split(" ")
+            values = (float(count), float(total), float(lo), float(hi))
+        except ValueError:  # too few or many fields, or a field not a number
+            raise _bad("summary", ln) from None
+        if head != "g" or not (isfinite(values[0]) and isfinite(values[1])
+                               and isfinite(values[2]) and isfinite(values[3])):
+            raise _bad("summary", ln)
+        if escaped:
+            group, metric = _unesc(group), _unesc(metric)
+        append(((group, metric), tag, ln, values))
+    return entries
+
+
+def _histogram_entries(lines: list[str], tag: int, escaped: bool, width: int) -> list[tuple]:
+    entries: list[tuple] = []
+    append = entries.append
+    for ln in lines:
+        parts = ln.split(" ")
+        if len(parts) != width or parts[0] != "h":
+            raise _bad("histogram", ln)
+        try:
+            values = list(map(int, parts[3:]))
+        except ValueError:
+            raise _bad("histogram", ln) from None
+        group, metric = parts[1], parts[2]
+        if escaped:
+            group, metric = _unesc(group), _unesc(metric)
+        append(((group, metric), tag, ln, values))
+    return entries
+
+
+def _counted_entries(lines: list[str], tag: int, escaped: bool, width: int) -> list[tuple]:
+    entries: list[tuple] = []
+    append = entries.append
+    for ln in lines:
+        try:
+            head, key, count = ln.split(" ")
+            count = int(count)
+        except ValueError:
+            raise _bad("counted-key", ln) from None
+        if head != "c":
+            raise _bad("counted-key", ln)
+        append((_unesc(key) if escaped else key, tag, ln, count))
+    return entries
+
+
+# kind -> the check of its entry lines, in order, into entries
+_ENTRIES = {"summary": _summary_entries, "histogram": _histogram_entries,
+            "counted-key": _counted_entries}
+
+
+def _parse(text: str, tag: int = 0,
+           memo: dict | None = None) -> tuple[str, tuple[float, ...], list[tuple]]:
     """Check one body's lines; return (kind, edges, entries).
 
     This is the one reader of the line format. Each entry is
@@ -309,70 +375,52 @@ def _parse(text: str, tag: int = 0) -> tuple[str, tuple[float, ...], list[tuple]
     or the counted key's count. A malformed line, or a number that is not
     finite or, where a count is due, not an integer, raises
     :class:`AggregateError`.
+
+    ``memo`` maps ``(kind, width)`` to ``{line: (key, values)}``, where a
+    histogram's width is its number of fields and 0 stands for the other
+    kinds. An entry line means the same in every body of its kind and
+    width, so a line found there is not checked again. The lines that are
+    not are checked in order, as without a memo, and join it only when
+    all of them have passed. Values from a memo are shared: do not change
+    them.
     """
     lines = text.split("\n")
     if not lines[0].startswith("kind="):
         raise AggregateError("aggregate body missing kind line")
     kind = lines[0][len("kind="):]
+    check = _ENTRIES.get(kind)
+    if check is None:
+        raise AggregateError(f"unknown aggregate kind {kind!r}")
     rest = [ln for ln in lines[1:] if ln]
-    escaped = "%" in text  # else no token needs unescaping
-    entries: list[tuple] = []
-    append = entries.append
-    isfinite = math.isfinite
-
-    if kind == "summary":
-        for ln in rest:
-            try:
-                head, group, metric, count, total, lo, hi = ln.split(" ")
-                values = (float(count), float(total), float(lo), float(hi))
-            except ValueError:  # too few or many fields, or a field not a number
-                raise _bad(kind, ln) from None
-            if head != "g" or not (isfinite(values[0]) and isfinite(values[1])
-                                   and isfinite(values[2]) and isfinite(values[3])):
-                raise _bad(kind, ln)
-            if escaped:
-                group, metric = _unesc(group), _unesc(metric)
-            append(((group, metric), tag, ln, values))
-        return kind, (), entries
-
+    edges: tuple[float, ...] = ()
+    width = 0
     if kind == "histogram":
-        if not rest or not rest[0].startswith("edges"):
+        if not rest or rest[0].split(" ", 1)[0] != "edges":
             raise AggregateError("histogram body missing edges line")
         try:
             edges = tuple(float(e) for e in rest[0].split(" ")[1:])
         except ValueError:
             raise _bad(kind, rest[0]) from None
-        if not all(map(isfinite, edges)):
+        if not all(map(math.isfinite, edges)):
             raise _bad(kind, rest[0])
         _check_edges(edges)
         width = len(edges) + 4
-        for ln in rest[1:]:
-            parts = ln.split(" ")
-            if len(parts) != width or parts[0] != "h":
-                raise _bad(kind, ln)
-            try:
-                values = list(map(int, parts[3:]))
-            except ValueError:
-                raise _bad(kind, ln) from None
-            group, metric = parts[1], parts[2]
-            if escaped:
-                group, metric = _unesc(group), _unesc(metric)
-            append(((group, metric), tag, ln, values))
-        return kind, edges, entries
-
-    if kind == "counted-key":
-        for ln in rest:
-            try:
-                head, key, count = ln.split(" ")
-                count = int(count)
-            except ValueError:
-                raise _bad(kind, ln) from None
-            if head != "c":
-                raise _bad(kind, ln)
-            append((_unesc(key) if escaped else key, tag, ln, count))
-        return kind, (), entries
-
-    raise AggregateError(f"unknown aggregate kind {kind!r}")
+        del rest[0]
+    escaped = "%" in text  # else no token needs unescaping
+    if memo is None:
+        return kind, edges, check(rest, tag, escaped, width)
+    seen = memo.get((kind, width))
+    if seen is None:
+        seen = memo[(kind, width)] = {}
+    for key, _tag, ln, values in check([ln for ln in rest if ln not in seen],
+                                       tag, escaped, width):
+        seen[ln] = (key, values)
+    entries: list[tuple] = []
+    append = entries.append
+    for ln in rest:
+        key, values = seen[ln]
+        append((key, tag, ln, values))
+    return kind, edges, entries
 
 
 def body_from_text(text: str) -> Body:
@@ -407,7 +455,8 @@ _TEXT_MERGE = {
 }
 
 
-def merge_texts(texts, aggregation: str, edges: tuple[float, ...] = ()) -> str:
+def merge_texts(texts, aggregation: str, edges: tuple[float, ...] = (),
+                memo: dict | None = None) -> str:
     """A relay's hop: merge child body texts, in producer order, into the
     text of their merged body.
 
@@ -425,8 +474,17 @@ def merge_texts(texts, aggregation: str, edges: tuple[float, ...] = ()) -> str:
     to ``body_to_text(merge_all(...))`` of the same children. A valid but
     non-canonical spelling on a one-owner line (``1.0``, ``%41``) is kept
     as it came, so it reads back as an equal value.
+
+    ``memo``, if given, is a table of lines already checked, which the
+    caller owns and passes to every hop that may see the same lines (see
+    :func:`_parse`). A line found there is not split or checked again; a
+    line that fails is never stored, so it fails at every hop that gets it,
+    with the same error. The result and the errors are the same with or
+    without a memo. The table grows with every distinct line it is given,
+    so a caller keeps one only as long as lines repeat: the overlay keeps
+    one per stream for the round in flight.
     """
-    parsed = [_parse(text, tag) for tag, text in enumerate(texts)]
+    parsed = [_parse(text, tag, memo) for tag, text in enumerate(texts)]
     out = empty_body(aggregation, edges)
     out_edges = out.edges if isinstance(out, HistogramBody) else ()
     for kind, child_edges, _entries in parsed:

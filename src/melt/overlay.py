@@ -75,6 +75,37 @@ class ProcessCore:
         pass
 
 
+class LineMemo:
+    """Body lines already checked on one host, for the round in flight of
+    each stream.
+
+    :func:`build_overlay` gives one to every gather node it places on a
+    host, and each round's merge passes the round's table to
+    :func:`~melt.aggregates.merge_texts`. A line that several hops carry
+    up the tree is then split and checked once per round on that host, not
+    once per hop. A newer round of a stream replaces the older one's table,
+    so the memo holds at most one round's lines per stream; a round older
+    than the one held is merged without a memo. The root, the last hop of
+    every round, releases the round's table once it has merged it.
+    """
+
+    def __init__(self) -> None:
+        self.rounds: dict[int, tuple[int, dict]] = {}  # stream -> (round, table)
+
+    def table(self, sid: int, rnd: int) -> dict | None:
+        held = self.rounds.get(sid)
+        if held is not None and held[0] >= rnd:
+            return held[1] if held[0] == rnd else None
+        table: dict = {}
+        self.rounds[sid] = (rnd, table)
+        return table
+
+    def release(self, sid: int, rnd: int) -> None:
+        held = self.rounds.get(sid)
+        if held is not None and held[0] == rnd:
+            del self.rounds[sid]
+
+
 class GatherNode(ProcessCore):
     """Shared merge/multicast logic for relays, managers, and the root.
 
@@ -103,6 +134,7 @@ class GatherNode(ProcessCore):
         self.spec_seen: dict[int, int] = {}
         self.dead_links: set[str] = set()
         self.clock = 0
+        self.line_memo: LineMemo | None = None  # shared by the nodes of a host
 
     # --- link topology -------------------------------------------------------
 
@@ -249,8 +281,9 @@ class GatherNode(ProcessCore):
         contributions = self.pending.pop((sid, rnd), {})
         order = self.producer_links(sid)
         texts = [contributions[link].aggregate_body for link in order if link in contributions]
+        memo = self.line_memo.table(sid, rnd) if self.line_memo is not None else None
         try:
-            body = merge_texts(texts, spec.aggregation, spec.hist_edges)
+            body = merge_texts(texts, spec.aggregation, spec.hist_edges, memo)
         except AggregateError as exc:
             self.note("merge-fault", self.pid, sid, rnd, str(exc))
             self.forward_error(wire.Error("merge-fault", f"stream {sid} round {rnd}: {exc}"))
@@ -474,6 +507,11 @@ class RootProcess(GatherNode):
     def forward_multicast(self, msg) -> None:
         self.multicast(msg)
 
+    def complete_round(self, sid: int, rnd: int) -> None:
+        super().complete_round(sid, rnd)
+        if self.line_memo is not None:  # no hop on this host merges the round after the root
+            self.line_memo.release(sid, rnd)
+
     def forward_error(self, msg: wire.Error) -> None:
         self.note("stream-fault", self.pid, msg.code, msg.text)
 
@@ -590,7 +628,8 @@ class ClientCore(ProcessCore):
 # description: build_overlay puts every process on one host with in-process
 # links, sockethost.serve_overlay adds TCP attach points to that, and
 # sockethost.launch_distributed gives every process a host of its own and
-# dials every link over TCP.
+# dials every link over TCP. Only build_overlay shares a LineMemo: the
+# processes of launch_distributed share nothing, so each checks its lines.
 
 ROOT_PID = "root"
 
@@ -707,9 +746,17 @@ class OverlayHandle:
 
 
 def build_overlay(topology: OverlayTopology, host) -> OverlayHandle:
-    """Place the process graph on ``host`` with in-process links."""
+    """Place the process graph on ``host`` with in-process links.
+
+    Every gather node placed here shares one :class:`LineMemo`, so the
+    host checks each body line once per stream and round, however many
+    hops carry it. The memo holds at most one round's lines per stream,
+    and none once the root has merged the round.
+    """
     procs = overlay_processes(topology)
+    memo = LineMemo()
     for proc in procs.values():
+        proc.line_memo = memo
         host.add_process(proc)
     for pid, link, peer, peer_link, attach in overlay_links(topology):
         host.wire(procs[pid], link, procs[peer], peer_link)

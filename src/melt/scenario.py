@@ -369,6 +369,22 @@ class WorkloadModel:
             if ev is not None:
                 for node in dict.fromkeys(self.jobs[ev.job_id].nodes):
                     self.meta_of.setdefault(node, []).append(ev)
+        # server -> its OSTs, and the io flows that touch them in script
+        # order, so a server snapshot visits only its own flows and sums in
+        # the same order
+        self.osts_of: dict[str, frozenset[str]] = {}
+        servers_of: dict[str, list[str]] = {}
+        for domain in topology.domains:
+            for node in domain.member_nodes:
+                if mine := domain.osts_of(node):
+                    self.osts_of[node] = frozenset(mine)
+                    for ost in mine:
+                        servers_of.setdefault(ost, []).append(node)
+        self.server_flows_of: dict[str, list[_Flow]] = {}
+        for flow in self.flows:
+            if flow is not None:
+                for node in dict.fromkeys(n for ost in flow.osts for n in servers_of.get(ost, ())):
+                    self.server_flows_of.setdefault(node, []).append(flow)
 
     def _clamp(self, ev):
         job = self.jobs[ev.job_id]
@@ -472,14 +488,12 @@ class WorkloadModel:
     def snapshot_oss(self, node: str, t: int) -> SourceSnapshot:
         snap = SourceSnapshot(ts=t)
         fs = self.fs
-        mine = set(self.topology.domain_of_node(node).osts_of(node))
+        mine = self.osts_of.get(node, frozenset())
         for raw in ("IO_RD_BYTES", "IO_WR_BYTES", "RPC_REQS", "RPC_WAIT_SUM",
                     "LOCK_GRANTS", "LOCK_CANCELS"):
             snap.counters[(raw, fs, "", "", "")] = 0.0
         io_bytes = 0.0
-        for flow in self.flows:
-            if flow is None:
-                continue
+        for flow in self.server_flows_of.get(node, ()):
             ov = _overlap(t, flow.start, flow.end)
             if ov <= 0:
                 continue

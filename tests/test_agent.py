@@ -195,9 +195,17 @@ class TestStatsFileGrammar:
         with pytest.raises(StatsParseError, match="banana"):
             read_stats_file(self.write(tmp_path, "ts 1\nIO_RD_BYTES knot2 banana\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("line, what", [("gauge IO_CLNT_DIRTY {}", "gauge"),
+                                            ("IO_RD_BYTES knot2 {}", "counter")])
+    def test_non_finite_value(self, tmp_path, line, what, value):
+        path = self.write(tmp_path, f"ts 1\n{line.format(value)}\n")
+        with pytest.raises(StatsParseError, match=f":2: bad {what} value '{value}'"):
+            read_stats_file(path)
+
 
 class TestStatsFileAgent:
-    def stats_sim(self, tmp_path):
+    def stats_sim(self, tmp_path, metric="IO_WR_BW"):
         host, handle, model = make_sim(ONE_DOMAIN)
         path = tmp_path / "stats"
         path.write_text("ts 0\nIO_WR_BYTES knot2 0\n", encoding="utf-8")
@@ -207,7 +215,7 @@ class TestStatsFileAgent:
         handle.attach_agent(agent)
         client = add_driver(handle)
         sid = create_stream(handle, client, io_stream_spec(
-            metrics=("IO_WR_BW",), interval=2))
+            metrics=(metric,), interval=2))
         client.subscribe(sid)
         host.flush(client)
         host.pump()
@@ -240,6 +248,23 @@ class TestStatsFileAgent:
         assert client.records == []
         assert agent.health_skips >= 1
         assert agent.attached
+
+    @pytest.mark.parametrize("metric, line", [
+        ("IO_CLNT_DIRTY", "gauge IO_CLNT_DIRTY nan"),
+        ("IO_WR_BW", "IO_WR_BYTES knot2 inf"),
+    ], ids=["nan-gauge", "inf-counter"])
+    def test_non_finite_value_skips_tick_and_host_goes_on(self, tmp_path, metric, line):
+        host, handle, client, sid, path, agent = self.stats_sim(tmp_path, metric)
+        path.write_text(f"ts 2\n{line}\n", encoding="utf-8")
+        run_ticks(host, 1, 2)
+        assert agent.health_skips == 1
+        (note,) = [ev for ev in host.transcript if ev[0] == "source-failure"]
+        assert "bad" in note[-1] and line.split()[-1] in note[-1]
+        # a good file again: the next round arrives
+        path.write_text("ts 4\nIO_WR_BYTES knot2 0\ngauge IO_CLNT_DIRTY 5\n", encoding="utf-8")
+        run_ticks(host, 3, 2)
+        assert [r.round for r in client.records][-1] == 4
+        assert agent.health_skips == 1
 
 
 class TestNodeLoad:

@@ -318,10 +318,30 @@ class TestTextCodec:
         assert back.counts == body.counts
 
     def test_empty_bodies(self):
-        for kind, edges in (("summary", ()), ("histogram", (1.0,)), ("counted-key", ())):
+        for kind, edges in (("summary", ()), ("histogram", (1.0,)), ("histogram", ()),
+                            ("counted-key", ())):
             body = empty_body(kind, edges)
             back = body_from_text(body_to_text(body))
-            assert back.kind == kind
+            assert back == body
+
+    def test_edgeless_histogram_round_trip(self):
+        empty = empty_body("histogram")
+        assert body_to_text(empty) == "kind=histogram\nedges"
+        assert agg.merge_texts([], "histogram") == body_to_text(empty)
+        one = HistogramBody()
+        one.add("g x", "m", 3.0, 2)
+        text = body_to_text(one)
+        assert text == "kind=histogram\nedges\nh g%20x m 2"
+        assert body_from_text(text) == one
+        assert agg.merge_texts([text, body_to_text(empty), text], "histogram") == \
+            "kind=histogram\nedges\nh g%20x m 4"
+        # bodies with edges keep their spelling; the writer never adds a space
+        assert body_to_text(HistogramBody((1.0, 10.5))) == "kind=histogram\nedges 1 10.5"
+        for parse in (body_from_text, lambda t: agg.merge_texts([t], "histogram")):
+            with pytest.raises(AggregateError, match="bad histogram line 'edges '"):
+                parse("kind=histogram\nedges ")
+            with pytest.raises(AggregateError, match="missing edges line"):
+                parse("kind=histogram\nedgesx\nh g m 1")
 
     def test_deterministic_ordering(self):
         a = summary_of(("b", "M", 1, 1), ("a", "M", 2, 1))
@@ -349,6 +369,31 @@ def outcome(fn, *args):
         return fn(*args)
     except AggregateError as exc:
         return type(exc), str(exc)
+
+
+def merge_texts_three_ways(texts, kind, edges, warm):
+    """merge_texts's outcome with no memo, then with a cold memo, then with
+    ``warm``; all three must agree, and no memo may keep a refused line."""
+    got = outcome(agg.merge_texts, texts, kind, edges)
+    for memo in ({}, warm):
+        assert outcome(agg.merge_texts, texts, kind, edges, memo) == got
+        assert not any(refused_lines_kept(text, memo) for text in texts)
+    return got
+
+
+def refused_lines_kept(text, memo):
+    """The lines of ``text`` that a body of its kind and width refuses but
+    the memo holds for that kind and width."""
+    head, *lines = text.split("\n")
+    if head == "kind=histogram" and lines:
+        head += "\n" + lines.pop(0)
+    try:
+        kind, edges, _ = agg._parse(head)
+    except AggregateError:
+        return []
+    table = memo.get((kind, len(edges) + 4 if kind == "histogram" else 0), {})
+    return [ln for ln in lines if ln in table
+            and isinstance(outcome(agg.merge_texts, [f"{head}\n{ln}"], kind, edges), tuple)]
 
 
 # "a b" sorts before "a!" unescaped but after it escaped ("a%20b" > "a!")
@@ -388,16 +433,33 @@ def child_text(kind, rows, ordered, edges=TEXT_EDGES):
     return "\n".join(lines)
 
 
+def warm_memo(*texts) -> dict:
+    """A memo that already holds lines of every kind and of three histogram
+    widths, then those of ``texts``, each merged alone."""
+    rows = [("a", "M x", 1, 2, 2, 2), ("a b", "IO_RD_BW", 2, 3, 1, 2)]
+    texts = [child_text("summary", rows, True),
+             child_text("counted-key", [("a", 1), ("%25", 3)], True),
+             *(child_text("histogram", [("a", "IO_RD_BW", [1] * len(edges) + [2])], True, edges)
+               for edges in ((2.0,), TEXT_EDGES, (1.0, 2.0, 3.0))),
+             *texts]
+    memo: dict = {}
+    for text in texts:
+        body = body_from_text(text)
+        agg.merge_texts([text], body.kind, getattr(body, "edges", ()), memo)
+    return memo
+
+
 @pytest.mark.parametrize("kind", list(ROWS))
 def test_merge_texts_is_byte_identical_to_the_parse_path(kind):
     edges = TEXT_EDGES if kind == "histogram" else ()
     children = st.tuples(st.lists(ROWS[kind], max_size=6), st.booleans())
+    warm = warm_memo()  # and each example adds the lines of an earlier round
 
     @given(st.lists(children, max_size=5))
     @settings(max_examples=300)
     def check(drawn):
         texts = [child_text(kind, rows, ordered) for rows, ordered in drawn]
-        assert outcome(agg.merge_texts, texts, kind, edges) == \
+        assert merge_texts_three_ways(texts, kind, edges, warm) == \
             outcome(reference_merge_texts, texts, kind, edges)
 
     check()
@@ -432,15 +494,29 @@ MISMATCHED = [child_text("summary", [("a", "M", 1, 1, 1, 1)], True),
               child_text("histogram", [("a", "M", [1, 0])], True, edges=(2.0,)),
               "kind=summary\ng a M 1 x 1 1",
               "kind=counted-key\nc a 1.5"]
-
-
-@given(st.lists(st.sampled_from(MISMATCHED), max_size=4),
+# lines that a body of another kind or width holds as good ones
+WRONG_PLACE = ["kind=summary\nc a 1",
+               "kind=counted-key\ng a M 1 1 1 1",
+               "kind=histogram\nedges 1 10\nh a M 1 0",
+               "kind=histogram\nedges 2\nh a M 1 0 0"]
+@given(st.lists(st.sampled_from(MISMATCHED + WRONG_PLACE), max_size=4),
        st.sampled_from(["summary", "histogram", "counted-key", "wat"]))
 @settings(max_examples=300)
 def test_merge_texts_raises_what_the_parse_path_raises(texts, kind):
     edges = TEXT_EDGES if kind == "histogram" else ()
-    assert outcome(agg.merge_texts, texts, kind, edges) == \
+    warm = warm_memo(*MISMATCHED[:4])  # holds every WRONG_PLACE line as a good one
+    assert merge_texts_three_ways(texts, kind, edges, warm) == \
         outcome(reference_merge_texts, texts, kind, edges)
+
+
+def test_lines_in_the_wrong_place_are_refused_with_a_memo():
+    warm = warm_memo(*MISMATCHED[:4])
+    for text, edges in zip(WRONG_PLACE, [(), (), TEXT_EDGES, (2.0,)]):
+        kind = text.split("\n")[0][len("kind="):]
+        line = text.split("\n")[-1]
+        assert any(line in table for table in warm.values())
+        with pytest.raises(AggregateError, match=f"bad {kind} line '{line}'"):
+            agg.merge_texts([text], kind, edges, warm)
 
 
 def test_merge_texts_error_order():

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melt.scenario import (
-    DEFAULT_BASE_TIME, JobEvent, WorkloadModel, parse_scenario, parse_workload,
+    DEFAULT_BASE_TIME, RPC_BYTES, JobEvent, WorkloadModel, _overlap, load_scenario,
+    parse_scenario, parse_workload,
 )
+from melt.simharness import resolve_scenario_path
 from melt.topology import ConfigError, parse_topology
 
 from simutil import FIVE_DOMAINS, ONE_DOMAIN
@@ -239,3 +243,56 @@ class TestClosedFormModel:
         rd_end = sum(v for k, v in m.snapshot("c1", 30).counters.items()
                      if k[0] == "IO_RD_BYTES")
         assert rd_end == pytest.approx(1 * MI * 10)  # only 10s inside the job
+
+
+def reference_oss_io(model, node, t):
+    """An OSS's io counters by a scan of every flow and client, in script order."""
+    fs, counters, io_bytes = model.fs, {}, 0.0
+    mine = set(model.topology.domain_of_node(node).osts_of(node))
+    for flow in model.flows:
+        if flow is None or _overlap(t, flow.start, flow.end) <= 0:
+            continue
+        ov, share = _overlap(t, flow.start, flow.end), 1.0 / len(flow.osts)
+        for ost in (o for o in flow.osts if o in mine):
+            for client in flow.nodes:
+                rd, wr = flow.read_bps * ov * share, flow.write_bps * ov * share
+                for raw, value in (("IO_RD_BYTES", rd), ("IO_WR_BYTES", wr)):
+                    key = (raw, fs, ost, flow.job_id, client)
+                    counters[key] = counters.get(key, 0.0) + value
+                io_bytes += rd + wr
+    return counters, float(math.floor(io_bytes / RPC_BYTES))
+
+
+def model_of_testbed(seed):
+    spec = load_scenario(resolve_scenario_path("testbed.cfg"))
+    return WorkloadModel(spec.topology, spec.workload, seed), spec.duration
+
+
+def model_of_uneven_flows(seed):
+    # one job's flows overlap on every OST with rates whose float sums
+    # depend on the order they are added in
+    workload = parse_workload(lines(
+        "job 0 30 j1 c1 c2", "io 0 30 j1 0.1 0.3 roundrobin",
+        "io 3 20 j1 1.7e6 0.01 roundrobin", "io 1 29 j1 0.7 0.2 single:o2",
+        "io 2 25 j1 1e-3 3.3 roundrobin"))
+    return WorkloadModel(TOPO, workload, seed), 30
+
+
+@pytest.mark.parametrize("make, seed", [(model_of_testbed, 0), (model_of_testbed, 3),
+                                        (model_of_uneven_flows, 0), (model_of_uneven_flows, 1)])
+def test_oss_snapshot_equals_a_scan_of_every_flow(make, seed):
+    model, duration = make(seed)
+    servers = model.topology.servers("oss")
+    for node in [*servers, model.topology.domain_of_node(servers[0]).manager_node]:
+        for t in range(0, duration + 1, 3):
+            counters = model.snapshot(node, t).counters
+            want, reqs = reference_oss_io(model, node, t)
+            assert {k: v for k, v in counters.items() if k[2]} == want  # bit for bit
+            assert counters[("RPC_REQS", model.fs, "", "", "")] == reqs
+
+
+def test_an_oss_snapshot_visits_only_the_flows_on_its_osts():
+    model, _duration = model_of_testbed(0)
+    servers = model.topology.servers("oss")
+    visits = [len(model.server_flows_of.get(node, ())) for node in servers]
+    assert 0 < sum(visits) < len(servers) * sum(f is not None for f in model.flows)

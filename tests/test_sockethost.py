@@ -6,11 +6,12 @@ import logging
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from melt import agent, meltcli, meltmon
-from melt.overlay import ClientCore, attach_point
+from melt import agent, aggregates, meltcli, meltmon, overlay
+from melt.overlay import ClientCore, GatherNode, LineMemo, attach_point
 from melt.simharness import resolve_scenario_path
 from melt.sockethost import SocketHost, dial_core, launch_distributed, serve_overlay
 from melt.streams import StreamSpec
@@ -140,6 +141,22 @@ def test_both_socket_deployments_attach_each_node_at_the_same_process():
         cluster.stop()
 
 
+def test_only_serve_overlay_shares_a_line_memo():
+    topology = load_topology(resolve_scenario_path("testbed.cfg"))
+    host, _handle, _endpoints = serve_overlay(topology)
+    cluster = launch_distributed(topology)
+    try:
+        served = [p for p in host.by_pid.values() if isinstance(p, GatherNode)]
+        assert len(served) == len(cluster.cores)
+        assert len({id(p.line_memo) for p in served}) == 1
+        assert isinstance(served[0].line_memo, LineMemo)
+        # one host per process: nothing to share, so each checks its own lines
+        assert all(core.line_memo is None for core in cluster.cores.values())
+    finally:
+        host.close()
+        cluster.stop()
+
+
 class RelayRig:
     """``serve_overlay`` for one small client domain, driven over raw
     loopback sockets: a session consumer at ``@root`` and a producer that
@@ -223,6 +240,38 @@ def test_bad_body_is_a_merge_fault_and_the_next_round_arrives(caplog):
         rig.produce(2, GOOD_BODY)
         (record,) = rig.pump_until(rig.cons, Data)
         assert (record.round, record.aggregate_body) == (2, GOOD_BODY)
+    finally:
+        rig.close()
+
+
+def test_a_relay_chain_checks_each_line_once_per_round(monkeypatch):
+    checked: Counter = Counter()
+    hops = []
+    check, merge = aggregates._ENTRIES["summary"], overlay.merge_texts
+
+    def counting_check(lines, *args):
+        checked.update(lines)
+        return check(lines, *args)
+
+    def counting_merge(texts, *args):
+        hops.append(texts)
+        return merge(texts, *args)
+
+    monkeypatch.setitem(aggregates._ENTRIES, "summary", counting_check)
+    monkeypatch.setattr(overlay, "merge_texts", counting_merge)
+    rig = RelayRig()
+    body = GOOD_BODY + "\ng tait.8 IO_RD_BW 1 3 3 3"
+    try:
+        for rnd in (1, 2, 3):
+            checked.clear()
+            hops.clear()
+            rig.produce(rnd, body)
+            (record,) = rig.pump_until(rig.cons, Data)
+            assert (record.round, record.aggregate_body) == (rnd, body)
+            # two relays, the manager and the root each merged the body;
+            # the host checked each of its lines once
+            assert hops == [[body]] * 4
+            assert checked == Counter(body.split("\n")[1:])
     finally:
         rig.close()
 
