@@ -395,10 +395,11 @@ def _parse(text: str, tag: int = 0,
     edges: tuple[float, ...] = ()
     width = 0
     if kind == "histogram":
-        if not rest or rest[0].split(" ", 1)[0] != "edges":
+        head, *fields = rest[0].split(" ") if rest else ("",)
+        if head != "edges":
             raise AggregateError("histogram body missing edges line")
         try:
-            edges = tuple(float(e) for e in rest[0].split(" ")[1:])
+            edges = tuple(float(e) for e in fields)
         except ValueError:
             raise _bad(kind, rest[0]) from None
         if not all(map(math.isfinite, edges)):
@@ -409,9 +410,7 @@ def _parse(text: str, tag: int = 0,
     escaped = "%" in text  # else no token needs unescaping
     if memo is None:
         return kind, edges, check(rest, tag, escaped, width)
-    seen = memo.get((kind, width))
-    if seen is None:
-        seen = memo[(kind, width)] = {}
+    seen = memo.setdefault((kind, width), {})
     for key, _tag, ln, values in check([ln for ln in rest if ln not in seen],
                                        tag, escaped, width):
         seen[ln] = (key, values)

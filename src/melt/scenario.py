@@ -372,12 +372,12 @@ class WorkloadModel:
         # server -> its OSTs, and the io flows that touch them in script
         # order, so a server snapshot visits only its own flows and sums in
         # the same order
-        self.osts_of: dict[str, frozenset[str]] = {}
+        self.server_osts: dict[str, frozenset[str]] = {}
         servers_of: dict[str, list[str]] = {}
         for domain in topology.domains:
             for node in domain.member_nodes:
                 if mine := domain.osts_of(node):
-                    self.osts_of[node] = frozenset(mine)
+                    self.server_osts[node] = frozenset(mine)
                     for ost in mine:
                         servers_of.setdefault(ost, []).append(node)
         self.server_flows_of: dict[str, list[_Flow]] = {}
@@ -488,7 +488,7 @@ class WorkloadModel:
     def snapshot_oss(self, node: str, t: int) -> SourceSnapshot:
         snap = SourceSnapshot(ts=t)
         fs = self.fs
-        mine = self.osts_of.get(node, frozenset())
+        mine = self.server_osts.get(node, frozenset())
         for raw in ("IO_RD_BYTES", "IO_WR_BYTES", "RPC_REQS", "RPC_WAIT_SUM",
                     "LOCK_GRANTS", "LOCK_CANCELS"):
             snap.counters[(raw, fs, "", "", "")] = 0.0
