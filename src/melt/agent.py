@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from . import catalog, wire
 from .aggregates import body_to_text, fold_samples
 from .overlay import ProcessCore, apply_rate_override, overridden_interval
-from .streams import AgentIdentity, StreamSpec, group_key, parse_target, produced_metrics
+from .streams import (AgentIdentity, StreamSpec, Target, group_key, parse_target,
+                      produced_metrics)
 from .topology import OverlayTopology
 
 CounterKey = tuple[str, str, str, str, str]  # metric, fs, ost, job, client
@@ -158,11 +159,63 @@ class AgentConfig:
                    osts=domain.osts_of(node_id))
 
 
-@dataclass
+@dataclass(slots=True)  # one per agent and stream
 class _StreamProduction:
     metrics: tuple[str, ...]
     prev: SourceSnapshot
     prev_t: int
+    target: Target
+
+
+class _RoundDeltas:
+    """One stream round's counter deltas, summed per group of the stream.
+
+    Each raw counter is grouped once, on first use, however many metrics
+    derive from it. Its ``counter-reset`` notes are made again on every
+    use, as when each use grouped it anew, so transcripts do not change.
+    One lives for one :meth:`AgentCore.build_contributions` call.
+    """
+
+    def __init__(self, agent: "AgentCore", spec: StreamSpec, target: Target,
+                 snap: SourceSnapshot, prev: SourceSnapshot) -> None:
+        self.agent, self.spec, self.target = agent, spec, target
+        self.snap, self.prev = snap, prev
+        self.keys_of: dict[str, list[CounterKey]] | None = None  # raw -> its counter keys
+        self.grouped: dict[str, tuple[dict[str, float], list[str]]] = {}  # raw -> sums, resets
+
+    def sums(self, raw: str) -> dict[str, float]:
+        """Per-group sums of the deltas of ``raw``, added in counter order."""
+        grouped = self.grouped.get(raw)
+        if grouped is None:
+            grouped = self.grouped[raw] = self._group(raw)
+        sums, resets = grouped
+        for fs in resets:
+            self.agent.reset_flags.append((raw, fs))
+            self.agent.note("counter-reset", self.agent.pid, raw, fs)
+        return sums
+
+    def _group(self, raw: str) -> tuple[dict[str, float], list[str]]:
+        if self.keys_of is None:
+            self.keys_of = {}
+            for key in self.snap.counters:
+                self.keys_of.setdefault(key[0], []).append(key)
+        agent, counters, before_of = self.agent, self.snap.counters, self.prev.counters
+        sums: dict[str, float] = {}
+        resets: list[str] = []
+        for key in sorted(self.keys_of.get(raw, ())):
+            if not agent._key_matches(key, self.target):
+                continue
+            before = before_of.get(key, 0.0)
+            cur = counters[key]
+            if cur < before:
+                resets.append(key[1])
+                continue
+            delta = cur - before
+            if delta != 0:
+                group = agent._group(self.spec, key)
+                if group is not None:
+                    sums[group] = sums.get(group, 0.0) + delta
+        return sums, resets
 
 
 class AgentCore(ProcessCore):
@@ -220,7 +273,8 @@ class AgentCore(ProcessCore):
         except SourceError as exc:
             self.note("source-failure", self.pid, str(exc))
             baseline = SourceSnapshot(ts=self.clock)
-        self.production[spec.stream_id] = _StreamProduction(metrics, baseline, self.clock)
+        self.production[spec.stream_id] = _StreamProduction(
+            metrics, baseline, self.clock, parse_target(spec.target))
         self.emit("up", wire.Subscribe(spec.stream_id, "agent-producer"))
 
     def apply_rate(self, msg: wire.SetRate) -> None:
@@ -305,40 +359,12 @@ class AgentCore(ProcessCore):
                 return False
         return True
 
-    def _deltas(self, raw: str, snap: SourceSnapshot, prev: SourceSnapshot,
-                target) -> list[tuple[CounterKey, float]]:
-        out = []
-        for key in sorted(k for k in snap.counters if k[0] == raw):
-            if not self._key_matches(key, target):
-                continue
-            before = prev.counters.get(key, 0.0)
-            cur = snap.counters[key]
-            if cur < before:
-                self.reset_flags.append((raw, key[1]))
-                self.note("counter-reset", self.pid, raw, key[1])
-                continue
-            delta = cur - before
-            if delta != 0:
-                out.append((key, delta))
-        return out
-
-    def _group_deltas(self, raws: tuple[str, ...], spec: StreamSpec, snap: SourceSnapshot,
-                      prev: SourceSnapshot, target) -> dict[str, float]:
-        """Per-group sums of the deltas of the raw counters ``raws``, added
-        in counter order."""
-        sums: dict[str, float] = {}
-        for raw in raws:
-            for key, delta in self._deltas(raw, snap, prev, target):
-                group = self._group(spec, key)
-                if group is not None:
-                    sums[group] = sums.get(group, 0.0) + delta
-        return sums
-
     def build_contributions(self, sid: int, snap: SourceSnapshot,
                             prev: SourceSnapshot, window: int) -> list[tuple[str, str, float, float]]:
         """(group, metric, value, weight) tuples for one stream round."""
         spec = self.specs[sid]
-        target = parse_target(spec.target)
+        prod = self.production[sid]
+        target = prod.target
         role = self.config.lustre_role
         if target.kind == "job" and role == "client" and self.my_job != target.name:
             return []
@@ -346,8 +372,9 @@ class AgentCore(ProcessCore):
                 and not self.config.filesystems:
             return []
 
+        deltas = _RoundDeltas(self, spec, target, snap, prev)
         out: list[tuple[str, str, float, float]] = []
-        for metric in self.production[sid].metrics:
+        for metric in prod.metrics:
             mdef = catalog.metric(metric)
 
             if mdef.metric_class in catalog.COUNTED_CLASSES:
@@ -359,25 +386,22 @@ class AgentCore(ProcessCore):
                         out.append((key, metric, delta, 1.0))
                 continue
 
-            if metric == "IO_CLNT_NUM":
-                active = self._group_deltas(("IO_RD_BYTES", "IO_WR_BYTES"),
-                                            spec, snap, prev, target)
-                for group in sorted(g for g, d in active.items() if d > 0):
+            if metric == "IO_CLNT_NUM":  # every delta is positive
+                active = deltas.sums("IO_RD_BYTES").keys() | deltas.sums("IO_WR_BYTES").keys()
+                for group in sorted(active):
                     out.append((group, metric, 1.0, 1.0))
                 continue
 
             if metric in catalog.AVG_SOURCES:
                 num_raw, den_raw = catalog.AVG_SOURCES[metric]
-                nums = self._group_deltas((num_raw,), spec, snap, prev, target)
-                dens = self._group_deltas((den_raw,), spec, snap, prev, target)
+                nums, dens = deltas.sums(num_raw), deltas.sums(den_raw)
                 for group in sorted(dens):
                     if dens[group] > 0:
                         out.append((group, metric, nums.get(group, 0.0) / dens[group], dens[group]))
                 continue
 
             if mdef.kind == "rate":
-                sums = self._group_deltas((catalog.RATE_TO_RAW[metric],),
-                                          spec, snap, prev, target)
+                sums = deltas.sums(catalog.RATE_TO_RAW[metric])
                 for group in sorted(sums):
                     out.append((group, metric, sums[group] / window, 1.0))
                 continue

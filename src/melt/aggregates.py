@@ -18,13 +18,17 @@ keys that several children share. For every body a melt process writes,
 its output is byte-identical to ``body_to_text(merge_all(...))`` of the
 parsed children.
 
-A relay hop may pass :func:`merge_texts` a memo of lines already checked:
-a dict from (kind, histogram width) to ``{line: (key, values)}``. A line
-found there is not split or checked again; a line joins it only after it
-has passed, so a bad line fails wherever it arrives, with the same error.
-Output and errors are the same with or without a memo. The memo's owner
-decides its scope; the overlay keeps one per host for the round in flight
-of each stream (``overlay.LineMemo``).
+A relay hop may pass :func:`merge_texts` a table of the bodies it and the
+other hops sharing the table merged: a dict from each output text to what
+the parser returns for it. A merge output is canonical (sorted unique
+keys, no count-0 summary line, the header of its stream), so a hop whose
+only child is in the table returns that text unchanged, and a hop with
+several children takes the known ones' entries from it instead of parsing
+them. An equal text always parses to equal entries, and only texts that a
+merge produced are stored, so output and errors are the same with or
+without a table. The table's owner decides its scope; the overlay keeps
+one per host for the round in flight of each stream
+(``overlay.MergedBodies``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .catalog import metric as metric_def
+from .catalog import CATALOG, metric as metric_def
 
 
 class AggregateError(ValueError):
@@ -307,26 +311,31 @@ def _bad(kind: str, line: str) -> AggregateError:
     return AggregateError(f"bad {kind} line {line!r}")
 
 
-def _summary_entries(lines: list[str], tag: int, escaped: bool, width: int) -> list[tuple]:
+# the catalog's metric name strings: a parsed key names one of them, not a
+# copy, so the entries that a host holds for a round share them
+_METRIC_NAMES = {d.name: d.name for d in CATALOG}
+
+
+def _summary_entries(lines: list[str], escaped: bool, width: int) -> list[tuple]:
     entries: list[tuple] = []
     append = entries.append
     isfinite = math.isfinite
     for ln in lines:
         try:
             head, group, metric, count, total, lo, hi = ln.split(" ")
-            values = (float(count), float(total), float(lo), float(hi))
+            count, total, lo, hi = float(count), float(total), float(lo), float(hi)
         except ValueError:  # too few or many fields, or a field not a number
             raise _bad("summary", ln) from None
-        if head != "g" or not (isfinite(values[0]) and isfinite(values[1])
-                               and isfinite(values[2]) and isfinite(values[3])):
+        if head != "g" or not (isfinite(count) and isfinite(total)
+                               and isfinite(lo) and isfinite(hi)):
             raise _bad("summary", ln)
         if escaped:
             group, metric = _unesc(group), _unesc(metric)
-        append(((group, metric), tag, ln, values))
+        append(((group, _METRIC_NAMES.get(metric, metric)), ln, (count, total, lo, hi)))
     return entries
 
 
-def _histogram_entries(lines: list[str], tag: int, escaped: bool, width: int) -> list[tuple]:
+def _histogram_entries(lines: list[str], escaped: bool, width: int) -> list[tuple]:
     entries: list[tuple] = []
     append = entries.append
     for ln in lines:
@@ -340,11 +349,11 @@ def _histogram_entries(lines: list[str], tag: int, escaped: bool, width: int) ->
         group, metric = parts[1], parts[2]
         if escaped:
             group, metric = _unesc(group), _unesc(metric)
-        append(((group, metric), tag, ln, values))
+        append(((group, _METRIC_NAMES.get(metric, metric)), ln, values))
     return entries
 
 
-def _counted_entries(lines: list[str], tag: int, escaped: bool, width: int) -> list[tuple]:
+def _counted_entries(lines: list[str], escaped: bool, width: int) -> list[tuple]:
     entries: list[tuple] = []
     append = entries.append
     for ln in lines:
@@ -355,7 +364,7 @@ def _counted_entries(lines: list[str], tag: int, escaped: bool, width: int) -> l
             raise _bad("counted-key", ln) from None
         if head != "c":
             raise _bad("counted-key", ln)
-        append((_unesc(key) if escaped else key, tag, ln, count))
+        append((_unesc(key) if escaped else key, ln, count))
     return entries
 
 
@@ -364,25 +373,16 @@ _ENTRIES = {"summary": _summary_entries, "histogram": _histogram_entries,
             "counted-key": _counted_entries}
 
 
-def _parse(text: str, tag: int = 0,
-           memo: dict | None = None) -> tuple[str, tuple[float, ...], list[tuple]]:
+def _parse(text: str) -> tuple[str, tuple[float, ...], list[tuple]]:
     """Check one body's lines; return (kind, edges, entries).
 
     This is the one reader of the line format. Each entry is
-    ``(key, tag, line, values)`` in line order: ``key`` is the unescaped
+    ``(key, line, values)`` in line order: ``key`` is the unescaped
     (group, metric) pair, or the unescaped counted key; ``values`` are the
     summary's finite (count, sum, min, max), the histogram's bucket counts,
     or the counted key's count. A malformed line, or a number that is not
     finite or, where a count is due, not an integer, raises
     :class:`AggregateError`.
-
-    ``memo`` maps ``(kind, width)`` to ``{line: (key, values)}``, where a
-    histogram's width is its number of fields and 0 stands for the other
-    kinds. An entry line means the same in every body of its kind and
-    width, so a line found there is not checked again. The lines that are
-    not are checked in order, as without a memo, and join it only when
-    all of them have passed. Values from a memo are shared: do not change
-    them.
     """
     lines = text.split("\n")
     if not lines[0].startswith("kind="):
@@ -408,28 +408,17 @@ def _parse(text: str, tag: int = 0,
         width = len(edges) + 4
         del rest[0]
     escaped = "%" in text  # else no token needs unescaping
-    if memo is None:
-        return kind, edges, check(rest, tag, escaped, width)
-    seen = memo.setdefault((kind, width), {})
-    for key, _tag, ln, values in check([ln for ln in rest if ln not in seen],
-                                       tag, escaped, width):
-        seen[ln] = (key, values)
-    entries: list[tuple] = []
-    append = entries.append
-    for ln in rest:
-        key, values = seen[ln]
-        append((key, tag, ln, values))
-    return kind, edges, entries
+    return kind, edges, check(rest, escaped, width)
 
 
 def body_from_text(text: str) -> Body:
     """The body a text encodes; a key repeated within it keeps its last line."""
     kind, edges, entries = _parse(text)
     if kind == "summary":
-        return SummaryBody({key: SummaryAgg(*values) for key, _tag, _ln, values in entries})
+        return SummaryBody({key: SummaryAgg(*values) for key, _ln, values in entries})
     if kind == "histogram":
-        return HistogramBody(edges, {key: values for key, _tag, _ln, values in entries})
-    return CountedKeyBody({key: count for key, _tag, _ln, count in entries})
+        return HistogramBody(edges, {key: values for key, _ln, values in entries})
+    return CountedKeyBody({key: count for key, _ln, count in entries})
 
 
 # --- relay merge on text --------------------------------------------------------
@@ -454,57 +443,22 @@ _TEXT_MERGE = {
 }
 
 
-def merge_texts(texts, aggregation: str, edges: tuple[float, ...] = (),
-                memo: dict | None = None) -> str:
-    """A relay's hop: merge child body texts, in producer order, into the
-    text of their merged body.
-
-    Every child is checked by :func:`body_from_text`'s parser before any
-    kind or edge check, so errors come in the order and with the texts that
-    ``merge_all(map(body_from_text, texts), aggregation, edges)`` raises.
-    The lines are then stable-sorted once by unescaped key, which is linear
-    on children that arrive sorted and still orders one that does not. A
-    key that one child sends passes through as that child's line, verbatim
-    (a summary line with count 0 is dropped). A key that several children
-    send takes each child's last line for it, is folded in producer order
-    as :func:`merge_all` folds, and is formatted anew.
-
-    For every body :func:`body_to_text` wrote, the result is byte-identical
-    to ``body_to_text(merge_all(...))`` of the same children. A valid but
-    non-canonical spelling on a one-owner line (``1.0``, ``%41``) is kept
-    as it came, so it reads back as an equal value.
-
-    ``memo``, if given, is a table of lines already checked, which the
-    caller owns and passes to every hop that may see the same lines (see
-    :func:`_parse`). A line found there is not split or checked again; a
-    line that fails is never stored, so it fails at every hop that gets it,
-    with the same error. The result and the errors are the same with or
-    without a memo. The table grows with every distinct line it is given,
-    so a caller keeps one only as long as lines repeat: the overlay keeps
-    one per stream for the round in flight.
-    """
-    parsed = [_parse(text, tag, memo) for tag, text in enumerate(texts)]
-    out = empty_body(aggregation, edges)
-    out_edges = out.edges if isinstance(out, HistogramBody) else ()
-    for kind, child_edges, _entries in parsed:
-        if kind != out.kind:
-            raise AggregateKindError(f"cannot merge {out.kind} with {kind}")
-        if child_edges != out_edges:
-            raise AggregateKindError("histogram edge mismatch")
-    lines = [f"kind={out.kind}"]
-    if isinstance(out, HistogramBody):
-        lines.append(_edges_line(out_edges))
-    entries = [entry for _kind, _edges, child in parsed for entry in child]
-    if not entries:
-        return "\n".join(lines)
-    entries.sort(key=itemgetter(0))
-    entries.append((None, -1, "", None))  # closes the last run
-    fold, fmt = _TEXT_MERGE[out.kind]
-    drop_empty = isinstance(out, SummaryBody)
-    append = lines.append
+def _fold_runs(parsed: list[tuple], kind: str, drop_empty: bool) -> list[tuple]:
+    """The merged entries of children some of whose keys are shared or
+    repeated: each key's run, in producer order, takes each child's last
+    line for it; a run one child owns keeps that line (a summary count of 0
+    is dropped if ``drop_empty``), and a run of several is folded and
+    formatted anew."""
+    tagged = [(key, tag, line, values) for tag, (_kind, _edges, entries) in enumerate(parsed)
+              for key, line, values in entries]
+    tagged.sort(key=itemgetter(0))
+    tagged.append((None, -1, "", None))  # closes the last run
+    fold, fmt = _TEXT_MERGE[kind]
+    out: list[tuple] = []
+    append = out.append
     # the run of the current key: the values folded from earlier children
     # (None while one child owns it) and the current child's last line
-    runs = iter(entries)
+    runs = iter(tagged)
     key, tag, line, values = next(runs)
     acc = None
     for next_key, next_tag, next_line, next_values in runs:
@@ -516,10 +470,87 @@ def merge_texts(texts, aggregation: str, edges: tuple[float, ...] = (),
             continue
         if acc is None:
             if not (drop_empty and values[0] == 0):
-                append(line)
+                append((key, line, values))
         else:
-            merged = fmt(key, fold(acc, values))
-            if merged is not None:
-                append(merged)
+            values = fold(acc, values)
+            line = fmt(key, values)
+            if line is not None:
+                append((key, line, values))
         key, tag, line, values, acc = next_key, next_tag, next_line, next_values, None
-    return "\n".join(lines)
+    return out
+
+
+def merge_texts(texts: list[str], aggregation: str, edges: tuple[float, ...] = (),
+                merged: dict | None = None) -> str:
+    """A relay's hop: merge child body texts, in producer order, into the
+    text of their merged body.
+
+    Every child is checked by :func:`body_from_text`'s parser before any
+    kind or edge check, so errors come in the order and with the texts that
+    ``merge_all(map(body_from_text, texts), aggregation, edges)`` raises.
+    The lines are then stable-sorted once by unescaped key, which is linear
+    on children that arrive sorted and still orders one that does not. A
+    key that one child sends passes through as that child's line, verbatim
+    (a summary line with count 0 is dropped). A key that several children
+    send takes each child's last line for it, is folded in producer order
+    as :func:`merge_all` folds, and is formatted anew. When no key is
+    shared or repeated, the sorted lines are joined as they are.
+
+    For every body :func:`body_to_text` wrote, the result is byte-identical
+    to ``body_to_text(merge_all(...))`` of the same children. A valid but
+    non-canonical spelling on a one-owner line (``1.0``, ``%41``) is kept
+    as it came, so it reads back as an equal value.
+
+    ``merged``, if given, is a table from texts that earlier merges
+    returned to what :func:`_parse` returns for them; the caller owns it
+    and passes it to every hop that may get one of those texts as a child.
+    A known child is not parsed: an equal text parses to equal entries. A
+    merge output is canonical (its keys sorted and unique, no summary line
+    with count 0, its header the one its aggregation writes), so a lone
+    known child under that same header is returned unchanged. A merge that
+    succeeds pops its children from the table and stores its result; one
+    that fails stores nothing. The result and the errors are the same with
+    or without a table. The table holds the outputs no merge has taken
+    yet, so a caller keeps one only while they are in flight: the overlay
+    keeps one per stream for the round in flight.
+    """
+    parsed = []
+    fresh: dict = {}  # the children parsed here, by text
+    for text in texts:
+        known = None if merged is None else merged.get(text)
+        if known is None:
+            known = fresh.get(text)
+            if known is None:
+                known = fresh[text] = _parse(text)
+        parsed.append(known)
+    out = empty_body(aggregation, edges)
+    out_edges = out.edges if isinstance(out, HistogramBody) else ()
+    for kind, child_edges, _entries in parsed:
+        if kind != out.kind:
+            raise AggregateKindError(f"cannot merge {out.kind} with {kind}")
+        if child_edges != out_edges:
+            raise AggregateKindError("histogram edge mismatch")
+    head = f"kind={out.kind}"
+    if isinstance(out, HistogramBody):
+        head += "\n" + _edges_line(out_edges)
+    if not fresh and len(parsed) == 1 and texts[0].startswith(head):
+        return texts[0]  # a merge output merged alone is itself
+    # only a child parsed here may carry a summary line with count 0
+    drop_empty = isinstance(out, SummaryBody) and any(
+        values[0] == 0 for _kind, _edges, child in fresh.values() for _key, _ln, values in child)
+    entries: list[tuple] = []
+    for _kind, _edges, child in parsed:
+        entries += child
+    keys = list(map(itemgetter(0), entries))
+    if len(set(keys)) == len(keys):  # every line passes through
+        entries.sort(key=itemgetter(0))
+        if drop_empty:
+            entries = [entry for entry in entries if entry[2][0] != 0]
+    else:
+        entries = _fold_runs(parsed, out.kind, drop_empty)
+    text = "\n".join([head, *map(itemgetter(1), entries)])
+    if merged is not None:
+        for child in texts:
+            merged.pop(child, None)
+        merged[text] = (out.kind, tuple(map(float, out_edges)), entries)
+    return text

@@ -75,18 +75,21 @@ class ProcessCore:
         pass
 
 
-class LineMemo:
-    """Body lines already checked on one host, for the round in flight of
-    each stream.
+class MergedBodies:
+    """The bodies that the hops of one host merged, for the round in flight
+    of each stream.
 
     :func:`build_overlay` gives one to every gather node it places on a
     host, and each round's merge passes the round's table to
-    :func:`~melt.aggregates.merge_texts`. A line that several hops carry
-    up the tree is then split and checked once per round on that host, not
-    once per hop. A newer round of a stream replaces the older one's table,
-    so the memo holds at most one round's lines per stream; a round older
-    than the one held is merged without a memo. The root, the last hop of
-    every round, releases the round's table once it has merged it.
+    :func:`~melt.aggregates.merge_texts`: it maps each text a hop merged to
+    the entries that parsing it gives. A parent hop on the same host then
+    takes a child's entries from the table instead of parsing its text
+    again, and a hop whose only child is known passes it on unchanged. The
+    parent pops the entries it takes, so a table holds only the bodies
+    still in flight. A newer round of a stream replaces the older one's
+    table, so at most one round is held per stream; a round older than the
+    one held is merged without a table. The root, the last hop of every
+    round, releases the round's table once it has merged it.
     """
 
     def __init__(self) -> None:
@@ -134,7 +137,7 @@ class GatherNode(ProcessCore):
         self.spec_seen: dict[int, int] = {}
         self.dead_links: set[str] = set()
         self.clock = 0
-        self.line_memo: LineMemo | None = None  # shared by the nodes of a host
+        self.merged_bodies: MergedBodies | None = None  # shared by the nodes of a host
 
     # --- link topology -------------------------------------------------------
 
@@ -280,26 +283,26 @@ class GatherNode(ProcessCore):
         spec = self.specs[sid]
         contributions = self.pending.pop((sid, rnd), {})
         order = self.producer_links(sid)
-        texts = [contributions[link].aggregate_body for link in order if link in contributions]
-        memo = self.line_memo.table(sid, rnd) if self.line_memo is not None else None
+        present = [link for link in order if link in contributions]
+        texts = [contributions[link].aggregate_body for link in present]
+        merged = self.merged_bodies
+        table = merged.table(sid, rnd) if merged is not None else None
         try:
-            body = merge_texts(texts, spec.aggregation, spec.hist_edges, memo)
+            body = merge_texts(texts, spec.aggregation, spec.hist_edges, table)
         except AggregateError as exc:
             self.note("merge-fault", self.pid, sid, rnd, str(exc))
             self.forward_error(wire.Error("merge-fault", f"stream {sid} round {rnd}: {exc}"))
             self.emitted[sid] = rnd
             return
         expected = actual = 0
-        window = self.effective_interval(sid)
         for link in order:
             if link in contributions:
                 expected += contributions[link].expected_contributors
                 actual += contributions[link].actual_contributors
             else:
                 expected += self.last_expected.get((link, sid), 0)
-        contributed = [l for l in order if l in contributions]
-        if contributed:
-            window = contributions[contributed[0]].window_secs
+        window = (contributions[present[0]].window_secs if present
+                  else self.effective_interval(sid))
         self.emitted[sid] = rnd
         record = wire.Data(sid, rnd, window, expected, actual, body)
         self.deliver_up(record)
@@ -509,8 +512,8 @@ class RootProcess(GatherNode):
 
     def complete_round(self, sid: int, rnd: int) -> None:
         super().complete_round(sid, rnd)
-        if self.line_memo is not None:  # no hop on this host merges the round after the root
-            self.line_memo.release(sid, rnd)
+        if self.merged_bodies is not None:  # no hop on this host merges the round after the root
+            self.merged_bodies.release(sid, rnd)
 
     def forward_error(self, msg: wire.Error) -> None:
         self.note("stream-fault", self.pid, msg.code, msg.text)
@@ -628,8 +631,8 @@ class ClientCore(ProcessCore):
 # description: build_overlay puts every process on one host with in-process
 # links, sockethost.serve_overlay adds TCP attach points to that, and
 # sockethost.launch_distributed gives every process a host of its own and
-# dials every link over TCP. Only build_overlay shares a LineMemo: the
-# processes of launch_distributed share nothing, so each checks its lines.
+# dials every link over TCP. Only build_overlay shares a MergedBodies: the
+# processes of launch_distributed share nothing, so each parses its children.
 
 ROOT_PID = "root"
 
@@ -748,15 +751,16 @@ class OverlayHandle:
 def build_overlay(topology: OverlayTopology, host) -> OverlayHandle:
     """Place the process graph on ``host`` with in-process links.
 
-    Every gather node placed here shares one :class:`LineMemo`, so the
-    host checks each body line once per stream and round, however many
-    hops carry it. The memo holds at most one round's lines per stream,
-    and none once the root has merged the round.
+    Every gather node placed here shares one :class:`MergedBodies`, so a
+    body that one hop merged is not parsed again by the hop above it on
+    this host, and a hop whose only child is such a body passes it on
+    unchanged. It holds the bodies still in flight of at most one round
+    per stream, and none once the root has merged the round.
     """
     procs = overlay_processes(topology)
-    memo = LineMemo()
+    merged = MergedBodies()
     for proc in procs.values():
-        proc.line_memo = memo
+        proc.merged_bodies = merged
         host.add_process(proc)
     for pid, link, peer, peer_link, attach in overlay_links(topology):
         host.wire(procs[pid], link, procs[peer], peer_link)

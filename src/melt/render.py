@@ -63,6 +63,8 @@ def render_human(frame: RenderFrame, include_header: bool = True) -> str:
     for row in frame.rows:
         table.append([_cell_text(col, cell, "human")
                       for col, cell in zip(frame.columns, row)])
+    if not table:  # no rows and no header: nothing to align
+        return ""
     widths = [max(len(r[i]) for r in table) for i in range(len(frame.columns))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
              for row in table]

@@ -25,7 +25,7 @@ class StreamSpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # every agent keeps one per stream
 class Target:
     kind: str
     name: str | None = None
@@ -34,9 +34,15 @@ class Target:
         return self.kind if self.name is None else f"{self.kind}={self.name}"
 
 
+# each kind as one string, which every Target of that kind shares: every
+# agent keeps a Target per stream
+_KINDS = {kind: kind for kind in TARGET_KINDS}
+
+
 def parse_target(text: str) -> Target:
-    kind, sep, name = text.partition("=")
-    if kind not in TARGET_KINDS:
+    written, sep, name = text.partition("=")
+    kind = _KINDS.get(written)
+    if kind is None:
         raise StreamSpecError(f"unknown target {text!r}")
     if not sep:
         if kind != "fs":

@@ -142,6 +142,9 @@ def _escape(value: str) -> str:
 def _unescape(value: str) -> str:
     if "\\" not in value:
         return value
+    plain = value.replace("\\n", "\n")
+    if "\\" not in plain:  # the first of a \\ pair, or a bad escape, would be left
+        return plain
     # split pairs backslashes left to right, as a scan would, so a backslash
     # left in a part is valid only as the start of a \n escape
     parts = value.split("\\\\")

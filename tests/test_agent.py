@@ -283,6 +283,27 @@ class TestNodeLoad:
         body = body_from_text(client.records[-1].aggregate_body)
         assert body.entries[("", "LOAD_CPU_PCT")].sum == 37.5
 
+    def test_a_reset_counter_is_noted_at_every_metric_that_reads_it(self):
+        host, handle, model = make_sim(ONE_DOMAIN)
+        attach_agents(handle, model)
+        client = add_driver(handle)
+        sid = create_stream(handle, client, io_stream_spec(
+            name="wr", target="clnt=n1", interval=2,
+            metrics=("IO_WR_BW", "IO_CLNT_NUM", "IO_CLNT_AVG_WR_SZ", "IO_RD_BW")))
+        agent = handle.agents["n1"]
+        wr, ops, rd = (("IO_WR_BYTES", "knot2", "", "", ""), ("IO_WR_OPS", "knot2", "", "", ""),
+                       ("IO_RD_BYTES", "knot2", "", "", ""))
+        prev = SourceSnapshot(counters={wr: 100.0, ops: 1.0, rd: 0.0})
+        snap = SourceSnapshot(counters={wr: 50.0, ops: 3.0, rd: 8.0})
+        agent.notes.clear()
+        agent.reset_flags.clear()
+        tuples = agent.build_contributions(sid, snap, prev, 2)
+        # IO_WR_BYTES is grouped once but read by three metrics
+        assert agent.notes == [("counter-reset", agent.pid, "IO_WR_BYTES", "knot2")] * 3
+        assert agent.reset_flags == [("IO_WR_BYTES", "knot2")] * 3
+        assert tuples == [("", "IO_CLNT_NUM", 1.0, 1.0), ("", "IO_CLNT_AVG_WR_SZ", 0.0, 2.0),
+                          ("", "IO_RD_BW", 4.0, 1.0)]
+
     def test_out_of_range_gauge_omitted(self):
         host, handle, model = make_sim(ONE_DOMAIN)
         attach_agents(handle, model)

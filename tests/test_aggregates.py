@@ -371,29 +371,35 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def wire_copy(text):
+    """An equal text that is not the same object, as a frame decode gives."""
+    return text.encode().decode()
+
+
 def merge_texts_three_ways(texts, kind, edges, warm):
-    """merge_texts's outcome with no memo, then with a cold memo, then with
-    ``warm``; all three must agree, and no memo may keep a refused line."""
+    """merge_texts's outcome with no table, then with a cold table, then
+    with ``warm``, each given copies of the texts; all three must agree,
+    and each table must change only as a merge may change it."""
     got = outcome(agg.merge_texts, texts, kind, edges)
-    for memo in ({}, warm):
-        assert outcome(agg.merge_texts, texts, kind, edges, memo) == got
-        assert not any(refused_lines_kept(text, memo) for text in texts)
+    for table in ({}, warm):
+        before = dict(table)
+        result = outcome(agg.merge_texts, [wire_copy(t) for t in texts], kind, edges, table)
+        assert result == got
+        assert_table_kept(table, before, texts, result)
     return got
 
 
-def refused_lines_kept(text, memo):
-    """The lines of ``text`` that a body of its kind and width refuses but
-    the memo holds for that kind and width."""
-    head, *lines = text.split("\n")
-    if head == "kind=histogram" and lines:
-        head += "\n" + lines.pop(0)
-    try:
-        kind, edges, _ = agg._parse(head)
-    except AggregateError:
-        return []
-    table = memo.get((kind, len(edges) + 4 if kind == "histogram" else 0), {})
-    return [ln for ln in lines if ln in table
-            and isinstance(outcome(agg.merge_texts, [f"{head}\n{ln}"], kind, edges), tuple)]
+def assert_table_kept(table, before, texts, result):
+    """A failed merge leaves the table as it was; one that succeeds pops
+    its children and stores its result as it parses, and touches nothing
+    else."""
+    if isinstance(result, tuple):
+        assert table.keys() == before.keys()
+        assert all(table[text] is before[text] for text in table)
+        return
+    assert table.keys() == (before.keys() - set(texts)) | {result}
+    assert all(table[text] is before[text] for text in table if text != result)
+    assert table[result] == agg._parse(result)
 
 
 # "a b" sorts before "a!" unescaped but after it escaped ("a%20b" > "a!")
@@ -433,27 +439,27 @@ def child_text(kind, rows, ordered, edges=TEXT_EDGES):
     return "\n".join(lines)
 
 
-def warm_memo(*texts) -> dict:
-    """A memo that already holds lines of every kind and of three histogram
-    widths, then those of ``texts``, each merged alone."""
+def warm_table(*texts) -> dict:
+    """A table that already holds the outputs of merges of every kind and
+    of three histogram widths, then those of ``texts``, each merged alone."""
     rows = [("a", "M x", 1, 2, 2, 2), ("a b", "IO_RD_BW", 2, 3, 1, 2)]
     texts = [child_text("summary", rows, True),
              child_text("counted-key", [("a", 1), ("%25", 3)], True),
              *(child_text("histogram", [("a", "IO_RD_BW", [1] * len(edges) + [2])], True, edges)
                for edges in ((2.0,), TEXT_EDGES, (1.0, 2.0, 3.0))),
              *texts]
-    memo: dict = {}
+    table: dict = {}
     for text in texts:
         body = body_from_text(text)
-        agg.merge_texts([text], body.kind, getattr(body, "edges", ()), memo)
-    return memo
+        agg.merge_texts([text], body.kind, getattr(body, "edges", ()), table)
+    return table
 
 
 @pytest.mark.parametrize("kind", list(ROWS))
 def test_merge_texts_is_byte_identical_to_the_parse_path(kind):
     edges = TEXT_EDGES if kind == "histogram" else ()
     children = st.tuples(st.lists(ROWS[kind], max_size=6), st.booleans())
-    warm = warm_memo()  # and each example adds the lines of an earlier round
+    warm = warm_table()  # and each example adds the output of an earlier round
 
     @given(st.lists(children, max_size=5))
     @settings(max_examples=300)
@@ -463,6 +469,93 @@ def test_merge_texts_is_byte_identical_to_the_parse_path(kind):
             outcome(reference_merge_texts, texts, kind, edges)
 
     check()
+
+
+@pytest.mark.parametrize("kind", list(ROWS))
+def test_a_tree_of_merges_is_the_same_with_or_without_a_table(kind):
+    """Lower hops merge random children; their outputs, copied as a frame
+    decode copies them, and some leaves are a higher hop's children."""
+    edges = TEXT_EDGES if kind == "histogram" else ()
+    children = st.tuples(st.lists(ROWS[kind], max_size=6), st.booleans())
+    warm = warm_table()  # and each example adds the top of an earlier tree
+
+    @given(st.lists(st.lists(children, min_size=1, max_size=3), min_size=1, max_size=3),
+           st.lists(children, max_size=2), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def check(groups, leaves, twice, rng):
+        lower = [[child_text(kind, rows, ordered) for rows, ordered in group] for group in groups]
+        leaves = [child_text(kind, rows, ordered) for rows, ordered in leaves]
+        order = rng.sample(range(len(lower) + twice + len(leaves)),
+                           len(lower) + twice + len(leaves))
+
+        def tree(table):
+            outs = [agg.merge_texts(texts, kind, edges, table) for texts in lower]
+            upper = [wire_copy(out) for out in outs] + [wire_copy(outs[0])] * twice + leaves
+            upper = [upper[i] for i in order]
+            return outs, upper, outcome(agg.merge_texts, upper, kind, edges, table)
+
+        plain = tree(None)
+        cold: dict = {}
+        assert tree(cold) == plain == tree(warm)
+        outs, upper, top = plain
+        assert outs == [reference_merge_texts(texts, kind, edges) for texts in lower]
+        assert top == outcome(reference_merge_texts, upper, kind, edges)
+        # the higher hop took every lower output; only its own is in flight
+        held = outs if isinstance(top, tuple) else [top]
+        assert cold == {text: agg._parse(text) for text in held}
+
+    check()
+
+
+def test_a_lone_known_child_is_passed_on_as_it_is():
+    table: dict = {}
+    child = "kind=summary\ng b M 1 2 2 2\ng a M 1.0 5 5 5\ng c M 0 1 1 1"
+    out = agg.merge_texts([child], "summary", (), table)
+    assert out == "kind=summary\ng a M 1.0 5 5 5\ng b M 1 2 2 2" and list(table) == [out]
+    entry = table[out]
+    copy = wire_copy(out)
+    assert agg.merge_texts([copy], "summary", (), table) is copy
+    assert table == {out: entry} and table[copy] is entry
+    # an int and a float edge of one value may be spelled apart: a known
+    # child under another header is merged as any other
+    big = 2 ** 53 + 2
+    text = agg.merge_texts([], "histogram", (1, big), table)
+    assert text == "kind=histogram\nedges 1 9007199254740994"
+    assert agg.merge_texts([wire_copy(text)], "histogram", (1, float(big)), table) == \
+        reference_merge_texts([text], "histogram", (1, float(big))) == \
+        "kind=histogram\nedges 1 9007199254740994.0"
+
+
+def test_two_identical_known_children_fold_as_two():
+    table: dict = {}
+    child = agg.merge_texts([child_text("counted-key", [("k", 3), ("j", 1)], True)],
+                            "counted-key", (), table)
+    out = agg.merge_texts([child, wire_copy(child)], "counted-key", (), table)
+    assert out == "kind=counted-key\nc j 2\nc k 6" == \
+        reference_merge_texts([child, child], "counted-key")
+    assert table == {out: agg._parse(out)}
+    summary = agg.merge_texts([child_text("summary", [("a", "M", 1, 2, 1, 2)], True)],
+                              "summary", (), table)
+    out = agg.merge_texts([summary, summary, summary], "summary", (), table)
+    assert out == "kind=summary\ng a M 3 6 1 2"
+
+
+def test_a_failed_merge_stores_nothing_and_a_consumed_child_is_popped():
+    table: dict = {}
+    low = agg.merge_texts([child_text("summary", [("a", "M", 1, 5, 5, 5)], True)],
+                          "summary", (), table)
+    entry = table[low]
+    other = agg.merge_texts([child_text("summary", [("b", "M", 1, 2, 2, 2)], True)],
+                            "summary", (), table)
+    bad = "kind=summary\ng c M 1 nan 1 1"
+    for texts, kind in (([low, bad], "summary"), ([low], "counted-key"),
+                        ([low, "kind=summary\ng a M 1 1e308 1 1"] * 2, "summary")):
+        with pytest.raises(AggregateError):
+            agg.merge_texts([wire_copy(t) for t in texts], kind, (), table)
+        assert table == {low: entry, other: table[other]} and table[low] is entry
+    top = agg.merge_texts([wire_copy(low), "kind=summary\ng c M 1 1 1 1"], "summary", (), table)
+    assert top == "kind=summary\ng a M 1 5 5 5\ng c M 1 1 1 1"
+    assert list(table) == [other, top] and table[top] == agg._parse(top)
 
 
 def test_merge_texts_edge_cases():
@@ -504,19 +597,28 @@ WRONG_PLACE = ["kind=summary\nc a 1",
 @settings(max_examples=300)
 def test_merge_texts_raises_what_the_parse_path_raises(texts, kind):
     edges = TEXT_EDGES if kind == "histogram" else ()
-    warm = warm_memo(*MISMATCHED[:4])  # holds every WRONG_PLACE line as a good one
+    warm = warm_table(*MISMATCHED[:4])  # holds every WRONG_PLACE line in a good body
     assert merge_texts_three_ways(texts, kind, edges, warm) == \
         outcome(reference_merge_texts, texts, kind, edges)
 
 
 def test_lines_in_the_wrong_place_are_refused_with_a_memo():
-    warm = warm_memo(*MISMATCHED[:4])
+    warm = warm_table(*MISMATCHED[:4])  # holds every WRONG_PLACE line in a good body
     for text, edges in zip(WRONG_PLACE, [(), (), TEXT_EDGES, (2.0,)]):
         kind = text.split("\n")[0][len("kind="):]
         line = text.split("\n")[-1]
-        assert any(line in table for table in warm.values())
+        assert any(line in known.split("\n") for known in warm)
+        before = dict(warm)
         with pytest.raises(AggregateError, match=f"bad {kind} line '{line}'"):
             agg.merge_texts([text], kind, edges, warm)
+        assert warm == before
+    # a known body is still refused by a merge of another kind or edges
+    summary, counted, histogram, other_edges = MISMATCHED[:4]
+    assert {summary, counted, histogram, other_edges} <= warm.keys()
+    with pytest.raises(AggregateKindError, match="cannot merge counted-key with summary"):
+        agg.merge_texts([wire_copy(summary)], "counted-key", (), warm)
+    with pytest.raises(AggregateKindError, match="histogram edge mismatch"):
+        agg.merge_texts([wire_copy(other_edges)], "histogram", TEXT_EDGES, warm)
 
 
 def test_merge_texts_error_order():

@@ -179,6 +179,11 @@ class TestRenderers:
         for raw, unit in zip(csv_row[1:], ("bytes_per_sec", "bytes_per_sec", "ops_per_sec")):
             assert humanize(float(raw), unit, "human") in human_row
 
+    def test_a_frame_with_no_rows_and_no_header_renders_nothing(self):
+        frame = RenderFrame([Column("TIME", "TIME", "time")], [])
+        assert render(frame, "human", False) == render(frame, "csv", False) == ""
+        assert render(frame, "human").split() == ["TIME"]
+
 
 def run_cli(cluster, argv, ticks, name="melt"):
     core = cluster.add_cli(argv, name=name)
@@ -267,6 +272,16 @@ class TestSessionPatterns:
         assert "tait.1111" in {row[2] for row in rows}
         for line, row in zip(lines, rows):
             assert parse_log_line(line)[2] == ("job", row[2])
+
+    def test_human_session_outlives_its_jobs(self):
+        cluster = self.make()
+        core = run_cli(cluster, ["-group=client", "oss=oss03", "top", "io", "-delay=5s"], 80)
+        assert core.exit_code is None and not core.done
+        assert core.rendered[0].splitlines()[0].split()[:2] == ["CLIENT", "RD_BW"]
+        # every job ended by 60 s: the frames after that carry no row
+        assert [len(frame.rows) for frame in core.frames[-4:]] == [0] * 4
+        assert core.rendered[-4:] == [""] * 4
+        assert core.frames[-1].epoch_secs == cluster.spec.base_time + 80
 
     def test_once_withdraws_override_on_exit(self):
         cluster = self.make()

@@ -8,7 +8,7 @@ import pytest
 
 from melt import aggregates, overlay, wire
 from melt.aggregates import body_from_text, body_to_text
-from melt.overlay import (LineMemo, RelayProcess, attach_point, overlay_links,
+from melt.overlay import (MergedBodies, RelayProcess, attach_point, overlay_links,
                           overlay_processes)
 from melt.streams import StreamSpec
 from melt.topology import parse_topology
@@ -186,19 +186,22 @@ class TestGatherMerge:
 
     def test_bad_line_first_at_a_higher_hop_is_a_merge_fault_there(self):
         low, high = self.make_relay(), self.make_relay()
-        low.line_memo = high.line_memo = LineMemo()
+        low.merged_bodies = high.merged_bodies = MergedBodies()
         good = "kind=summary\ng a M 1 5 5 5\ng b M 1 2 2 2"
         bad = good + "\ng c M 1 nan 1 1"
         for link in ("a1", "a2"):
             low.on_message(link, wire.Data(1, 10, 10, 1, 1, good))
-        assert [m.round for _, m in low.outbox if isinstance(m, wire.Data)] == [10]
-        # the higher hop holds the lower hop's lines, then gets one it never saw
-        high.on_message("a1", wire.Data(1, 10, 10, 1, 1, good))
+        (sent,) = [m for _, m in low.outbox if isinstance(m, wire.Data)]
+        table = high.merged_bodies.table(1, 10)
+        assert sent.round == 10 and list(table) == [sent.aggregate_body]
+        # the higher hop knows the lower hop's body, then gets one it never saw
+        high.on_message("a1", wire.Data(1, 10, 10, 2, 2, sent.aggregate_body))
         high.on_message("a2", wire.Data(1, 10, 10, 1, 1, bad))
         (note,) = [n for n in high.notes if n[0] == "merge-fault"]
         assert note[1:4] == (high.pid, 1, 10) and "bad summary line 'g c M 1 nan" in note[4]
         assert not any(isinstance(m, wire.Data) for _, m in high.outbox)
-        assert "g c M 1 nan 1 1" not in high.line_memo.table(1, 10)[("summary", 0)]
+        # the failed merge took nothing from the table and stored nothing
+        assert list(table) == [sent.aggregate_body]
         # it stays a fault at every hop of the round that gets it
         low.outbox.clear()
         for link in ("a1", "a2"):
@@ -448,8 +451,8 @@ def test_graph_places_every_attach_point_and_link_end():
         assert attach_point(topology, node)[0] in procs
 
 
-class TestLineMemo:
-    """The gather nodes of one host check each body line once per round."""
+class TestMergedBodies:
+    """The gather nodes of one host parse each body once per round."""
 
     def run_rounds(self, monkeypatch, shared: bool, rounds: int = 3):
         nodes = " ".join(f"n{i:03d}" for i in range(64))
@@ -464,9 +467,10 @@ class TestLineMemo:
         host.pump()
         if not shared:
             for proc in (handle.root, *handle.managers.values(), *handle.relays.values()):
-                proc.line_memo = None
+                proc.merged_bodies = None
         checked: Counter = Counter()  # line -> times it was split and checked
         carried: set = set()  # every line some hop merged
+        held: list = []  # bodies in the table as each merge starts
         check, merge = aggregates._ENTRIES["summary"], overlay.merge_texts
 
         def counting_check(lines, *args):
@@ -475,6 +479,7 @@ class TestLineMemo:
 
         def carrying_merge(texts, *args):
             carried.update(ln for text in texts for ln in text.split("\n")[1:] if ln)
+            held.append(len(args[-1]) if args[-1] is not None else 0)
             return merge(texts, *args)
 
         monkeypatch.setitem(aggregates._ENTRIES, "summary", counting_check)
@@ -483,34 +488,38 @@ class TestLineMemo:
         for t in range(1, rounds + 1):
             checked.clear()
             carried.clear()
+            held.clear()
             run_ticks(host, t, 1)
-            per_round.append((dict(checked), set(carried)))
+            per_round.append((dict(checked), set(carried), list(held)))
             if shared:  # the root has merged the round, so nothing is held
-                assert handle.root.line_memo.rounds == {}
+                assert handle.root.merged_bodies.rounds == {}
         return per_round, [r.aggregate_body for r in client.records]
 
     def test_each_line_is_checked_once_per_host_and_round(self, monkeypatch):
         per_round, bodies = self.run_rounds(monkeypatch, shared=True)
-        for checked, carried in per_round:
+        for checked, carried, held in per_round:
             # the rates are steady, so every round carries the same lines,
             # and every round checks them again
             assert len(carried) == 128 and per_round[0][1] == carried
             assert set(checked) == carried and set(checked.values()) == {1}
+            # a parent takes its children's bodies, so the root, the last of
+            # the 17 hops, finds only the manager's body in the table
+            assert len(held) == 17 and held[-1] == 1 and max(held) < 16
         alone, alone_bodies = self.run_rounds(monkeypatch, shared=False)
         assert alone_bodies == bodies and len(bodies) == 3
-        for checked, carried in alone:
+        for checked, carried, held in alone:
             assert max(checked.values()) == 4  # 2 relays, the manager and the root
 
     def test_build_overlay_shares_one_memo_per_host(self):
         host, handle, model = make_sim(deep_domain(32))
         nodes = [handle.root, *handle.managers.values(), *handle.relays.values()]
-        assert len({id(proc.line_memo) for proc in nodes}) == 1
-        assert isinstance(nodes[0].line_memo, LineMemo)
-        assert all(proc.line_memo is None
+        assert len({id(proc.merged_bodies) for proc in nodes}) == 1
+        assert isinstance(nodes[0].merged_bodies, MergedBodies)
+        assert all(proc.merged_bodies is None
                    for proc in overlay_processes(handle.topology).values())
 
     def test_a_newer_round_replaces_the_older_one(self):
-        memo = LineMemo()
+        memo = MergedBodies()
         first = memo.table(1, 10)
         assert memo.table(1, 10) is first
         other = memo.table(2, 5)  # streams keep their own round

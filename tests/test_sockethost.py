@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from melt import agent, aggregates, meltcli, meltmon, overlay
-from melt.overlay import ClientCore, GatherNode, LineMemo, attach_point
+from melt.overlay import ClientCore, GatherNode, MergedBodies, attach_point
 from melt.simharness import resolve_scenario_path
 from melt.sockethost import SocketHost, dial_core, launch_distributed, serve_overlay
 from melt.streams import StreamSpec
@@ -141,17 +141,17 @@ def test_both_socket_deployments_attach_each_node_at_the_same_process():
         cluster.stop()
 
 
-def test_only_serve_overlay_shares_a_line_memo():
+def test_only_serve_overlay_shares_merged_bodies():
     topology = load_topology(resolve_scenario_path("testbed.cfg"))
     host, _handle, _endpoints = serve_overlay(topology)
     cluster = launch_distributed(topology)
     try:
         served = [p for p in host.by_pid.values() if isinstance(p, GatherNode)]
         assert len(served) == len(cluster.cores)
-        assert len({id(p.line_memo) for p in served}) == 1
-        assert isinstance(served[0].line_memo, LineMemo)
-        # one host per process: nothing to share, so each checks its own lines
-        assert all(core.line_memo is None for core in cluster.cores.values())
+        assert len({id(p.merged_bodies) for p in served}) == 1
+        assert isinstance(served[0].merged_bodies, MergedBodies)
+        # one host per process: nothing to share, so each parses its children
+        assert all(core.merged_bodies is None for core in cluster.cores.values())
     finally:
         host.close()
         cluster.stop()
