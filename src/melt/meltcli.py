@@ -232,6 +232,7 @@ class CliCore(ClientCore):
         self.next_frame_round = 0
         self.frames: list[RenderFrame] = []
         self.rendered: list[str] = []
+        self.warnings: list[str] = []  # stderr lines not yet written
         self.clock = 0
 
     # --- planning -------------------------------------------------------------
@@ -322,6 +323,8 @@ class CliCore(ClientCore):
     def on_error(self, error: wire.Error) -> None:
         if error.code == "unknown-target":
             self.fail(3, error.text)
+        elif error.code == "merge-fault":  # one round lost; the next may arrive
+            self.warnings.append(f"{error.code}: {error.text}")
         else:
             self.fail(1, f"{error.code}: {error.text}")
 
@@ -483,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
         for text in core.rendered[printed:]:
             print(text)
         printed = len(core.rendered)
+        for text in core.warnings:
+            print(f"melt: {text}", file=sys.stderr)
+        core.warnings.clear()
         return core.done
 
     code = run_core("melt", core, inv.connect, core.finish, step)

@@ -14,8 +14,10 @@ the ring, down each tree, reaching every attached agent exactly once.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import wire
 from .aggregates import AggregateError, merge_texts
@@ -43,6 +45,29 @@ def apply_rate_override(overrides: dict[int, dict[str, int]], msg: wire.SetRate)
 def overridden_interval(spec: StreamSpec, overrides: dict[int, dict[str, int]]) -> int:
     """A stream's round interval: the fastest of its own and its overrides."""
     return min((spec.interval_secs, *overrides.get(spec.stream_id, {}).values()))
+
+
+class RoundFault(NamedTuple):
+    """What an Error about one round of one stream says; its text is
+    ``stream <sid> round <rnd>: <reason>``."""
+
+    stream_id: int
+    round: int
+    reason: str
+
+    def text(self) -> str:
+        return f"stream {self.stream_id} round {self.round}: {self.reason}"
+
+    @classmethod
+    def parse(cls, text: str) -> RoundFault | None:
+        """The fault an Error's text names, or None if it names none."""
+        match = _ROUND_FAULT.fullmatch(text)
+        if match is None:
+            return None
+        return cls(int(match[1]), int(match[2]), match[3])
+
+
+_ROUND_FAULT = re.compile(r"stream ([0-9]+) round ([0-9]+): (.*)", re.DOTALL)
 
 
 class ProcessCore:
@@ -291,7 +316,7 @@ class GatherNode(ProcessCore):
             body = merge_texts(texts, spec.aggregation, spec.hist_edges, table)
         except AggregateError as exc:
             self.note("merge-fault", self.pid, sid, rnd, str(exc))
-            self.forward_error(wire.Error("merge-fault", f"stream {sid} round {rnd}: {exc}"))
+            self.forward_error(wire.Error("merge-fault", RoundFault(sid, rnd, str(exc)).text()))
             self.emitted[sid] = rnd
             return
         expected = actual = 0
@@ -515,8 +540,18 @@ class RootProcess(GatherNode):
         if self.merged_bodies is not None:  # no hop on this host merges the round after the root
             self.merged_bodies.release(sid, rnd)
 
+    def live_consumers(self, state: StreamState) -> list[str]:
+        return [l for l in state.consumers if l in self.client_links]
+
     def forward_error(self, msg: wire.Error) -> None:
+        """Note a fault that reached the root; a dropped round's merge fault
+        also goes to the live consumers of its stream."""
         self.note("stream-fault", self.pid, msg.code, msg.text)
+        fault = RoundFault.parse(msg.text) if msg.code == "merge-fault" else None
+        state = self.streams.get(fault.stream_id) if fault is not None else None
+        if state is not None:
+            for link in self.live_consumers(state):
+                self.emit(link, msg)
 
     def deliver_up(self, record: wire.Data) -> None:
         state = self.streams.get(record.stream_id)
@@ -525,7 +560,7 @@ class RootProcess(GatherNode):
         if record.round <= state.last_round:
             return
         state.last_round = record.round
-        live = [l for l in state.consumers if l in self.client_links]
+        live = self.live_consumers(state)
         self.note("root-record", record.stream_id, record.round,
                   record.expected_contributors, record.actual_contributors)
         if live:

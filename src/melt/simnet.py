@@ -6,9 +6,14 @@ a process when one of its links closes, and counts messages sent and
 received per process. :class:`SimHost` runs every link in process on a
 logical clock: each logical second every process gets a tick in
 registration order, then messages are pumped until the network is
-quiescent, so rounds are barrier-complete. Every frame still passes
-through the wire codec in both directions, keeping the layers above
-byte-exact with a socket deployment. The socket backend
+quiescent, so rounds are barrier-complete. Every frame passes through
+the host's :class:`~melt.wire.CodecMemo` in both directions: each link's
+decoder returns the last message the host decoded for a byte-equal
+payload, and a send of a Data equal to the last one the host encoded
+reuses its frame; everything else goes through the wire codec. Frames
+and messages are the ones the codec gives, so the layers above stay
+byte-exact with a socket deployment, while a record passing through
+several hops of one host is decoded and encoded once. The socket backend
 (:class:`melt.sockethost.SocketHost`) adds TCP links to the same loop.
 
 Delivery runs off a ready queue; idle links are never polled. A link is
@@ -23,9 +28,11 @@ it waits for the next pass. That is the order a scan of every link of
 every process would deliver in, so the work of a round is proportional to
 the frames it moves, not to the number of links.
 
-A frame the codec rejects ends only the link it came on: the host records
-a ``link-fault`` event with the reason, releases the link and tells its
-process, as for a link found closed; the other links go on.
+A frame the codec rejects ends only the link it came on. The host
+delivers the frames that came before it in the same read, sends
+``Error("link-fault", <reason>)`` to the peer, records a ``link-fault``
+event with the reason, releases the link and tells its process, as for a
+link found closed; the other links go on.
 
 The sim backend records every send, note and link closure in the
 transcript, which is what the flat-fold oracles and the message accounting
@@ -50,7 +57,7 @@ class LinkState:
 
     channel: object  # SimChannelEnd or TcpChannel
     peer: LinkState | None = field(default=None, repr=False)  # the in-process other end
-    decoder: wire.FrameDecoder = field(default_factory=wire.FrameDecoder)
+    decoder: wire.FrameDecoder | None = None  # through the host's codec memo
     closed_notified: bool = False
     pid: str = "-"       # owning process
     name: str = ""       # link name within the owning process
@@ -79,6 +86,7 @@ class SimHost:
         self.links: dict[tuple[str, str], LinkState] = {}
         self.proc_links: dict[str, list[str]] = {}
         self.transcript: list[tuple] = []
+        self.codec = wire.CodecMemo()  # shared by every link of this host
         self.sent: dict[str, int] = {}
         self.received: dict[str, int] = {}
         self.now = 0
@@ -106,6 +114,7 @@ class SimHost:
 
     def add_link(self, proc, link: str, state: LinkState) -> None:
         state.pid, state.name, state.rank = proc.pid, link, self._rank[proc.pid]
+        state.decoder = wire.FrameDecoder(self.codec)
         state.seq = len(self.proc_links[proc.pid])
         self.links[(proc.pid, link)] = state
         self.proc_links[proc.pid].append(link)
@@ -175,29 +184,30 @@ class SimHost:
             self.record((note[0], self.now) + tuple(note[1:]))
         proc.notes.clear()
         for link, msg in proc.outbox:
-            state = self.links.get((proc.pid, link))
-            if state is None or state.channel.closed:
-                self.record(("send-dropped", self.now, proc.pid, link,
-                             type(msg).__name__))
-                continue
-            frame = wire.encode_message(msg)
-            try:
-                state.channel.send(frame)
-            except ChannelClosedError:
-                self.record(("send-dropped", self.now, proc.pid, link,
-                             type(msg).__name__))
-                continue
-            self.sent[proc.pid] += 1
-            peer = state.peer
-            event = ("send", self.now, proc.pid, "-" if peer is None else peer.pid,
-                     type(msg).__name__, _msg_key(msg))
-            if isinstance(msg, wire.Data):
-                event += (msg.round, msg.window_secs, msg.expected_contributors,
-                          msg.actual_contributors)
-            self.record(event)
-            if peer is not None:
-                self.wake(peer)
+            self.send(proc, link, msg)
         proc.outbox.clear()
+
+    def send(self, proc, link: str, msg: wire.Message) -> None:
+        """Encode one message of a process and send it on one of its links."""
+        state = self.links.get((proc.pid, link))
+        if state is None or state.channel.closed:
+            self.record(("send-dropped", self.now, proc.pid, link, type(msg).__name__))
+            return
+        try:
+            state.channel.send(self.codec.encode(msg))
+        except ChannelClosedError:
+            self.record(("send-dropped", self.now, proc.pid, link, type(msg).__name__))
+            return
+        self.sent[proc.pid] += 1
+        peer = state.peer
+        event = ("send", self.now, proc.pid, "-" if peer is None else peer.pid,
+                 type(msg).__name__, _msg_key(msg))
+        if isinstance(msg, wire.Data):
+            event += (msg.round, msg.window_secs, msg.expected_contributors,
+                      msg.actual_contributors)
+        self.record(event)
+        if peer is not None:
+            self.wake(peer)
 
     def _deliver(self, rank: int) -> None:
         """Read the ready links of one process, in the order they were added."""
@@ -222,17 +232,23 @@ class SimHost:
             try:
                 msgs = state.decoder.feed(data)
             except wire.ProtocolError as exc:
-                # a malformed frame ends only its own link; the frames that
-                # came in the same read before it go with it
+                # a malformed frame ends only its own link, after the frames
+                # that came before it in the same read
+                self.receive(proc, state, exc.messages)
+                self.send(proc, state.name, wire.Error("link-fault", str(exc)))
                 self.close_link(proc, state,
                                 ("link-fault", self.now, proc.pid, state.name, str(exc)))
                 if state.peer is not None:
                     self.wake(state.peer)
                 continue
-            for msg in msgs:
-                self.received[proc.pid] += 1
-                proc.on_message(state.name, msg)
-                self.flush(proc)
+            self.receive(proc, state, msgs)
+
+    def receive(self, proc, state: LinkState, msgs) -> None:
+        """Hand decoded messages of one link to its process, one at a time."""
+        for msg in msgs:
+            self.received[proc.pid] += 1
+            proc.on_message(state.name, msg)
+            self.flush(proc)
 
     def close_link(self, proc, state: LinkState, event: tuple) -> None:
         """Release a link found closed or faulty, record ``event`` and tell

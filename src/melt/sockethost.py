@@ -1,8 +1,8 @@
 """Socket backend of the host contract: the same process cores over real TCP.
 
 :class:`SocketHost` is :class:`~melt.simnet.SimHost` plus TCP links: flush,
-delivery, link-closed handling and the message counters are the sim
-backend's, unchanged. In-process links (ring, relay tree) stay sim
+delivery, the codec memo, link-closed handling and the message counters
+are the sim backend's, unchanged. In-process links (ring, relay tree) stay sim
 channels; agents and session clients attach over TCP listeners,
 identifying themselves with their first message (Attach), exactly as the
 protocol intends, and a process can dial out over a channel of its own.

@@ -11,13 +11,20 @@ payload longer than ``MAX_PAYLOAD`` (64 MiB) is refused on encode, and on
 decode as soon as a header announces it.
 Node lists inside JobMapUpdate are comma-joined, so node ids used there must
 not contain commas or newlines (enforced at construction).
+
+A host runs its codec through one :class:`CodecMemo`, which remembers the
+last payload it decoded and the last Data it encoded. A repeat of either,
+as a record passing through several relays on one host is, costs a byte
+comparison instead of a decode or an encode, and gives the message or the
+frame the codec would.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields as declared_fields
-from typing import get_type_hints
+from operator import attrgetter
+from typing import Sequence, get_type_hints
 
 from .streams import StreamSpec
 
@@ -31,7 +38,13 @@ DIRECTIONS = ("up-consumer", "agent-producer")
 
 
 class ProtocolError(ValueError):
-    """Malformed frame or payload; distinct from an incomplete prefix."""
+    """Malformed frame or payload; distinct from an incomplete prefix.
+
+    Raised out of :meth:`FrameDecoder.feed`, it carries in ``messages`` the
+    frames that the feed decoded before the bad one.
+    """
+
+    messages: Sequence[Message] = ()
 
 
 @dataclass(frozen=True)
@@ -285,8 +298,9 @@ def encode_message(msg: Message) -> bytes:
     return MAGIC + bytes((VERSION, code)) + struct.pack(">I", len(payload)) + payload
 
 
-def _frame_at(buf, pos: int) -> tuple[Message | None, int]:
-    """Decode the frame that starts at ``buf[pos]``.
+def _frame_at(buf, pos: int, memo: CodecMemo | None) -> tuple[Message | None, int]:
+    """Decode the frame that starts at ``buf[pos]``, its payload through
+    ``memo`` when one is given.
 
     Returns (message, offset just past it), or (None, pos) when only an
     incomplete prefix is there. Malformed data raises :class:`ProtocolError`.
@@ -306,18 +320,26 @@ def _frame_at(buf, pos: int) -> tuple[Message | None, int]:
     end = pos + HEADER_LEN + length
     if len(buf) < end:
         return None, pos
-    return decode_payload(buf[pos + 3], buf[pos + HEADER_LEN:end]), end
+    code, payload = buf[pos + 3], buf[pos + HEADER_LEN:end]
+    if memo is None:
+        return decode_payload(code, payload), end
+    return memo.decode(code, payload), end
 
 
-def _frames(buf) -> tuple[list[Message], int]:
-    """Every complete frame at the start of ``buf``, and the offset after them."""
+def _frames(buf, memo: CodecMemo | None = None) -> tuple[list[Message], int]:
+    """Every complete frame at the start of ``buf``, and the offset after
+    them; a :class:`ProtocolError` carries the frames before the bad one."""
     out: list[Message] = []
     pos = 0
-    while True:
-        msg, pos = _frame_at(buf, pos)
-        if msg is None:
-            return out, pos
-        out.append(msg)
+    try:
+        while True:
+            msg, pos = _frame_at(buf, pos, memo)
+            if msg is None:
+                return out, pos
+            out.append(msg)
+    except ProtocolError as exc:
+        exc.messages = out
+        raise
 
 
 def decode_frame(buf: bytes) -> tuple[Message | None, bytes]:
@@ -327,7 +349,7 @@ def decode_frame(buf: bytes) -> tuple[Message | None, bytes]:
     buffer holds only an incomplete prefix. Malformed data raises
     :class:`ProtocolError`.
     """
-    msg, end = _frame_at(buf, 0)
+    msg, end = _frame_at(buf, 0, None)
     return (None, buf) if msg is None else (msg, buf[end:])
 
 
@@ -337,23 +359,81 @@ def decode_all(buf: bytes) -> tuple[list[Message], bytes]:
     return msgs, buf[end:]
 
 
+_data_fields = attrgetter(*(f.name for f in declared_fields(Data)))
+_DATA_TYPES = tuple(get_type_hints(Data)[f.name] for f in declared_fields(Data))
+
+
+def _exact_fields(msg: Data) -> tuple | None:
+    """A Data's fields if each has exactly its declared type, else None."""
+    fields = _data_fields(msg)
+    return fields if tuple(map(type, fields)) == _DATA_TYPES else None
+
+
+class CodecMemo:
+    """The last payload a host decoded and the last Data it encoded.
+
+    A host gives one to the :class:`FrameDecoder` of every link it owns and
+    encodes its sends through it. :meth:`decode` returns the remembered
+    message for a payload byte-equal to the remembered one, with the same
+    type code; :meth:`encode` returns the remembered frame for a
+    :class:`Data` whose fields equal the remembered one's, when the fields
+    of both have exactly the types ``int`` and ``str`` (``True`` or ``1.0``
+    equal ``1`` but do not encode as it). Every other call goes to
+    :func:`decode_payload` or :func:`encode_message`, and only a call that
+    returns is remembered. Messages are frozen, so the links of a host can
+    share one.
+    """
+
+    __slots__ = ("_code", "_payload", "_msg", "_data", "_frame")
+
+    def __init__(self) -> None:
+        self._code = 0
+        self._payload = b""
+        self._msg: Message | None = None
+        self._data: Data | None = None
+        self._frame = b""
+
+    def decode(self, code: int, payload) -> Message:
+        if code == self._code and payload == self._payload:
+            return self._msg
+        msg = decode_payload(code, payload)
+        self._code, self._payload, self._msg = code, payload, msg
+        return msg
+
+    def encode(self, msg: Message) -> bytes:
+        if type(msg) is not Data:
+            return encode_message(msg)
+        last = self._data
+        # most Data differ from the last in their bodies: the fields are
+        # taken apart only when the bodies are equal
+        if last is not None and msg.aggregate_body == last.aggregate_body:
+            fields = _exact_fields(msg)
+            if fields is not None and fields == _exact_fields(last):
+                return self._frame
+        frame = encode_message(msg)
+        self._data, self._frame = msg, frame
+        return frame
+
+
 class FrameDecoder:
     """Incremental decoder for one byte-stream direction of a channel.
 
     Fed bytes go into one bytearray that is decoded at an advancing offset
     and then trimmed from the front, so a feed costs time linear in the
-    bytes it brings, however many frames they hold. After a
+    bytes it brings, however many frames they hold. Payloads go through
+    ``memo`` when one is given (see :class:`CodecMemo`). After a
     :class:`ProtocolError` the decoder still holds everything fed since the
     last successful feed.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, memo: CodecMemo | None = None) -> None:
         self._buf = bytearray()
+        self._memo = memo
 
     def feed(self, data: bytes) -> list[Message]:
         buf = self._buf
         buf += data
-        msgs, end = _frames(buf)
+        msgs, end = _frames(buf, self._memo)
         del buf[:end]
         return msgs
 

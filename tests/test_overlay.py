@@ -217,6 +217,51 @@ class TestGatherMerge:
         assert [m.round for m in sends] == [20]
 
 
+class ScriptedProducer(overlay.ProcessCore):
+    """Attaches as an agent and produces every stream it hears of; sends
+    only the records a test gives it."""
+
+    def start(self) -> None:
+        self.emit("up", wire.Attach(self.node_id, "solo", "agent", "client"))
+
+    def on_message(self, link: str, msg) -> None:
+        if isinstance(msg, wire.CreateStream):
+            self.emit("up", wire.Subscribe(msg.spec.stream_id, "agent-producer"))
+
+
+def test_merge_fault_reaches_the_consumer_before_the_next_round():
+    host, handle, _model = make_sim(ONE_DOMAIN)
+    producer = handle.attach_agent(ScriptedProducer("agent.n1", "n1"))
+    client = add_driver(handle)
+    sid = create_stream(handle, client, io_stream_spec(interval=1))
+    client.subscribe(sid)
+    host.flush(client)
+    host.pump()
+    good = "kind=summary\ng tait.7 IO_RD_BW 2 10 4 6"
+    for rnd, body in ((1, "kind=summary\ng tait.7 IO_RD_BW 2 x 4 6"), (2, good)):
+        producer.emit("up", wire.Data(sid, rnd, 1, 1, 1, body))
+        host.flush(producer)
+        host.pump()
+    # the manager dropped round 1; its fault reached the root over the ring
+    # and went on to the stream's consumer, ahead of round 2's record
+    (error,) = client.errors
+    assert error.code == "merge-fault"
+    assert error.text.startswith(f"stream {sid} round 1: bad summary line")
+    assert overlay.RoundFault.parse(error.text)[:2] == (sid, 1)
+    to_client = [e[4:6] for e in host.transcript
+                 if e[0] == "send" and e[3] == client.pid and e[4] in ("Error", "Data")]
+    assert to_client == [("Error", ""), ("Data", sid)]
+    assert [(r.round, r.aggregate_body) for r in client.records] == [(2, good)]
+
+
+def test_round_fault_text_reads_back_and_other_texts_name_none():
+    fault = overlay.RoundFault(3, 7, "bad summary line 'g a: b'\nmore")
+    assert overlay.RoundFault.parse(fault.text()) == fault
+    for text in ("", "no stream 3", "stream x round 7: r", "stream 3 round 7",
+                 "stream 3 round 7 : r"):
+        assert overlay.RoundFault.parse(text) is None
+
+
 class TestRing:
     def setup_ring(self, interval=1):
         host, handle, model = make_sim(

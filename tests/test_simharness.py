@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from melt import wire
 from melt.agent import AgentConfig, AgentCore
 from melt.humanize import parse_human
 from melt.meltcli import parse_cli
@@ -375,3 +376,67 @@ io 0 24 j1 1M 0 roundrobin
         assert all(r.actual_contributors == 4 for r in before)
         assert all(r.actual_contributors == 3 for r in after)
         assert all(r.expected_contributors == 4 for r in driver.records)
+
+
+# --- the host's codec memo against the plain codec ------------------------------
+
+TESTBED_FAULTS = {"": "", "detach-agent": "fault = 20 detach-agent tait05\n",
+                  "drop-ring-link": "fault = 30 drop-ring-link conway\n"}
+CLI_SESSIONS = (("melt-fs", ["-group=job", "fs", "status", "io", "-delay=5s"]),
+                ("melt-oss", ["-group=client", "oss=oss03", "top", "io", "-delay=5s"]))
+
+
+def run_for_comparison(scenario: str) -> tuple:
+    """(transcript, root records, client output) of one scenario: testbed.cfg
+    with one of its fault variants and two melt sessions, or a random
+    topology with a driver subscribed to random streams."""
+    from simutil import DriverClient
+
+    if scenario.startswith("random-"):
+        rng = random.Random(int(scenario.removeprefix("random-")))
+        spec = random_scenario(rng, max_leaves=48)
+        cluster = SimCluster(spec)
+        driver = cluster.add_client(DriverClient("diff"))
+        for stream in random_stream_specs(rng, spec.topology):
+            driver.create_stream(stream)
+            cluster.host.flush(driver)
+            cluster.host.pump()
+        for sid in driver.created:
+            driver.subscribe(sid)
+        cluster.host.flush(driver)
+        cluster.host.pump()
+        cluster.advance(spec.duration)
+        output = [(r.stream_id, r.round, r.aggregate_body) for r in driver.records]
+    else:
+        with open(resolve_scenario_path("testbed.cfg"), encoding="utf-8") as fh:
+            text = fh.read()
+        text = text.replace("[workload]", TESTBED_FAULTS[scenario] + "[workload]")
+        spec = parse_scenario(text)
+        cluster = SimCluster(spec)
+        clis = [cluster.add_cli(argv, name=name) for name, argv in CLI_SESSIONS]
+        cluster.advance(spec.duration)
+        output = [cli.rendered for cli in clis] + [cluster.result().logs]
+    result = cluster.result()
+    return result.transcript, result.root_records(), output
+
+
+@pytest.mark.parametrize("scenario", ["", "detach-agent", "drop-ring-link",
+                                      "random-5", "random-23"],
+                         ids=["testbed", "testbed-detach-agent", "testbed-drop-ring-link",
+                              "random-5", "random-23"])
+def test_codec_memo_changes_no_transcript(scenario, monkeypatch):
+    encodes = []
+    encode = wire.encode_message
+    monkeypatch.setattr(wire, "encode_message", lambda msg: encodes.append(1) or encode(msg))
+    with_memo = run_for_comparison(scenario)
+    memo_encodes = len(encodes)
+    with monkeypatch.context() as plain:
+        plain.setattr(wire.CodecMemo, "encode", lambda self, msg: wire.encode_message(msg))
+        plain.setattr(wire.CodecMemo, "decode",
+                      lambda self, code, payload: wire.decode_payload(code, payload))
+        encodes.clear()
+        without = run_for_comparison(scenario)
+    assert with_memo[0] == without[0]  # transcripts
+    assert with_memo[1] == without[1] and with_memo[1]  # root records
+    assert with_memo[2] == without[2]  # what the clients saw
+    assert memo_encodes < len(encodes)  # the memo was used

@@ -49,6 +49,9 @@ class Node:
         self.replies = replies or {}
 
     def on_message(self, link: str, msg) -> None:
+        if isinstance(msg, wire.Error):
+            self.log.append((self.pid, f"{msg.code}: {msg.text}"))
+            return
         self.log.append((self.pid, msg.node_id))
         for out_link, text in self.replies.get(msg.node_id, ()):
             self.outbox.append((out_link, wire.Detach(text)))
@@ -122,9 +125,28 @@ def test_malformed_frame_ends_only_its_link():
     host.wake(host.links[("b", "a")])
     c.outbox.append(("b", wire.Detach("y")))
     host.pump()
-    assert log == [("b", "closed a"), ("b", "y"), ("a", "closed b")]
+    # the faulty peer reads why before it sees the close
+    assert log == [("b", "closed a"), ("b", "y"), ("a", "link-fault: bad magic b'BA'"),
+                   ("a", "closed b")]
     assert [e for e in host.transcript if e[0] in ("link-fault", "link-closed")] == [
         ("link-fault", 0, "b", "a", "bad magic b'BA'"), ("link-closed", 0, "a", "b")]
     c.outbox.append(("b", wire.Detach("z")))
     host.pump()
     assert log[-1] == ("b", "z")
+
+
+def test_frames_before_a_malformed_one_in_the_same_read_are_delivered():
+    log: list = []
+    a, b = Node("a", log), Node("b", log, replies={"x": [("a", "ack-x")]})
+    host = hosted(a, b)
+    host.wire(a, "b", b, "a")
+    host.links[("a", "b")].channel.send(wire.encode_message(wire.Detach("x")) + b"BADMAGIC")
+    host.wake(host.links[("b", "a")])
+    host.pump()
+    # b's answer to the good frame goes out before the fault's Error and the close
+    assert log == [("b", "x"), ("b", "closed a"), ("a", "ack-x"),
+                   ("a", "link-fault: bad magic b'BA'"), ("a", "closed b")]
+    events = [e for e in host.transcript if e[0] in ("send", "link-fault")]
+    assert events == [("send", 0, "b", "a", "Detach", ""), ("send", 0, "b", "a", "Error", ""),
+                      ("link-fault", 0, "b", "a", "bad magic b'BA'")]
+    assert host.received == {"a": 2, "b": 1}

@@ -10,16 +10,16 @@ from collections import Counter
 
 import pytest
 
-from melt import agent, aggregates, meltcli, meltmon, overlay
+from melt import agent, aggregates, meltcli, meltmon, overlay, wire
 from melt.overlay import ClientCore, GatherNode, MergedBodies, attach_point
 from melt.simharness import resolve_scenario_path
 from melt.sockethost import SocketHost, dial_core, launch_distributed, serve_overlay
 from melt.streams import StreamSpec
 from melt.topology import load_topology, parse_topology
 from melt.transport import parse_endpoint
-from melt.wire import (MAGIC, MAX_PAYLOAD, TYPE_CODES, VERSION, Attach, CreateStream, Data,
-                       FrameDecoder, StreamCreated, Subscribe, SubscribeAck,
-                       encode_message)
+from melt.wire import (MAGIC, MAX_PAYLOAD, TYPE_CODES, VERSION, Attach, AttachAck,
+                       CreateStream, Data, Error, FrameDecoder, StreamCreated, Subscribe,
+                       SubscribeAck, decode_all, encode_message)
 
 from simutil import ONE_DOMAIN
 
@@ -88,6 +88,33 @@ def test_main_exits_2_when_up_link_closes(prog, tmp_path, capsys):
                              f"--jobmap=file:{jobs}", f"--log-dir={tmp_path}"])
     assert code == 2
     assert f"{prog}: connection lost" in capsys.readouterr().err
+
+
+def test_melt_writes_a_merge_fault_to_stderr_and_keeps_its_session(capsys):
+    server = socket.create_server(("127.0.0.1", 0))
+    endpoint = f"127.0.0.1:{server.getsockname()[1]}"
+    fault = Error("merge-fault", "stream 1 round 3: bad summary line 'g x'")
+    after_fault = []
+
+    def root():
+        conn, _addr = server.accept()
+        with conn:
+            conn.settimeout(5.0)
+            conn.recv(1 << 16)  # the Attach
+            conn.sendall(encode_message(AttachAck(1)) + encode_message(fault))
+            after_fault.extend(decode_all(conn.recv(1 << 16))[0])
+        server.close()
+
+    thread = threading.Thread(target=root, daemon=True)
+    thread.start()
+    code = meltcli.main([f"--connect={endpoint}", "fs", "status", "io"])
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    # after the fault melt went on to plan its session, until the root left
+    assert [type(m) for m in after_fault] == [CreateStream]
+    assert capsys.readouterr().err.splitlines() == [
+        f"melt: merge-fault: {fault.text}", f"melt: connection lost: {endpoint}"]
+    assert code == 2
 
 
 NOWHERE = "--connect=127.0.0.1:9"  # never dialed: every case fails before
@@ -231,12 +258,13 @@ def pump_until_logged(rig: RelayRig, caplog, text: str) -> None:
     assert text in caplog.text
 
 
-def test_bad_body_is_a_merge_fault_and_the_next_round_arrives(caplog):
+def test_bad_body_is_a_merge_fault_and_the_next_round_arrives():
     rig = RelayRig()
     try:
         rig.produce(1, "kind=summary\ng tait.7 IO_RD_BW 2 x 4 6")
-        pump_until_logged(rig, caplog, "'stream-fault', 0, 'root', 'merge-fault'")
-        assert "bad summary line" in caplog.text
+        (error,) = rig.pump_until(rig.cons, Error)
+        assert error.code == "merge-fault"
+        assert error.text.startswith(f"stream {rig.sid} round 1: bad summary line")
         rig.produce(2, GOOD_BODY)
         (record,) = rig.pump_until(rig.cons, Data)
         assert (record.round, record.aggregate_body) == (2, GOOD_BODY)
@@ -276,6 +304,45 @@ def test_a_relay_chain_checks_each_line_once_per_round(monkeypatch):
         rig.close()
 
 
+def test_a_relay_chain_decodes_and_encodes_a_record_once_per_round(monkeypatch):
+    rig = RelayRig()
+    pumping = False
+    calls: Counter = Counter()
+    pump, decode, encode = rig.host.pump, wire.decode_payload, wire.encode_message
+
+    def host_pump():
+        nonlocal pumping
+        pumping = True
+        try:
+            pump()
+        finally:
+            pumping = False
+
+    def counting_decode(code, payload):
+        calls["decode"] += pumping
+        return decode(code, payload)
+
+    def counting_encode(msg):
+        calls["encode"] += pumping
+        return encode(msg)
+
+    rig.host.pump = host_pump
+    monkeypatch.setattr(wire, "decode_payload", counting_decode)
+    monkeypatch.setattr(wire, "encode_message", counting_encode)
+    try:
+        for rnd in (1, 2, 3):
+            calls.clear()
+            body = GOOD_BODY + f"\ng tait.8 IO_RD_BW 1 {rnd} {rnd} {rnd}"
+            rig.produce(rnd, body)
+            (record,) = rig.pump_until(rig.cons, Data)
+            assert (record.round, record.aggregate_body) == (rnd, body)
+            # four hops decode the record and four encode it; the host's
+            # codec memo makes one of each do the work
+            assert calls == {"decode": 1, "encode": 1}
+    finally:
+        rig.close()
+
+
 @pytest.mark.parametrize("frame, reason", [
     (b"BADMAGIC", "bad magic b'BA'"),
     (MAGIC + bytes((VERSION, TYPE_CODES[Data])) + (MAX_PAYLOAD + 1).to_bytes(4, "big"),
@@ -288,8 +355,13 @@ def test_bad_frame_closes_only_its_link(frame, reason, caplog):
         bad.sendall(frame)
         pump_until_logged(rig, caplog, "'link-fault'")
         assert reason in caplog.text
+        # the overlay tells the faulty peer why, then closes its link
         bad.settimeout(5.0)
-        assert bad.recv(1) == b""  # the overlay closed the faulty link
+        received = b""
+        while chunk := bad.recv(1 << 16):
+            received += chunk
+        (error,), rest = decode_all(received)
+        assert error.code == "link-fault" and reason in error.text and rest == b""
         rig.produce(1, GOOD_BODY)
         (record,) = rig.pump_until(rig.cons, Data)
         assert (record.round, record.aggregate_body) == (1, GOOD_BODY)

@@ -250,6 +250,105 @@ def test_concatenation_property(msgs):
     assert decoded == msgs and rest == b""
 
 
+# --- the host's codec memo ---------------------------------------------------
+# Small value pools make repeats likely; int fields also get True and 1.0,
+# and histogram edges 0.0 and -0.0, which compare equal to 0, 1 or 0.0 but
+# encode differently. Data's int fields are all some spelling of 1, so two
+# Data differ under == only by their bodies.
+
+num = st.sampled_from([0, 1, True, 1.0, 7])
+one = st.sampled_from([1, 1, 1, 1, True, 1.0])
+word = st.sampled_from(["a", "b", "a\nb"])
+name = st.sampled_from(["j1", "j2"])
+memo_messages = st.one_of(
+    st.builds(Attach, word, name, name, name),
+    st.builds(AttachAck, num),
+    st.builds(CreateStream, st.builds(
+        StreamSpec, num, word, word, st.just(("IO_RD_BW",)),
+        st.sampled_from(("summary", "histogram")),
+        st.sampled_from(((), (0.0,), (-0.0,), (1,), (1.0,), (1.0, 2.5))),
+        st.just("job"), num, num)),
+    st.builds(StreamCreated, num),
+    st.builds(Subscribe, num, st.sampled_from(wire.DIRECTIONS)),
+    st.builds(SubscribeAck, num),
+    st.builds(Data, one, one, one, one, one,
+              st.sampled_from(("kind=summary", "kind=summary\ng a b 1 1 1 1"))),
+    st.builds(SetRate, num, st.sampled_from((("a",), ("a", "b"))), num),
+    st.builds(JobMapUpdate, num, st.sampled_from(((), (("j1", ("n1",)),)))),
+    st.builds(Detach, word),
+    st.builds(Error, name, word),
+)
+
+
+def _decoded(decode, frame):
+    """What decoding ``frame`` gives, spelled so that -0.0 differs from 0.0."""
+    try:
+        return "ok", repr(decode(frame))
+    except ProtocolError as exc:
+        return "error", str(exc)
+
+
+@given(st.lists(memo_messages, min_size=1, max_size=10))
+@settings(max_examples=300)
+def test_codec_memo_gives_the_codecs_frames_and_messages(msgs):
+    memo = wire.CodecMemo()
+    decoders = [FrameDecoder(memo), FrameDecoder(memo)]
+    for i, msg in enumerate(msgs * 2):
+        frame = memo.encode(msg)
+        assert frame == encode_message(msg)
+        want = _decoded(lambda f: [decode_frame(f)[0]], frame)
+        got = _decoded(decoders[i % 2].feed, frame)
+        assert got == want
+        if got[0] == "error":  # a host would close the link
+            decoders[i % 2] = FrameDecoder(memo)
+
+
+def test_codec_memo_checks_a_same_length_payload_after_a_hit():
+    memo = wire.CodecMemo()
+    frame = encode_message(Data(3, 20, 10, 50, 49, "kind=summary\ng j IO_RD_BW 2 10.5 1 9.5"))
+    (first,) = FrameDecoder(memo).feed(frame)
+    (again,) = FrameDecoder(memo).feed(frame)
+    assert again is first
+    bad = frame.replace(b"round=20", b"round=2x")
+    assert len(bad) == len(frame)
+    with pytest.raises(ProtocolError) as plain:
+        decode_frame(bad)
+    with pytest.raises(ProtocolError) as memoized:
+        FrameDecoder(memo).feed(bad)
+    assert str(memoized.value) == str(plain.value) == "payload key 'round' is not an integer"
+    # the failed decode left the memo as it was
+    assert FrameDecoder(memo).feed(frame)[0] is first
+
+
+def test_codec_memo_tells_apart_types_with_equal_payloads():
+    created, acked = encode_message(StreamCreated(5)), encode_message(SubscribeAck(5))
+    assert created[wire.HEADER_LEN:] == acked[wire.HEADER_LEN:]
+    assert FrameDecoder(wire.CodecMemo()).feed(created + acked) == [
+        StreamCreated(5), SubscribeAck(5)]
+
+
+def test_codec_memo_encodes_an_equal_data_once_and_a_differently_typed_one_afresh(monkeypatch):
+    memo = wire.CodecMemo()
+    calls = []
+    encode = wire.encode_message
+    monkeypatch.setattr(wire, "encode_message", lambda msg: calls.append(msg) or encode(msg))
+    record = Data(3, 20, 1, 50, 49, "kind=summary")
+    spelled = Data(3, 20, True, 50, 49, "kind=summary")
+    assert spelled == record
+    frame = memo.encode(record)
+    assert memo.encode(Data(3, 20, 1, 50, 49, "kind=summary")) is frame
+    assert memo.encode(spelled) == encode(spelled) != frame
+    assert memo.encode(record) == frame
+    assert calls == [record, spelled, record]
+
+
+def test_decoder_error_carries_the_frames_before_the_bad_one():
+    good = encode_message(Detach("a")) + encode_message(AttachAck(2))
+    with pytest.raises(ProtocolError, match="magic") as err:
+        FrameDecoder().feed(good + b"BADMAGIC")
+    assert err.value.messages == [Detach("a"), AttachAck(2)]
+
+
 def test_jobmap_rejects_commas_in_nodes():
     with pytest.raises(ValueError, match="comma"):
         JobMapUpdate(1, (("job", ("a,b",)),))
