@@ -55,15 +55,13 @@ for core, endpoint in ((agent, endpoints["n1"]), (tool, endpoints["@root"])):
     clients.attach_channel(core, "up", transport_connect(endpoint))
     core.start()
 
-printed = 0
 deadline = time.time() + 20
-while time.time() < deadline and len(tool.frames) < 4:
+while time.time() < deadline and tool.frames_emitted < 4:
     clients.serve(1, wall_per_tick=0.25)
-    for text in tool.rendered[printed:]:
-        print(text)
-    printed = len(tool.rendered)
+    while tool.rendered:
+        print(tool.rendered.popleft())
 
 tool.finish()
 clients.flush(tool)
 stop.set()
-print(f"collected {len(tool.frames)} frames over real TCP")
+print(f"collected {tool.frames_emitted} frames over real TCP")

@@ -145,11 +145,6 @@ class AgentConfig:
     lustre_role: str
     filesystems: tuple[str, ...] = ()
     osts: tuple[str, ...] = ()
-    class_intervals: dict[str, int] = field(default_factory=lambda: dict(catalog.CLASS_INTERVALS))
-
-    def __post_init__(self) -> None:
-        if any(v < 1 for v in self.class_intervals.values()):
-            raise ValueError("default intervals must be >= 1 second")
 
     @classmethod
     def from_topology(cls, topology: OverlayTopology, node_id: str) -> "AgentConfig":
@@ -295,13 +290,6 @@ class AgentCore(ProcessCore):
 
     def stream_interval(self, stream_id: int) -> int:
         return overridden_interval(self.specs[stream_id], self.overrides)
-
-    def effective_interval(self, metric: str) -> int:
-        values = [self.config.class_intervals[catalog.metric(metric).metric_class]]
-        for sid, prod in self.production.items():
-            if metric in prod.metrics:
-                values.append(self.stream_interval(sid))
-        return min(values)
 
     # --- the sampling tick ---------------------------------------------------------
 

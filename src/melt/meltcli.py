@@ -20,10 +20,11 @@ from __future__ import annotations
 import os
 import socket
 import sys
+from collections import deque
 
 from . import catalog, wire
 from .aggregates import SummaryBody, body_from_text, display_value, select_topk
-from .overlay import ClientCore
+from .overlay import RECORDS_KEPT, ClientCore
 from .render import Column, RenderFrame, render
 from .streams import StreamSpec, Target, parse_target
 from .wire import Data
@@ -230,8 +231,10 @@ class CliCore(ClientCore):
         self.overridden: list[tuple[int, tuple[str, ...]]] = []
         self.latest: dict[int, Data] = {}
         self.next_frame_round = 0
-        self.frames: list[RenderFrame] = []
-        self.rendered: list[str] = []
+        self.frames_emitted = 0
+        # the latest RECORDS_KEPT frames, and their texts not yet taken
+        self.frames: deque[RenderFrame] = deque(maxlen=RECORDS_KEPT)
+        self.rendered: deque[str] = deque(maxlen=RECORDS_KEPT)
         self.warnings: list[str] = []  # stderr lines not yet written
         self.clock = 0
 
@@ -358,7 +361,8 @@ class CliCore(ClientCore):
             return
         frame = self.build_frame()
         self.frames.append(frame)
-        include_header = len(self.frames) == 1 and self.inv.format in ("human", "csv")
+        self.frames_emitted += 1
+        include_header = self.frames_emitted == 1 and self.inv.format in ("human", "csv")
         self.rendered.append(render(frame, self.inv.format, include_header,
                                     host=self.hostname, pid=self.log_pid))
         self.next_frame_round = round_at + self.inv.delay
@@ -479,13 +483,10 @@ def main(argv: list[str] | None = None) -> int:
         print("melt: --connect=<root endpoint> is required", file=sys.stderr)
         return 1
     core = CliCore(inv, base_time=None)
-    printed = 0
 
     def step() -> bool:
-        nonlocal printed
-        for text in core.rendered[printed:]:
-            print(text)
-        printed = len(core.rendered)
+        while core.rendered:
+            print(core.rendered.popleft())
         for text in core.warnings:
             print(f"melt: {text}", file=sys.stderr)
         core.warnings.clear()

@@ -608,12 +608,11 @@ class ClientCore(ProcessCore):
         elif isinstance(msg, wire.CreateStream):
             self.specs[msg.spec.stream_id] = msg.spec
             self.stream_ids[msg.spec.name] = msg.spec.stream_id
-            self.on_stream_known(msg.spec)
         elif isinstance(msg, wire.StreamCreated):
             self.created.append(msg.stream_id)
             self.on_stream_created(msg.stream_id)
         elif isinstance(msg, wire.SubscribeAck):
-            self.on_subscribed(msg.stream_id)
+            pass
         elif isinstance(msg, wire.Data):
             self.records.append(msg)
             if len(self.records) > RECORDS_KEPT:
@@ -644,13 +643,7 @@ class ClientCore(ProcessCore):
     def on_attached(self) -> None:
         pass
 
-    def on_stream_known(self, spec: StreamSpec) -> None:
-        pass
-
     def on_stream_created(self, stream_id: int) -> None:
-        pass
-
-    def on_subscribed(self, stream_id: int) -> None:
         pass
 
     def on_record(self, record: wire.Data) -> None:

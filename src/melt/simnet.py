@@ -16,17 +16,18 @@ byte-exact with a socket deployment, while a record passing through
 several hops of one host is decoded and encoded once. The socket backend
 (:class:`melt.sockethost.SocketHost`) adds TCP links to the same loop.
 
-Delivery runs off a ready queue; idle links are never polled. A link is
-ready when a send has put bytes on it, when it or its in-process peer was
-closed, when a read left bytes (or a close) behind on it, or, in the
-socket backend, when the selector reports its socket readable. ``pump``
-works in passes. Each pass visits the processes that have a ready link in
-registration order and reads only their ready links, in the order the
-links were added. A process that becomes ready during a pass at a position
-after the one being visited is visited in that same pass; one at or before
-it waits for the next pass. That is the order a scan of every link of
-every process would deliver in, so the work of a round is proportional to
-the frames it moves, not to the number of links.
+Delivery runs off one heap of ready links; idle links are never polled. A
+link is ready when a send has put bytes on it, when it or its in-process
+peer was closed, when a read left bytes (or a close) behind on it, or, in
+the socket backend, when the selector reports its socket readable. A ready
+link is keyed by (pass, rank of its process, its position among the
+process's links): ``pump`` pops the heap until it is empty, so each pass
+visits processes in registration order and reads their links in the order
+they were added. A link woken while a process of lower rank is being
+visited joins the current pass; one of that process or an earlier one
+waits for the next. For links between two processes that is the order a
+scan of every link of every process would deliver in, so the work of a
+round is proportional to the frames it moves, not to the number of links.
 
 A frame the codec rejects ends only the link it came on. The host
 delivers the frames that came before it in the same read, sends
@@ -42,8 +43,8 @@ checks consume.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from . import wire
 from .transport import ChannelClosedError, sim_channel_pair
@@ -63,7 +64,7 @@ class LinkState:
     name: str = ""       # link name within the owning process
     rank: int = -1       # registration rank of the owning process
     seq: int = -1        # position among the owning process's links
-    ready: bool = False  # queued to be read; a dropped link stays True forever
+    ready: bool = False  # in the ready heap; a dropped link stays True forever
 
 
 def _msg_key(msg: wire.Message):
@@ -81,7 +82,6 @@ class SimHost:
     """Owns channels, delivery order, the transcript, and message counters."""
 
     def __init__(self) -> None:
-        self.procs: list = []
         self.by_pid: dict[str, object] = {}
         self.links: dict[tuple[str, str], LinkState] = {}
         self.proc_links: dict[str, list[str]] = {}
@@ -90,27 +90,21 @@ class SimHost:
         self.sent: dict[str, int] = {}
         self.received: dict[str, int] = {}
         self.now = 0
-        # the ready queue: rank -> ready links of that process; ranks to visit
-        # in this pass (a heap) and in the next; the rank being visited
-        self._rank: dict[str, int] = {}
-        self._ranks_issued = 0
-        self._ready: dict[int, list[LinkState]] = {}
-        self._pass: list[int] = []
-        self._later: list[int] = []
-        self._cursor = -1
+        self._rank: dict[str, int] = {}  # pid -> registration rank, never reused
+        self._ranks = itertools.count()
+        self._heap: list[tuple] = []  # ready links: (pass, rank, seq, state)
+        self._at = (0, -1)  # the (pass, rank) being visited; (0, -1) once quiescent
 
     # --- construction ----------------------------------------------------------
 
     def add_process(self, proc) -> None:
         if proc.pid in self.by_pid:
             raise ValueError(f"duplicate process id {proc.pid}")
-        self.procs.append(proc)
         self.by_pid[proc.pid] = proc
         self.proc_links.setdefault(proc.pid, [])
         self.sent.setdefault(proc.pid, 0)
         self.received.setdefault(proc.pid, 0)
-        self._rank[proc.pid] = self._ranks_issued
-        self._ranks_issued += 1
+        self._rank[proc.pid] = next(self._ranks)
 
     def add_link(self, proc, link: str, state: LinkState) -> None:
         state.pid, state.name, state.rank = proc.pid, link, self._rank[proc.pid]
@@ -135,10 +129,8 @@ class SimHost:
             self.release(state)
             if state.peer is not None:
                 self.wake(state.peer)
-        rank = self._rank.pop(proc.pid, None)
-        self._ready.pop(rank, None)
+        self._rank.pop(proc.pid, None)
         self.by_pid.pop(proc.pid, None)
-        self.procs = [p for p in self.procs if p.pid != proc.pid]
 
     def sever_link(self, pid: str, link: str) -> None:
         """Hard failure of one channel; both sides see it after draining."""
@@ -168,15 +160,9 @@ class SimHost:
         if state.ready:
             return
         state.ready = True
-        queued = self._ready.get(state.rank)
-        if queued is not None:
-            queued.append(state)
-            return
-        self._ready[state.rank] = [state]
-        if state.rank > self._cursor:
-            heapq.heappush(self._pass, state.rank)
-        else:
-            self._later.append(state.rank)
+        at_pass, at_rank = self._at
+        heapq.heappush(self._heap, (at_pass + (state.rank <= at_rank), state.rank,
+                                    state.seq, state))
 
     def flush(self, proc) -> None:
         """Encode and send everything in a process outbox; drain its notes."""
@@ -209,39 +195,33 @@ class SimHost:
         if peer is not None:
             self.wake(peer)
 
-    def _deliver(self, rank: int) -> None:
-        """Read the ready links of one process, in the order they were added."""
-        states = self._ready.pop(rank, None)
-        if states is None:
-            return  # dropped after it was queued
-        proc = self.by_pid[states[0].pid]
-        states.sort(key=attrgetter("seq"))
-        for state in states:
-            state.ready = False
-            if state.closed_notified:
-                continue
-            try:
-                data = state.channel.try_recv()
-            except ChannelClosedError:
-                self.close_link(proc, state, ("link-closed", self.now, proc.pid, state.name))
-                continue
-            if not data:
-                continue
-            if state.peer is not None and state.channel.readable:
-                self.wake(state)  # more than one read's worth, or a close behind it
-            try:
-                msgs = state.decoder.feed(data)
-            except wire.ProtocolError as exc:
-                # a malformed frame ends only its own link, after the frames
-                # that came before it in the same read
-                self.receive(proc, state, exc.messages)
-                self.send(proc, state.name, wire.Error("link-fault", str(exc)))
-                self.close_link(proc, state,
-                                ("link-fault", self.now, proc.pid, state.name, str(exc)))
-                if state.peer is not None:
-                    self.wake(state.peer)
-                continue
-            self.receive(proc, state, msgs)
+    def _deliver(self, proc, state: LinkState) -> None:
+        """Read one ready link of a process."""
+        state.ready = False
+        if state.closed_notified:
+            return
+        try:
+            data = state.channel.try_recv()
+        except ChannelClosedError:
+            self.close_link(proc, state, ("link-closed", self.now, proc.pid, state.name))
+            return
+        if not data:
+            return
+        if state.peer is not None and state.channel.readable:
+            self.wake(state)  # more than one read's worth, or a close behind it
+        try:
+            msgs = state.decoder.feed(data)
+        except wire.ProtocolError as exc:
+            # a malformed frame ends only its own link, after the frames
+            # that came before it in the same read
+            self.receive(proc, state, exc.messages)
+            self.send(proc, state.name, wire.Error("link-fault", str(exc)))
+            self.close_link(proc, state,
+                            ("link-fault", self.now, proc.pid, state.name, str(exc)))
+            if state.peer is not None:
+                self.wake(state.peer)
+            return
+        self.receive(proc, state, msgs)
 
     def receive(self, proc, state: LinkState, msgs) -> None:
         """Hand decoded messages of one link to its process, one at a time."""
@@ -260,38 +240,32 @@ class SimHost:
         self.flush(proc)
 
     def pump(self) -> None:
-        """Deliver messages until the network is quiescent, in passes over
-        the ready queue (see the module docstring for the order)."""
-        for proc in self.procs:
+        """Deliver messages until the network is quiescent, popping the ready
+        heap (see the module docstring for the order). Raises RuntimeError,
+        leaving the heap as it is, when the work runs past MAX_PUMP_PASSES
+        passes."""
+        for proc in self.by_pid.values():
             if proc.outbox or proc.notes:
                 self.flush(proc)
-        try:
-            for _ in range(MAX_PUMP_PASSES):
-                if not self._pass:
-                    return
-                while self._pass:
-                    self._cursor = heapq.heappop(self._pass)
-                    self._deliver(self._cursor)
-                self._cursor = -1
-                self._pass, self._later = self._later, self._pass
-                heapq.heapify(self._pass)
-        finally:
-            # after an exception, keep every queued rank for the next pump
-            self._cursor = -1
-            if self._later:
-                self._pass += self._later
-                self._later = []
-                heapq.heapify(self._pass)
-        raise RuntimeError("message pump did not quiesce")
+        heap = self._heap
+        limit = self._at[0] + MAX_PUMP_PASSES
+        while heap:
+            if heap[0][0] >= limit:
+                raise RuntimeError("message pump did not quiesce")
+            at_pass, rank, _seq, state = heapq.heappop(heap)
+            self._at = at_pass, rank
+            if self._rank.get(state.pid) == rank:  # else its process was dropped
+                self._deliver(self.by_pid[state.pid], state)
+        self._at = (0, -1)
 
     def tick(self, now: int) -> None:
         """Advance the logical clock one step: timers first, then delivery."""
         self.now = now
-        for proc in list(self.procs):
+        for proc in list(self.by_pid.values()):
             proc.on_tick(now)
             self.flush(proc)
         self.pump()
 
     def counters_snapshot(self) -> list[tuple]:
         return [("counter", self.now, proc.pid, self.sent[proc.pid], self.received[proc.pid])
-                for proc in self.procs]
+                for proc in self.by_pid.values()]

@@ -11,6 +11,7 @@ from melt.agent import AgentConfig, AgentCore
 from melt.humanize import parse_human
 from melt.meltcli import MATRIX, UsageError, main, parse_cli, parse_duration
 from melt.meltmon import LOG_LINE_RE, parse_log_line
+from melt.overlay import RECORDS_KEPT
 from melt.render import Column, RenderFrame, render
 from melt.scenario import (
     DEFAULT_BASE_TIME, SyntheticSource, WorkloadModel, load_scenario, parse_scenario,
@@ -279,9 +280,22 @@ class TestSessionPatterns:
         assert core.exit_code is None and not core.done
         assert core.rendered[0].splitlines()[0].split()[:2] == ["CLIENT", "RD_BW"]
         # every job ended by 60 s: the frames after that carry no row
-        assert [len(frame.rows) for frame in core.frames[-4:]] == [0] * 4
-        assert core.rendered[-4:] == [""] * 4
+        assert [len(frame.rows) for frame in list(core.frames)[-4:]] == [0] * 4
+        assert list(core.rendered)[-4:] == [""] * 4
         assert core.frames[-1].epoch_secs == cluster.spec.base_time + 80
+
+    def test_long_session_keeps_only_the_latest_frames_and_texts(self):
+        cluster = SimCluster(parse_scenario(ONE_DOMAIN + "[scenario]\nmeltmon = off\n"))
+        core = run_cli(cluster, ["clnt=n1", "status", "io", "-delay=1s"], 2)
+        first = core.rendered.popleft()  # taken, as melt's main takes what it prints
+        assert first.splitlines()[0].split()[:2] == ["TIME", "RD_BW"]
+        assert not core.rendered
+        cluster.advance(RECORDS_KEPT + 10)
+        assert core.frames_emitted == RECORDS_KEPT + 11
+        assert len(core.frames) == len(core.rendered) == RECORDS_KEPT
+        assert core.frames[-1].epoch_secs == cluster.spec.base_time + cluster.now
+        # only the first frame carries the header, however many were taken
+        assert all(len(text.splitlines()) == 1 for text in core.rendered)
 
     def test_once_withdraws_override_on_exit(self):
         cluster = self.make()

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from melt import wire
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from melt import simnet, wire
 from melt.simnet import SimHost
-from melt.transport import SimChannelEnd
+from melt.transport import ChannelClosedError, SimChannelEnd
 
 from simutil import add_driver, attach_agents, create_stream, deep_domain, io_stream_spec, make_sim
 
@@ -150,3 +154,216 @@ def test_frames_before_a_malformed_one_in_the_same_read_are_delivered():
     assert events == [("send", 0, "b", "a", "Detach", ""), ("send", 0, "b", "a", "Error", ""),
                       ("link-fault", 0, "b", "a", "bad magic b'BA'")]
     assert host.received == {"a": 2, "b": 1}
+
+
+class Hop(Node):
+    """A Node that passes each message on, one hop shorter, on its routes:
+    indices into the names of its links, in the order they were wired."""
+
+    def __init__(self, pid: str, log: list, routes=()) -> None:
+        super().__init__(pid, log)
+        self.routes = list(routes)
+        self.names: list[str] = []
+
+    def forward(self, tag: str, ttl: int) -> None:
+        if ttl < 0 or not self.names:
+            return
+        for route in self.routes:
+            self.outbox.append((self.names[route % len(self.names)],
+                                wire.Detach(f"{tag}/{ttl}")))
+
+    def on_message(self, link: str, msg) -> None:
+        if isinstance(msg, wire.Error):
+            super().on_message(link, msg)
+            return
+        self.log.append((self.pid, link, msg.node_id))
+        tag, _, ttl = msg.node_id.rpartition("/")
+        self.forward(tag, int(ttl) - 1)
+
+    def on_link_closed(self, link: str) -> None:
+        super().on_link_closed(link)
+        self.forward(f"{self.pid}-lost-{link}", 0)
+
+
+def link(host: SimHost, a: Hop, b: Hop, name: str) -> None:
+    host.wire(a, name, b, name)
+    a.names.append(name)
+    b.names.append(name)
+
+
+class FullScanHost(SimHost):
+    """The reference delivery order: every link of every process, processes
+    in registration order and links in the order they were added, each
+    readable link read once per scan, scans repeated until none is readable."""
+
+    def wake(self, state) -> None:
+        pass  # nothing is queued: every scan looks at every link
+
+    def pump(self) -> None:
+        for proc in list(self.by_pid.values()):
+            if proc.outbox or proc.notes:
+                self.flush(proc)
+        busy = True
+        while busy:
+            busy = False
+            for proc in list(self.by_pid.values()):
+                for name in list(self.proc_links[proc.pid]):
+                    state = self.links[(proc.pid, name)]
+                    if not state.closed_notified and state.channel.readable:
+                        busy = True
+                        self.read_once(proc, state)
+
+    def read_once(self, proc, state) -> None:
+        try:
+            data = state.channel.try_recv()
+        except ChannelClosedError:
+            self.close_link(proc, state, ("link-closed", self.now, proc.pid, state.name))
+            return
+        try:
+            msgs = state.decoder.feed(data)
+        except wire.ProtocolError as exc:
+            self.receive(proc, state, exc.messages)
+            self.send(proc, state.name, wire.Error("link-fault", str(exc)))
+            self.close_link(proc, state,
+                            ("link-fault", self.now, proc.pid, state.name, str(exc)))
+            return
+        self.receive(proc, state, msgs)
+
+
+@st.composite
+def plans(draw):
+    """A graph of 2-5 processes with no link from a process to itself, the
+    routes of each, and a script of sends, severed links, garbled frames,
+    dropped and re-added processes, and pumps."""
+    n = draw(st.integers(2, 5))
+    proc = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(proc, proc).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=8))
+    routes = draw(st.lists(st.lists(st.integers(0, 7), max_size=2), min_size=n, max_size=n))
+    step = st.one_of(
+        st.tuples(st.just("send"), proc, st.integers(0, 7), st.integers(0, 4)),
+        st.tuples(st.just("sever"), proc, st.integers(0, 7)),
+        st.tuples(st.just("garble"), proc, st.integers(0, 7)),
+        st.tuples(st.just("drop"), proc),
+        st.tuples(st.just("readd"), proc, proc),
+        st.just(("pump",)))
+    return n, pairs, routes, draw(st.lists(step, max_size=14))
+
+
+def run_plan(host: SimHost, plan) -> tuple:
+    n, pairs, routes, steps = plan
+    log: list = []
+    hops: dict[int, Hop] = {}
+
+    def add(i: int) -> None:
+        hops[i] = Hop(f"p{i}", log, routes[i])
+        host.add_process(hops[i])
+
+    for i in range(n):
+        add(i)
+    for k, (i, j) in enumerate(pairs):
+        link(host, hops[i], hops[j], f"l{k}")
+    for s, (kind, *args) in enumerate(steps):
+        if kind == "pump":
+            host.pump()
+            continue
+        hop = hops.get(args[0])
+        if kind == "readd":
+            if hop is None and args[1] in hops and args[1] != args[0]:
+                add(args[0])
+                link(host, hops[args[0]], hops[args[1]], f"r{s}")
+            continue
+        if hop is None:
+            continue
+        if kind == "drop":
+            host.drop_process(hops.pop(args[0]))
+            continue
+        if not hop.names:
+            continue
+        name = hop.names[args[1] % len(hop.names)]
+        if kind == "send":
+            hop.outbox.append((name, wire.Detach(f"s{s}/{args[2]}")))
+        elif kind == "sever":
+            host.sever_link(hop.pid, name)
+        else:  # garble: a bad frame on the link, as if the peer had sent it
+            state = host.links[(hop.pid, name)]
+            if not state.channel.closed:
+                state.channel.send(b"BADMAGIC")
+                host.wake(state.peer)
+    host.pump()
+    return log, host.transcript, host.received
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans())
+def test_pump_delivers_in_full_scan_order(plan):
+    assert run_plan(SimHost(), plan) == run_plan(FullScanHost(), plan)
+
+
+def two_ping_pongs(host: SimHost, log: list) -> None:
+    a, b, c, d = (Hop(pid, log, [0]) for pid in "abcd")
+    for hop in (a, b, c, d):
+        host.add_process(hop)
+    link(host, a, b, "ab")
+    link(host, c, d, "cd")
+    a.outbox.append(("ab", wire.Detach("ping/30")))
+    d.outbox.append(("cd", wire.Detach("pong/31")))
+
+
+def test_pump_that_does_not_quiesce_raises_and_the_next_pump_goes_on(monkeypatch):
+    whole: list = []
+    host = SimHost()
+    two_ping_pongs(host, whole)
+    host.pump()
+    assert len(whole) == 31 + 32
+
+    log: list = []
+    host = SimHost()
+    two_ping_pongs(host, log)
+    monkeypatch.setattr(simnet, "MAX_PUMP_PASSES", 4)
+    with pytest.raises(RuntimeError, match="message pump did not quiesce"):
+        host.pump()
+    assert 0 < len(log) < len(whole)
+    monkeypatch.setattr(simnet, "MAX_PUMP_PASSES", 100)
+    host.pump()  # every link still queued is read, in the order one pump reads them
+    assert log == whole
+
+
+def test_dropped_process_is_never_read_through_its_old_links():
+    log: list = []
+    a, b = Hop("a", log), Hop("b", log)
+    host = hosted(a, b)
+    link(host, a, b, "ab")
+    b.outbox.append(("ab", wire.Detach("old/0")))
+    host.flush(b)  # a's link is queued with a frame on it
+    host.drop_process(a)
+    again = Hop("a", log)
+    host.add_process(again)
+    link(host, b, again, "ab2")
+    b.outbox.append(("ab2", wire.Detach("new/0")))
+    host.pump()
+    assert log == [("b", "closed ab"), ("a", "ab2", "new/0")]
+    assert host.received == {"a": 1, "b": 0}
+
+
+class Fragile(Hop):
+    """A Hop whose handler fails on one message."""
+
+    def on_message(self, link: str, msg) -> None:
+        super().on_message(link, msg)
+        if msg.node_id == "boom/0":
+            raise ValueError("handler failed")
+
+
+def test_links_queued_behind_a_failing_handler_are_read_by_the_next_pump():
+    log: list = []
+    a, b, c = Fragile("a", log), Hop("b", log), Hop("c", log)
+    host = hosted(a, b, c)
+    link(host, b, a, "ba")
+    link(host, c, a, "ca")
+    b.outbox.append(("ba", wire.Detach("boom/0")))
+    c.outbox.append(("ca", wire.Detach("after/0")))
+    with pytest.raises(ValueError, match="handler failed"):
+        host.pump()
+    host.pump()
+    assert log == [("a", "ba", "boom/0"), ("a", "ca", "after/0")]
