@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import catalog, wire
-from .aggregates import body_to_text, fold_samples
+from .aggregates import leaf_text
 from .overlay import ProcessCore, apply_rate_override, overridden_interval
 from .streams import (AgentIdentity, StreamSpec, Target, group_key, parse_target,
                       produced_metrics)
@@ -50,7 +50,7 @@ class SourceSnapshot:
 class IdleSource:
     """A source with nothing to report; useful for liveness smoke tests."""
 
-    def snapshot(self, now: int) -> SourceSnapshot:
+    def snapshot(self, now: int, names=None) -> SourceSnapshot:
         return SourceSnapshot(ts=now)
 
 
@@ -117,12 +117,13 @@ def read_stats_file(path: str) -> SourceSnapshot:
 
 
 class StatsFileSource:
-    """Re-reads a complete snapshot file on every tick."""
+    """Re-reads a complete snapshot file on every tick; the file is parsed
+    whole, whichever names are asked for, so a malformed line rejects it."""
 
     def __init__(self, path: str) -> None:
         self.path = path
 
-    def snapshot(self, now: int) -> SourceSnapshot:
+    def snapshot(self, now: int, names=None) -> SourceSnapshot:
         try:
             return read_stats_file(self.path)
         except OSError as exc:
@@ -154,28 +155,58 @@ class AgentConfig:
                    osts=domain.osts_of(node_id))
 
 
+def read_names(metrics) -> frozenset[str]:
+    """The raw counter and gauge names a source snapshot must hold for
+    these metrics; counted-key metrics read the snapshot's event tallies,
+    which no name selects."""
+    names: set[str] = set()
+    for metric in metrics:
+        mdef = catalog.metric(metric)
+        if mdef.metric_class in catalog.COUNTED_CLASSES:
+            continue
+        if metric == "IO_CLNT_NUM":
+            names.update(("IO_RD_BYTES", "IO_WR_BYTES"))
+        elif metric in catalog.AVG_SOURCES:
+            names.update(catalog.AVG_SOURCES[metric])
+        elif mdef.kind == "rate":
+            names.add(catalog.RATE_TO_RAW[metric])
+        else:
+            names.add(metric)  # a gauge, by its own name
+    return frozenset(names)
+
+
+# a plan: raw counter name -> sorted (counter key, group or None) pairs
+Plan = dict[str, list[tuple[CounterKey, "str | None"]]]
+
+
 @dataclass(slots=True)  # one per agent and stream
 class _StreamProduction:
     metrics: tuple[str, ...]
     prev: SourceSnapshot
     prev_t: int
     target: Target
+    names: frozenset[str]  # what the stream reads of a snapshot (read_names)
+    plan: Plan | None = None
+    plan_keys: frozenset[CounterKey] = frozenset()  # the counter keys it was built on
+    plan_epoch: int = -1                              # and the job-map epoch
 
 
 class _RoundDeltas:
     """One stream round's counter deltas, summed per group of the stream.
 
-    Each raw counter is grouped once, on first use, however many metrics
-    derive from it. Its ``counter-reset`` notes are made again on every
-    use, as when each use grouped it anew, so transcripts do not change.
-    One lives for one :meth:`AgentCore.build_contributions` call.
+    The stream's plan (:meth:`AgentCore.plan`) lists, for each raw counter
+    name it reads, the sorted counter keys that match its target and the
+    group of each, so a round is one subtraction per planned key. Each raw
+    counter is summed once, on first use, however many metrics derive from
+    it. Its ``counter-reset`` notes are made again on every use, as when
+    each use grouped it anew, so transcripts do not change. One lives for
+    one :meth:`AgentCore.build_contributions` call.
     """
 
-    def __init__(self, agent: "AgentCore", spec: StreamSpec, target: Target,
-                 snap: SourceSnapshot, prev: SourceSnapshot) -> None:
-        self.agent, self.spec, self.target = agent, spec, target
-        self.snap, self.prev = snap, prev
-        self.keys_of: dict[str, list[CounterKey]] | None = None  # raw -> its counter keys
+    def __init__(self, agent: "AgentCore", plan: Plan, snap: SourceSnapshot,
+                 prev: SourceSnapshot) -> None:
+        self.agent, self.plan = agent, plan
+        self.counters, self.before = snap.counters, prev.counters
         self.grouped: dict[str, tuple[dict[str, float], list[str]]] = {}  # raw -> sums, resets
 
     def sums(self, raw: str) -> dict[str, float]:
@@ -190,26 +221,18 @@ class _RoundDeltas:
         return sums
 
     def _group(self, raw: str) -> tuple[dict[str, float], list[str]]:
-        if self.keys_of is None:
-            self.keys_of = {}
-            for key in self.snap.counters:
-                self.keys_of.setdefault(key[0], []).append(key)
-        agent, counters, before_of = self.agent, self.snap.counters, self.prev.counters
+        counters, before_of = self.counters, self.before
         sums: dict[str, float] = {}
         resets: list[str] = []
-        for key in sorted(self.keys_of.get(raw, ())):
-            if not agent._key_matches(key, self.target):
-                continue
+        for key, group in self.plan.get(raw, ()):
             before = before_of.get(key, 0.0)
             cur = counters[key]
             if cur < before:
                 resets.append(key[1])
                 continue
             delta = cur - before
-            if delta != 0:
-                group = agent._group(self.spec, key)
-                if group is not None:
-                    sums[group] = sums.get(group, 0.0) + delta
+            if delta != 0 and group is not None:
+                sums[group] = sums.get(group, 0.0) + delta
         return sums, resets
 
 
@@ -263,13 +286,14 @@ class AgentCore(ProcessCore):
         metrics = produced_metrics(spec, self.identity)
         if not metrics:
             return
+        names = read_names(metrics)
         try:
-            baseline = self.source.snapshot(self.clock)
+            baseline = self.source.snapshot(self.clock, names)
         except SourceError as exc:
             self.note("source-failure", self.pid, str(exc))
             baseline = SourceSnapshot(ts=self.clock)
         self.production[spec.stream_id] = _StreamProduction(
-            metrics, baseline, self.clock, parse_target(spec.target))
+            metrics, baseline, self.clock, parse_target(spec.target), names)
         self.emit("up", wire.Subscribe(spec.stream_id, "agent-producer"))
 
     def apply_rate(self, msg: wire.SetRate) -> None:
@@ -295,14 +319,20 @@ class AgentCore(ProcessCore):
 
     def on_tick(self, now: int) -> None:
         self.clock = now
-        if not self.attached:
+        if not self.attached or now <= 0:
             return
+        specs, overrides = self.specs, self.overrides
         due = [sid for sid in sorted(self.production)
-               if now > 0 and now % self.stream_interval(sid) == 0]
+               if now % (specs[sid].interval_secs if sid not in overrides
+                         else self.stream_interval(sid)) == 0]
         if not due:
             return
+        production = self.production
+        names = production[due[0]].names
+        for sid in due[1:]:
+            names |= production[sid].names
         try:
-            snap = self.source.snapshot(now)
+            snap = self.source.snapshot(now, names)
         except SourceError as exc:
             self.health_skips += 1
             self.note("source-failure", self.pid, str(exc))
@@ -317,10 +347,10 @@ class AgentCore(ProcessCore):
         contributions = self.build_contributions(sid, snap, prod.prev, window)
         prod.prev = snap
         prod.prev_t = now
-        body = fold_samples(contributions, spec.aggregation, spec.hist_edges)
         for group, metric, value, weight in contributions:
             self.note("sample", self.config.node_id, sid, now, metric, group, value, weight)
-        self.emit("up", wire.Data(sid, now, window, 1, 1, body_to_text(body)))
+        body = leaf_text(contributions, spec.aggregation, spec.hist_edges)
+        self.emit("up", wire.Data(sid, now, window, 1, 1, body))
 
     # --- contribution building ------------------------------------------------------
 
@@ -336,6 +366,24 @@ class AgentCore(ProcessCore):
             node_id=self.config.node_id,
             ost_server=self.ost_server,
         )
+
+    def plan(self, prod: _StreamProduction, spec: StreamSpec,
+             counters: dict[CounterKey, float]) -> Plan:
+        """The stream's grouping plan for a snapshot's counters, rebuilt
+        when their key set or the job-map epoch (``my_job`` feeds the
+        groups) differs from the one it was built on."""
+        if prod.plan is not None and prod.plan_epoch == self.jobmap_epoch \
+                and counters.keys() == prod.plan_keys:
+            return prod.plan
+        keys_of: dict[str, list[CounterKey]] = {}
+        for key in counters:
+            if key[0] in prod.names and self._key_matches(key, prod.target):
+                keys_of.setdefault(key[0], []).append(key)
+        prod.plan = {raw: [(key, self._group(spec, key)) for key in sorted(keys)]
+                     for raw, keys in keys_of.items()}
+        prod.plan_keys = frozenset(counters)
+        prod.plan_epoch = self.jobmap_epoch
+        return prod.plan
 
     def _key_matches(self, key: CounterKey, target) -> bool:
         _metric, fs, _ost, job, _client = key
@@ -360,7 +408,7 @@ class AgentCore(ProcessCore):
                 and not self.config.filesystems:
             return []
 
-        deltas = _RoundDeltas(self, spec, target, snap, prev)
+        deltas = _RoundDeltas(self, self.plan(prod, spec, snap.counters), snap, prev)
         out: list[tuple[str, str, float, float]] = []
         for metric in prod.metrics:
             mdef = catalog.metric(metric)

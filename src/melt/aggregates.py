@@ -10,7 +10,9 @@ any tree of partial merges equals the flat fold of the underlying samples
 Top-k selection happens only at the presentation point; the full key set
 always travels the tree.
 
-Leaves write bodies with :func:`body_to_text` and consumers read them with
+Leaves write bodies with :func:`leaf_text`, which is
+``body_to_text(fold_samples(...))`` with the fold skipped for the common
+summary of unique keys, and consumers read them with
 :func:`body_from_text`. Relays merge on the text: :func:`merge_texts`
 checks each child's lines with the same parser, passes a line whose key
 only one child sends through verbatim, and folds and re-formats only the
@@ -305,6 +307,31 @@ def body_to_text(body: Body) -> str:
     else:
         lines.extend(_counted_line(key, count) for key, count in sorted(body.counts.items()))
     return "\n".join(lines)
+
+
+def leaf_text(contributions: list, aggregation: str, edges: tuple[float, ...] = ()) -> str:
+    """``body_to_text(fold_samples(contributions, aggregation, edges))``.
+
+    A leaf's summary whose (group, metric) keys are unique, each with
+    weight 1 and a finite float value, is written straight from the sorted
+    contributions: each line reads ``g <group> <metric> 1 <v> <v> <v>``.
+    Every other body, and so every error, comes from the fold and
+    :func:`body_to_text`.
+    """
+    if aggregation == "summary":
+        lines = ["kind=summary"]
+        last = None
+        isfinite = math.isfinite
+        for group, metric, value, weight in sorted(contributions):
+            if (group, metric) == last or weight != 1.0 or type(value) is not float \
+                    or not isfinite(value):
+                break
+            last = group, metric
+            v = _num(value)
+            lines.append(f"g {_esc(group)} {_esc(metric)} 1 {v} {v} {v}")
+        else:
+            return "\n".join(lines)
+    return body_to_text(fold_samples(contributions, aggregation, edges))
 
 
 def _bad(kind: str, line: str) -> AggregateError:

@@ -14,8 +14,14 @@ Counters are evaluated in closed form (rate times interval overlap), so a
 snapshot at time t never depends on sampling history and replays are exact.
 Synthetic conventions: io operations are 1 MiB (which fixes the average
 size/latency metrics), RPC request counts derive from io/meta volume, lock
-counters stay flat, io binds to the topology's first filesystem, and only
-the seed-selected MDS node of a fail-over pair reports metadata activity.
+counters stay flat, a node's counters carry the first filesystem its
+domain mounts (none for routers), and only the seed-selected MDS node of a
+fail-over pair reports metadata activity.
+
+A snapshot may be asked for only some counter and gauge names, the ones an
+agent's due streams read: a client snapshot then builds only those, with
+the same values, bit for bit, as a whole one. Server and router snapshots
+are always whole.
 """
 
 from __future__ import annotations
@@ -36,6 +42,17 @@ DIRTY_SECONDS = 2.0                # write-back buffer depth in seconds of traff
 
 META_OP_RAW = {"open": "META_OPEN", "close": "META_CLOSE", "mkdir": "META_MKDIR",
                "unlink": "META_UNLINK", "stat": "META_STAT"}
+
+# what a client snapshot holds: counters at the filesystem level, counters
+# per OST in this order, and gauges
+CLIENT_FS_COUNTERS = ("IO_RD_BYTES", "IO_WR_BYTES", "META_OPS", "RPC_REQS", "RPC_WAIT_SUM")
+CLIENT_OST_COUNTERS = ("IO_RD_BYTES", "IO_WR_BYTES", "IO_RD_OPS", "IO_WR_OPS",
+                       "IO_RD_TIME_SUM", "IO_WR_TIME_SUM", "RPC_REQS", "RPC_WAIT_SUM")
+CLIENT_META_READERS = frozenset(("META_OPS", "RPC_REQS", "RPC_WAIT_SUM",
+                                 *META_OP_RAW.values()))
+LOAD_GAUGES = ("LOAD_CPU_PCT", "LOAD_MEM_PCT")
+CLIENT_NAMES = frozenset((*CLIENT_FS_COUNTERS, *CLIENT_OST_COUNTERS, *CLIENT_META_READERS,
+                          "IO_CLNT_DIRTY", *LOAD_GAUGES))
 
 DEFAULT_BASE_TIME = int(_dt.datetime(2015, 1, 15, 11, 22, 33,
                                      tzinfo=_dt.timezone.utc).timestamp())
@@ -343,7 +360,9 @@ class WorkloadModel:
         self.topology = topology
         self.workload = workload
         self.seed = seed
-        self.fs = topology.filesystems()[0] if topology.filesystems() else ""
+        # node -> the filesystem its counters carry: its domain's first
+        self.fs_of = {node: domain.filesystems[0] if domain.filesystems else ""
+                      for domain in topology.domains for node in domain.member_nodes}
         self.jobs = {j.job_id: j for j in workload.jobs}
         all_osts = [ost for d in topology.domains if d.lustre_role == "oss"
                     for ost in d.osts]
@@ -456,38 +475,48 @@ class WorkloadModel:
                     out[raw] = out.get(raw, 0.0) + share * w / total_w
         return out
 
-    def snapshot_client(self, node: str, t: int) -> SourceSnapshot:
+    def snapshot_client(self, node: str, t: int,
+                        names: frozenset[str] = CLIENT_NAMES) -> SourceSnapshot:
+        """A client's counters and gauges; only those of ``names``."""
         snap = SourceSnapshot(ts=t)
-        fs = self.fs
-        for raw in ("IO_RD_BYTES", "IO_WR_BYTES", "META_OPS", "RPC_REQS", "RPC_WAIT_SUM"):
-            snap.counters[(raw, fs, "", "", "")] = 0.0
-        for ost, cell in self._client_io(node, t):
-            snap.counters[("IO_RD_BYTES", fs, ost, "", "")] = cell[0]
-            snap.counters[("IO_WR_BYTES", fs, ost, "", "")] = cell[1]
-            # operation and request counters are integral, like the real thing
-            snap.counters[("IO_RD_OPS", fs, ost, "", "")] = float(math.floor(cell[2]))
-            snap.counters[("IO_WR_OPS", fs, ost, "", "")] = float(math.floor(cell[3]))
-            snap.counters[("IO_RD_TIME_SUM", fs, ost, "", "")] = cell[4]
-            snap.counters[("IO_WR_TIME_SUM", fs, ost, "", "")] = cell[5]
-            reqs = float(math.floor((cell[0] + cell[1]) / RPC_BYTES))
-            snap.counters[("RPC_REQS", fs, ost, "", "")] = reqs
-            snap.counters[("RPC_WAIT_SUM", fs, ost, "", "")] = reqs * RPC_WAIT_SECS
-        for raw, value in sorted(self._client_meta_ops(node, t).items()):
-            snap.counters[(raw, fs, "", "", "")] = float(math.floor(value))
-        meta_ops = snap.counters[("META_OPS", fs, "", "", "")]
-        snap.counters[("RPC_REQS", fs, "", "", "")] = meta_ops
-        snap.counters[("RPC_WAIT_SUM", fs, "", "", "")] = meta_ops * RPC_WAIT_SECS
-        dirty = 0.0
-        for flow in self.flows_of.get(node, ()):
-            if flow.start <= t < flow.end:
-                dirty += flow.write_bps * DIRTY_SECONDS
-        snap.gauges[("IO_CLNT_DIRTY", fs)] = dirty
-        self._loads(node, t, snap)
+        counters = snap.counters
+        fs = self.fs_of[node]
+        for raw in CLIENT_FS_COUNTERS:
+            if raw in names:
+                counters[(raw, fs, "", "", "")] = 0.0
+        if not names.isdisjoint(CLIENT_OST_COUNTERS):
+            for ost, cell in self._client_io(node, t):
+                rd, wr = cell[0], cell[1]
+                reqs = float(math.floor((rd + wr) / RPC_BYTES))
+                # operation and request counters are integral, like the real thing
+                row = (rd, wr, float(math.floor(cell[2])), float(math.floor(cell[3])),
+                       cell[4], cell[5], reqs, reqs * RPC_WAIT_SECS)
+                for raw, value in zip(CLIENT_OST_COUNTERS, row):
+                    if raw in names:
+                        counters[(raw, fs, ost, "", "")] = value
+        if not names.isdisjoint(CLIENT_META_READERS):
+            ops = self._client_meta_ops(node, t)
+            for raw, value in sorted(ops.items()):
+                if raw in names:
+                    counters[(raw, fs, "", "", "")] = float(math.floor(value))
+            meta_ops = float(math.floor(ops["META_OPS"]))
+            if "RPC_REQS" in names:
+                counters[("RPC_REQS", fs, "", "", "")] = meta_ops
+            if "RPC_WAIT_SUM" in names:
+                counters[("RPC_WAIT_SUM", fs, "", "", "")] = meta_ops * RPC_WAIT_SECS
+        if "IO_CLNT_DIRTY" in names:
+            dirty = 0.0
+            for flow in self.flows_of.get(node, ()):
+                if flow.start <= t < flow.end:
+                    dirty += flow.write_bps * DIRTY_SECONDS
+            snap.gauges[("IO_CLNT_DIRTY", fs)] = dirty
+        if not names.isdisjoint(LOAD_GAUGES):
+            self._loads(node, t, snap, names)
         return snap
 
     def snapshot_oss(self, node: str, t: int) -> SourceSnapshot:
         snap = SourceSnapshot(ts=t)
-        fs = self.fs
+        fs = self.fs_of[node]
         mine = self.server_osts.get(node, frozenset())
         for raw in ("IO_RD_BYTES", "IO_WR_BYTES", "RPC_REQS", "RPC_WAIT_SUM",
                     "LOCK_GRANTS", "LOCK_CANCELS"):
@@ -516,7 +545,7 @@ class WorkloadModel:
 
     def snapshot_mds(self, node: str, t: int) -> SourceSnapshot:
         snap = SourceSnapshot(ts=t)
-        fs = self.fs
+        fs = self.fs_of[node]
         for raw in ("META_OPS", "RPC_REQS", "RPC_WAIT_SUM", "LOCK_GRANTS", "LOCK_CANCELS"):
             snap.counters[(raw, fs, "", "", "")] = 0.0
         snap.gauges[("LOCK_COUNT", "")] = 0.0
@@ -584,18 +613,22 @@ class WorkloadModel:
         self._loads(node, t, snap)
         return snap
 
-    def _loads(self, node: str, t: int, snap: SourceSnapshot) -> None:
+    def _loads(self, node: str, t: int, snap: SourceSnapshot,
+               names: frozenset[str] = CLIENT_NAMES) -> None:
         cpu = mem = 0.0
         for ev in self.workload.loads:
             if ev.node == node and ev.start <= t < ev.end:
                 cpu, mem = ev.cpu_pct, ev.mem_pct
-        snap.gauges[("LOAD_CPU_PCT", "")] = cpu
-        snap.gauges[("LOAD_MEM_PCT", "")] = mem
+        for name, value in zip(LOAD_GAUGES, (cpu, mem)):
+            if name in names:
+                snap.gauges[(name, "")] = value
 
-    def snapshot(self, node: str, t: int) -> SourceSnapshot:
+    def snapshot(self, node: str, t: int, names: frozenset[str] | None = None) -> SourceSnapshot:
+        """The node's snapshot at ``t``; a client's holds only ``names``,
+        if given, and every other role's is whole."""
         role = self.topology.domain_of_node(node).lustre_role
         if role == "client":
-            return self.snapshot_client(node, t)
+            return self.snapshot_client(node, t, CLIENT_NAMES if names is None else names)
         if role == "oss":
             return self.snapshot_oss(node, t)
         if role == "mds":
@@ -610,5 +643,5 @@ class SyntheticSource:
         self.model = model
         self.node = node
 
-    def snapshot(self, now: int) -> SourceSnapshot:
-        return self.model.snapshot(self.node, now)
+    def snapshot(self, now: int, names: frozenset[str] | None = None) -> SourceSnapshot:
+        return self.model.snapshot(self.node, now, names)

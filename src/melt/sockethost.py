@@ -12,6 +12,13 @@ SocketHost with one dialed ``up`` link.
 
 The socket backend keeps no transcript: sends are counted, and notes,
 sends and link closures go to this module's logger at DEBUG.
+
+A TCP link released while its socket is open (a ``link-fault``, a dropped
+process) is half-closed rather than closed: closing a socket with unread
+bytes makes the kernel reset the connection, and the peer would lose the
+``Error`` it was just sent. The socket stays in the selector, what it
+reads is dropped, and it is closed at EOF or after ``LINGER_SECONDS``,
+whichever comes first; other links are served meanwhile.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from .simnet import LinkState, SimHost
 from .topology import OverlayTopology
 from .transport import TcpChannel, TcpListener, transport_connect
 
+LINGER_SECONDS = 2.0  # longest a released socket is drained before it is closed
+
 
 class SocketHost(SimHost):
     """The shared host loop over links that may be sockets or in-process."""
@@ -41,17 +50,35 @@ class SocketHost(SimHost):
         self.listeners: list[tuple[object, TcpListener]] = []
         self.selector = selectors.DefaultSelector()
         self._accept_seq = 0
+        self.lingering: dict[TcpChannel, float] = {}  # half-closed socket -> close deadline
 
     def record(self, event: tuple) -> None:
         self.log.debug("%s", event)
 
     def release(self, state: LinkState) -> None:
-        if isinstance(state.channel, TcpChannel):
+        channel = state.channel
+        if not isinstance(channel, TcpChannel):
+            channel.close()
+            return
+        if channel.closed:  # the peer closed it, or it was released before
+            self.lingering.pop(channel, None)
             try:
-                self.selector.unregister(state.channel)
+                self.selector.unregister(channel)
             except (KeyError, ValueError):
-                pass  # already released: a link found closed, then dropped
-        state.channel.close()
+                pass
+            channel.close()
+            return
+        # A socket closed with unread bytes is reset, and the peer would lose
+        # what it was last sent (a link-fault Error): half-close it instead,
+        # and drop what it reads until EOF or LINGER_SECONDS, then close it.
+        channel.shutdown_write()
+        self.selector.modify(channel, selectors.EVENT_READ, channel)
+        self.lingering[channel] = time.monotonic() + LINGER_SECONDS
+
+    def _drop_lingering(self, channel: TcpChannel) -> None:
+        del self.lingering[channel]
+        self.selector.unregister(channel)
+        channel.close()
 
     def listen(self, proc, host: str = "127.0.0.1", port: int = 0) -> str:
         listener = TcpListener(host, port)
@@ -73,11 +100,18 @@ class SocketHost(SimHost):
         for key, _events in self.selector.select(0):
             if isinstance(key.data, LinkState):
                 self.wake(key.data)
-                continue
-            channel = key.fileobj.accept()
-            if channel is not None:
-                self._accept_seq += 1
-                self.attach_channel(key.data, f"tcp{self._accept_seq}", channel)
+            elif isinstance(key.data, TcpChannel):  # half-closed: drop what it reads
+                if not key.data.discard():
+                    self._drop_lingering(key.data)
+            else:
+                channel = key.fileobj.accept()
+                if channel is not None:
+                    self._accept_seq += 1
+                    self.attach_channel(key.data, f"tcp{self._accept_seq}", channel)
+        if self.lingering:
+            now = time.monotonic()
+            for channel in [c for c, deadline in self.lingering.items() if deadline <= now]:
+                self._drop_lingering(channel)
         super().pump()
 
     def serve(self, logical_seconds: int, wall_per_tick: float = 1.0,
@@ -102,6 +136,9 @@ class SocketHost(SimHost):
             listener.close()
         for state in self.links.values():
             state.channel.close()
+        for channel in self.lingering:
+            channel.close()
+        self.lingering.clear()
         self.selector.close()
 
 

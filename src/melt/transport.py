@@ -101,6 +101,25 @@ class TcpChannel:
     def fileno(self) -> int:
         return self._sock.fileno()
 
+    def shutdown_write(self) -> None:
+        """Send FIN after what was sent, and neither send nor receive on
+        the channel again; the socket stays open for :meth:`discard`."""
+        self.closed = True
+        try:
+            self._sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
+    def discard(self) -> bool:
+        """Read and drop one read's worth; False once the peer has closed
+        or the socket failed, True while more may come."""
+        try:
+            return self._sock.recv(TCP_RECV_BYTES) != b""
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+
     def close(self) -> None:
         self.closed = True
         try:

@@ -12,6 +12,17 @@ decode as soon as a header announces it.
 Node lists inside JobMapUpdate are comma-joined, so node ids used there must
 not contain commas or newlines (enforced at construction).
 
+``Data``, the one message every round carries many of, has a fast path
+on both sides of the codec: :func:`encode_payload` writes a Data whose
+fields have exactly their declared types in one string, and
+:func:`decode_payload` reads a Data payload in that spelling (the six keys
+once each in declaration order, each number ASCII digits, no escape in the
+body but ``\\n``) by position. Both give the bytes and the message the
+generic codec gives; every other payload, valid or not, goes through the
+generic codec, which is the one place a :class:`ProtocolError` is raised.
+:class:`FrameDecoder` decodes straight from the bytes fed when it holds
+none back.
+
 A host runs its codec through one :class:`CodecMemo`, which remembers the
 last payload it decoded and the last Data it encoded. A repeat of either,
 as a record passing through several relays on one host is, costs a byte
@@ -21,6 +32,7 @@ frame the codec would.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, fields as declared_fields
 from operator import attrgetter
@@ -237,8 +249,53 @@ def _read(fields: dict[str, str], key: str, decode):
         raise
 
 
+_data_fields = attrgetter(*(f.name for f in declared_fields(Data)))
+_DATA_TYPES = tuple(get_type_hints(Data)[f.name] for f in declared_fields(Data))
+
+
+def _exact_fields(msg: Data) -> tuple | None:
+    """A Data's fields if each has exactly its declared type, else None."""
+    fields = _data_fields(msg)
+    return fields if tuple(map(type, fields)) == _DATA_TYPES else None
+
+
+_DATA_CODE = TYPE_CODES[Data]
+# the encoder's spelling of a Data up to its body: each number ASCII digits
+# ('²'.isdigit() holds, but int('²') raises)
+_DATA_HEAD = re.compile("".join(f"{f.name}=([0-9]+)\n" for f in declared_fields(Data)[:-1])
+                        + f"{declared_fields(Data)[-1].name}=")
+
+
+def _data_at(text: str) -> Data | None:
+    """The Data a payload in the encoder's own spelling gives, read by
+    position: the six keys once each in declaration order, each number
+    ASCII digits, and no escape in the body but ``\\n``. None sends any
+    other payload, valid or not, to the generic reader."""
+    head = _DATA_HEAD.match(text)
+    if head is None:
+        return None
+    start, end = head.end(), len(text) - 1
+    if text.find("\n", start) != end:  # the body's LF must end the text
+        return None
+    body = text[start:end].replace("\\n", "\n")
+    if "\\" in body:  # a \\ pair, or a bad escape
+        return None
+    try:
+        numbers = list(map(int, head.groups()))
+    except ValueError:  # more digits than int() reads
+        return None
+    return Data(*numbers, body)
+
+
 def encode_payload(msg: Message) -> bytes:
     cls = type(msg)
+    if cls is Data:
+        exact = _exact_fields(msg)
+        if exact is not None:  # the generic spelling, written in one go
+            sid, rnd, window, expected, actual, body = exact
+            return (f"stream_id={sid}\nround={rnd}\nwindow_secs={window}\n"
+                    f"expected_contributors={expected}\nactual_contributors={actual}\n"
+                    f"aggregate_body={_escape(body)}\n").encode("utf-8")
     if cls is JobMapUpdate:
         pairs = [("epoch", str(msg.epoch))]
         for i, (job_id, nodes) in enumerate(msg.entries):
@@ -255,6 +312,10 @@ def decode_payload(code: int, payload: bytes) -> Message:
         text = payload.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"payload is not UTF-8: {exc}") from None
+    if code == _DATA_CODE:
+        msg = _data_at(text)
+        if msg is not None:
+            return msg
     fields: dict[str, str] = {}
     for line in text.split("\n"):
         if not line:
@@ -287,6 +348,9 @@ def decode_payload(code: int, payload: bytes) -> Message:
         raise ProtocolError(str(exc)) from None
 
 
+_HEADS = {code: MAGIC + bytes((VERSION, code)) for code in CODE_TYPES}  # a frame's first 4 bytes
+
+
 def encode_message(msg: Message) -> bytes:
     """One complete frame; identical input yields identical bytes."""
     code = TYPE_CODES.get(type(msg))
@@ -295,7 +359,7 @@ def encode_message(msg: Message) -> bytes:
     payload = encode_payload(msg)
     if len(payload) > MAX_PAYLOAD:
         raise ProtocolError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    return MAGIC + bytes((VERSION, code)) + struct.pack(">I", len(payload)) + payload
+    return _HEADS[code] + _LENGTH.pack(len(payload)) + payload
 
 
 def _frame_at(buf, pos: int, memo: CodecMemo | None) -> tuple[Message | None, int]:
@@ -357,16 +421,6 @@ def decode_all(buf: bytes) -> tuple[list[Message], bytes]:
     """Decode every complete frame in ``buf``; returns messages + remainder."""
     msgs, end = _frames(buf)
     return msgs, buf[end:]
-
-
-_data_fields = attrgetter(*(f.name for f in declared_fields(Data)))
-_DATA_TYPES = tuple(get_type_hints(Data)[f.name] for f in declared_fields(Data))
-
-
-def _exact_fields(msg: Data) -> tuple | None:
-    """A Data's fields if each has exactly its declared type, else None."""
-    fields = _data_fields(msg)
-    return fields if tuple(map(type, fields)) == _DATA_TYPES else None
 
 
 class CodecMemo:
@@ -432,9 +486,20 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[Message]:
         buf = self._buf
-        buf += data
-        msgs, end = _frames(buf, self._memo)
-        del buf[:end]
+        if buf:
+            buf += data
+            msgs, end = _frames(buf, self._memo)
+            del buf[:end]
+            return msgs
+        # nothing held back: decode straight from the bytes fed, and keep
+        # only what follows the last whole frame
+        try:
+            msgs, end = _frames(data, self._memo)
+        except ProtocolError:
+            buf += data
+            raise
+        if end < len(data):
+            buf += data[end:]
         return msgs
 
     @property

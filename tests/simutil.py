@@ -58,6 +58,59 @@ root = skein
 """
 
 
+# two filesystems: knot2 on domains c, oss and mds, alpha on domains a and
+# ossa; the router domain mounts none
+TWO_FILESYSTEMS = """
+[domain c]
+manager = cm
+members = c1,c2,c3
+fanout = 2
+role = client
+fs = knot2
+[domain a]
+manager = am
+members = a1,a2
+fanout = 2
+role = client
+fs = alpha
+[domain oss]
+manager = o1
+members = o1,o2
+fanout = 2
+role = oss
+fs = knot2
+osts = knot2-OST0000,knot2-OST0001
+[domain ossa]
+manager = p1
+members = p1
+fanout = 2
+role = oss
+fs = alpha
+osts = alpha-OST0000
+[domain mds]
+manager = m1
+members = m1
+fanout = 2
+role = mds
+fs = knot2
+[domain rtr]
+manager = r1
+members = r1
+fanout = 2
+role = router
+[ring]
+order = c,a,oss,ossa,mds,rtr
+root = skein
+[scenario]
+duration = 30
+[workload]
+job 0 30 jk c1 c2 c3
+job 0 30 ja a1 a2
+io 0 30 jk 4M 2M roundrobin
+io 0 30 ja 3M 1M single:p1
+"""
+
+
 def deep_domain(n_members: int, fanout: int = 4, role: str = "client") -> str:
     members = ",".join(f"n{i:03d}" for i in range(n_members))
     return (f"[domain big]\nmanager = bigmgr\nmembers = {members}\n"

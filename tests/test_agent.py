@@ -7,7 +7,7 @@ import pytest
 from melt import wire
 from melt.agent import (
     AgentConfig, AgentCore, SourceError, SourceSnapshot, StatsFileSource,
-    StatsParseError, rate_from_counters, read_stats_file,
+    StatsParseError, rate_from_counters, read_names, read_stats_file,
 )
 from melt.aggregates import body_from_text
 
@@ -336,3 +336,119 @@ class TestNodeLoad:
         assert produced_metrics(spec, ident) == ()
         from melt.catalog import catalog_for_role
         assert {d.metric_class for d in catalog_for_role("router")} == {"rpc", "load"}
+
+
+class TestGroupingPlan:
+    def job_sim(self):
+        host, handle, model = make_sim(ONE_DOMAIN, (
+            "job 0 6 j1 n1", "job 6 40 j2 n1",
+            "io 0 6 j1 1M 3M roundrobin", "io 6 40 j2 2M 5M roundrobin"))
+        attach_agents(handle, model)
+        client = add_driver(handle)
+        sid = create_stream(handle, client, io_stream_spec(
+            metrics=("IO_RD_BW", "IO_WR_BW", "IO_CLNT_NUM"), group_by="job", interval=1))
+        client.emit("up", wire.JobMapUpdate(1, (("j1", ("n1",)),)))
+        client.subscribe(sid)
+        host.flush(client)
+        host.pump()
+        return host, handle, client, sid
+
+    def run_across_epochs(self):
+        host, handle, client, sid = self.job_sim()
+        prod = handle.agents["n1"].production[sid]
+        plans = []
+        for t in range(1, 13):
+            if t == 7:  # the new epoch reaches the agent before round 7
+                client.emit("up", wire.JobMapUpdate(2, (("j2", ("n1",)),)))
+                host.flush(client)
+                host.pump()
+            run_ticks(host, t, 1)
+            plans.append(prod.plan)
+        return host, client, plans
+
+    def test_the_plan_is_kept_until_the_job_map_epoch_changes(self):
+        _host, _client, plans = self.run_across_epochs()
+        assert len({id(plan) for plan in plans}) == 2
+        assert plans[0] is plans[5] and plans[6] is plans[11] and plans[5] is not plans[6]
+
+    def test_a_new_epoch_groups_the_next_round_as_a_plan_built_every_round(self, monkeypatch):
+        host, client, _plans = self.run_across_epochs()
+        groups = [{g for g, _m in body_from_text(r.aggregate_body).entries}
+                  for r in client.records]
+        assert groups[:6] == [{"j1"}] * 6 and groups[6:] == [{"j2"}] * 6
+
+        built = AgentCore.plan
+
+        def planned_anew(self, prod, spec, counters):
+            prod.plan = None
+            return built(self, prod, spec, counters)
+
+        monkeypatch.setattr(AgentCore, "plan", planned_anew)
+        fresh_host, fresh_client, fresh_plans = self.run_across_epochs()
+        assert len({id(plan) for plan in fresh_plans}) == 12
+        assert fresh_host.transcript == host.transcript
+        assert fresh_client.records == client.records
+
+    def test_a_new_counter_key_rebuilds_the_plan(self):
+        host, handle, model = make_sim(ONE_DOMAIN)
+        attach_agents(handle, model)
+        client = add_driver(handle)
+        sid = create_stream(handle, client, io_stream_spec(
+            name="wr", target="clnt=n1", interval=2, metrics=("IO_WR_BW",)))
+        agent = handle.agents["n1"]
+        one = ("IO_WR_BYTES", "knot2", "", "", "")
+        two = ("IO_WR_BYTES", "knot2", "knot2-OST0001", "", "")
+        prev = SourceSnapshot(counters={one: 0.0})
+        assert agent.build_contributions(sid, SourceSnapshot(counters={one: 4.0}), prev, 2) \
+            == [("", "IO_WR_BW", 2.0, 1.0)]
+        assert agent.build_contributions(
+            sid, SourceSnapshot(counters={one: 4.0, two: 6.0}), prev, 2) \
+            == [("", "IO_WR_BW", 5.0, 1.0)]
+        assert [key for key, _group in agent.production[sid].plan["IO_WR_BYTES"]] == [one, two]
+
+    def test_a_reset_is_noted_at_every_use_in_every_round(self):
+        host, handle, model = make_sim(ONE_DOMAIN)
+        attach_agents(handle, model)
+        client = add_driver(handle)
+        sid = create_stream(handle, client, io_stream_spec(
+            name="wr", target="clnt=n1", interval=2,
+            metrics=("IO_WR_BW", "IO_CLNT_NUM", "IO_CLNT_AVG_WR_SZ")))
+        agent = handle.agents["n1"]
+        wr, ops = ("IO_WR_BYTES", "knot2", "", "", ""), ("IO_WR_OPS", "knot2", "", "", "")
+        prev = SourceSnapshot(counters={wr: 100.0, ops: 1.0})
+        snap = SourceSnapshot(counters={wr: 50.0, ops: 3.0})
+        plans = []
+        for _round in range(3):
+            agent.notes.clear()
+            agent.build_contributions(sid, snap, prev, 2)
+            assert agent.notes == [("counter-reset", agent.pid, "IO_WR_BYTES", "knot2")] * 3
+            plans.append(agent.production[sid].plan)
+        assert plans[0] is plans[1] is plans[2]
+
+
+class RecordingSource:
+    """The names each snapshot was asked for, over an idle source."""
+
+    def __init__(self) -> None:
+        self.asked: list[frozenset[str] | None] = []
+
+    def snapshot(self, now, names=None):
+        self.asked.append(names)
+        return SourceSnapshot(ts=now)
+
+
+def test_a_source_is_asked_for_the_names_of_the_due_streams():
+    host, handle, model = make_sim(ONE_DOMAIN)
+    source = RecordingSource()
+    agent = AgentCore(AgentConfig.from_topology(handle.topology, "n1"), source, handle.topology)
+    handle.attach_agent(agent)
+    client = add_driver(handle)
+    io_metrics, load_metrics = ("IO_RD_BW", "IO_CLNT_AVG_WR_SZ"), ("LOAD_CPU_PCT",)
+    create_stream(handle, client, io_stream_spec(name="io", metrics=io_metrics, interval=2))
+    create_stream(handle, client, io_stream_spec(name="load", metrics=load_metrics, interval=3))
+    io_names = {"IO_RD_BYTES", "IO_WR_BYTES", "IO_WR_OPS"}
+    assert read_names(io_metrics) == io_names and read_names(load_metrics) == {"LOAD_CPU_PCT"}
+    assert source.asked == [io_names, {"LOAD_CPU_PCT"}]  # each stream's baseline
+    source.asked.clear()
+    run_ticks(host, 1, 6)
+    assert source.asked == [io_names, {"LOAD_CPU_PCT"}, io_names, io_names | {"LOAD_CPU_PCT"}]

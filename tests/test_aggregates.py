@@ -23,6 +23,7 @@ from melt.aggregates import (
     display_value,
     empty_body,
     fold_samples,
+    leaf_text,
     merge,
     merge_all,
     select_topk,
@@ -671,3 +672,46 @@ def test_bad_numbers_raise_aggregate_error(text, message):
     for parse in (body_from_text, lambda t: agg.merge_texts([t], kind, edges)):
         with pytest.raises(AggregateError, match=message.replace("(", r"\(")):
             parse(text)
+
+
+# --- the leaf writer against fold and text -----------------------------------------
+
+leaf_groups = st.sampled_from(["", "n1", "n2", "job 7", "a%20b", "100%", "two\nlines",
+                               "unassigned"])
+leaf_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0 ** 53, 2.0 ** 53 + 2, -(2.0 ** 60), 1e300,
+                     math.inf, -math.inf, math.nan, 0.1]),
+    st.integers(-3, 3), st.sampled_from([2 ** 53 + 1, 10 ** 20]))
+leaf_weights = st.sampled_from([1.0, 1.0, 1.0, 1, 2.0, 0.5, 0.0, 3])
+leaf_rows = st.lists(st.tuples(leaf_groups, st.sampled_from(["IO_RD_BW", "IO_WR_BW", "OP_COUNT"]),
+                               leaf_values, leaf_weights), max_size=6)
+
+
+def leaf_outcome(fn, rows, aggregation, edges):
+    try:
+        return "ok", fn(rows, aggregation, edges)
+    except AggregateError as exc:
+        return type(exc), str(exc)
+    except (ValueError, OverflowError) as exc:  # int() of a non-finite counted value
+        return type(exc), str(exc)
+
+
+@given(leaf_rows, st.sampled_from(["summary", "histogram", "counted-key"]),
+       st.sampled_from([(), (0.0, 10.0), (-1.0, 1.0, 1e6)]), st.booleans())
+@settings(max_examples=1000)
+def test_leaf_text_is_fold_then_text(rows, aggregation, edges, unique):
+    if unique:  # the common case: each (group, metric) once, weight 1
+        rows = list({(g, m): (g, m, v, 1.0) for g, m, v, _w in rows}.values())
+    assert leaf_outcome(leaf_text, rows, aggregation, edges) == leaf_outcome(
+        lambda *args: body_to_text(fold_samples(*args)), rows, aggregation, edges)
+
+
+def test_leaf_text_writes_unique_summary_lines_straight():
+    rows = [("n2", "IO_WR_BW", 2.0 ** 53, 1.0), ("n 1", "IO_RD_BW", -0.0, 1.0),
+            ("n1", "IO_RD_BW", 0.5, 1.0)]
+    assert leaf_text(rows, "summary") == (
+        "kind=summary\ng n%201 IO_RD_BW 1 0 0 0\ng n1 IO_RD_BW 1 0.5 0.5 0.5\n"
+        "g n2 IO_WR_BW 1 9007199254740992.0 9007199254740992.0 9007199254740992.0")
+    with pytest.raises(AggregateError, match="overflows"):
+        leaf_text([("n1", "IO_RD_BW", math.inf, 1.0)], "summary")

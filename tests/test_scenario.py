@@ -15,7 +15,7 @@ from melt.scenario import (
 from melt.simharness import resolve_scenario_path
 from melt.topology import ConfigError, parse_topology
 
-from simutil import FIVE_DOMAINS, ONE_DOMAIN
+from simutil import FIVE_DOMAINS, ONE_DOMAIN, TWO_FILESYSTEMS, assert_body_matches_oracle
 
 MI = 1024 * 1024
 
@@ -247,7 +247,7 @@ class TestClosedFormModel:
 
 def reference_oss_io(model, node, t):
     """An OSS's io counters by a scan of every flow and client, in script order."""
-    fs, counters, io_bytes = model.fs, {}, 0.0
+    fs, counters, io_bytes = model.fs_of[node], {}, 0.0
     mine = set(model.topology.domain_of_node(node).osts_of(node))
     for flow in model.flows:
         if flow is None or _overlap(t, flow.start, flow.end) <= 0:
@@ -288,7 +288,7 @@ def test_oss_snapshot_equals_a_scan_of_every_flow(make, seed):
             counters = model.snapshot(node, t).counters
             want, reqs = reference_oss_io(model, node, t)
             assert {k: v for k, v in counters.items() if k[2]} == want  # bit for bit
-            assert counters[("RPC_REQS", model.fs, "", "", "")] == reqs
+            assert counters[("RPC_REQS", model.fs_of[node], "", "", "")] == reqs
 
 
 def test_an_oss_snapshot_visits_only_the_flows_on_its_osts():
@@ -296,3 +296,59 @@ def test_an_oss_snapshot_visits_only_the_flows_on_its_osts():
     servers = model.topology.servers("oss")
     visits = [len(model.server_flows_of.get(node, ())) for node in servers]
     assert 0 < sum(visits) < len(servers) * sum(f is not None for f in model.flows)
+
+
+def test_counters_carry_their_own_domains_filesystem():
+    spec = parse_scenario(TWO_FILESYSTEMS)
+    model = WorkloadModel(spec.topology, spec.workload, spec.seed)
+    want = {"c1": "knot2", "a1": "alpha", "o1": "knot2", "p1": "alpha", "m1": "knot2",
+            "r1": ""}
+    for node, fs in want.items():
+        counters = model.snapshot(node, 10).counters
+        assert counters and {key[1] for key in counters} == {fs}, node
+
+
+def test_every_filesystem_io_stream_carries_its_clients():
+    from melt.simharness import SimCluster, oracle_aggregate
+
+    cluster = SimCluster(parse_scenario(TWO_FILESYSTEMS))
+    cluster.advance(cluster.spec.duration)
+    result = cluster.result()
+    sids = {spec.name: sid for sid, spec in result.streams.items()}
+    for fs, groups in (("knot2", {"jk"}), ("alpha", {"ja"})):
+        records = [r for r in cluster.daemon.records if r.stream_id == sids[f"meltmon/{fs}/io"]]
+        assert records
+        seen = set()
+        for record in records:
+            body = assert_body_matches_oracle(
+                record, oracle_aggregate(result, record.stream_id, record.round))
+            seen |= {group for group, _metric in body.entries}
+        assert seen == groups, fs
+
+
+def test_a_partial_snapshot_is_the_whole_one_cut_to_its_names():
+    from melt import catalog
+    from melt.agent import read_names
+    from melt.meltmon import default_stream_specs
+
+    model, duration = model_of_testbed(0)
+    name_sets = {read_names((d.name,)) for d in catalog.CATALOG}
+    name_sets |= {read_names(spec.metric_names) for spec in default_stream_specs(model.topology)}
+    name_sets.discard(frozenset())
+
+    def bits(values, names):
+        return {k: repr(v) for k, v in values.items() if k[0] in names}
+
+    for node in model.topology.all_nodes():
+        for t in range(duration + 1):
+            whole = model.snapshot(node, t)
+            assert model.snapshot(node, t, None) == whole
+            for names in name_sets:
+                part = model.snapshot(node, t, names)
+                if model.topology.domain_of_node(node).lustre_role != "client":
+                    # servers and routers are whole
+                    assert part == whole
+                    continue
+                assert bits(part.counters, names) == bits(whole.counters, names)
+                assert bits(part.gauges, names) == bits(whole.gauges, names)
+                assert {k[0] for k in [*part.counters, *part.gauges]} <= names

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import select
 import socket
 import threading
 import time
@@ -10,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from melt import agent, aggregates, meltcli, meltmon, overlay, wire
+from melt import agent, aggregates, meltcli, meltmon, overlay, sockethost, wire
 from melt.overlay import ClientCore, GatherNode, MergedBodies, attach_point
 from melt.simharness import resolve_scenario_path
 from melt.sockethost import SocketHost, dial_core, launch_distributed, serve_overlay
@@ -256,6 +257,85 @@ def pump_until_logged(rig: RelayRig, caplog, text: str) -> None:
         while text not in caplog.text and time.monotonic() < deadline:
             rig.host.pump()
     assert text in caplog.text
+
+
+def test_a_faulty_peer_with_unread_junk_reads_the_error_then_eof():
+    rig = RelayRig()
+    bad = socket.create_connection(parse_endpoint(rig.endpoints["@root"]), timeout=None)
+
+    def write_junk():
+        try:
+            bad.sendall(b"BADMAGIC" + bytes(1 << 20))
+        except OSError:
+            pass  # the overlay may close the link before it has read it all
+
+    writer = threading.Thread(target=write_junk)
+    writer.start()
+    try:
+        received, eof = b"", False
+        deadline = time.monotonic() + 10.0
+        while not eof and time.monotonic() < deadline:
+            rig.host.pump()
+            if select.select([bad], [], [], 0.001)[0]:
+                chunk = bad.recv(1 << 16)  # a reset raises ConnectionResetError
+                received += chunk
+                eof = chunk == b""
+        assert eof
+        (error,), rest = decode_all(received)
+        assert error.code == "link-fault" and "bad magic b'BA'" in error.text and rest == b""
+        writer.join(timeout=10.0)
+        assert not writer.is_alive()
+        bad.close()
+        deadline = time.monotonic() + 5.0
+        while rig.host.lingering and time.monotonic() < deadline:
+            rig.host.pump()
+        assert not rig.host.lingering  # closed at the peer's EOF
+        rig.produce(1, GOOD_BODY)
+        (record,) = rig.pump_until(rig.cons, Data)
+        assert (record.round, record.aggregate_body) == (1, GOOD_BODY)
+    finally:
+        bad.close()
+        writer.join(timeout=10.0)
+        rig.close()
+
+
+def test_a_half_closed_socket_is_closed_at_the_linger_deadline(monkeypatch):
+    monkeypatch.setattr(sockethost, "LINGER_SECONDS", 0.0)
+    rig = RelayRig()
+    bad = rig.connect("@root")
+    try:
+        bad.sendall(b"BADMAGIC")
+        deadline = time.monotonic() + 5.0
+        while not rig.host.lingering and time.monotonic() < deadline:
+            rig.host.pump()
+        (channel,) = rig.host.lingering
+        rig.host.pump()  # the peer never closes: the deadline has passed
+        assert not rig.host.lingering and channel.closed
+    finally:
+        rig.close()
+
+
+def test_a_link_released_twice_is_closed_and_no_longer_lingers():
+    server = socket.create_server(("127.0.0.1", 0))
+    core = ClientCore("client.twice", "twice")
+    host, up = dial_core(core, f"127.0.0.1:{server.getsockname()[1]}")
+    conn, _addr = server.accept()
+    try:
+        state = host.links[(core.pid, "up")]
+        host.release(state)  # open: half-closed, lingering
+        assert host.lingering == {up: host.lingering[up]} and up.closed
+        conn.settimeout(5.0)
+        received = b""
+        while chunk := conn.recv(1 << 16):  # what the core sent, then the FIN
+            received += chunk
+        assert [type(m) for m in decode_all(received)[0]] == [Attach]
+        host.release(state)  # again, as when its process is dropped later
+        assert host.lingering == {}
+        host.pump()
+    finally:
+        conn.close()
+        server.close()
+        host.close()
 
 
 def test_bad_body_is_a_merge_fault_and_the_next_round_arrives():

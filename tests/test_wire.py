@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -595,3 +597,94 @@ def test_decode_errors_match_reference(msg, data):
         [wire.TYPE_CODES[type(msg)]] + sorted(wire.CODE_TYPES)))
     assert _decode_outcome(wire.decode_payload, code, payload) == \
         _decode_outcome(reference_decode_payload, code, payload)
+
+
+# --- the Data fast paths against the generic codec -------------------------------
+
+def generic_decode_payload(code: int, payload: bytes):
+    """decode_payload with the positional Data reader turned off."""
+    with mock.patch.object(wire, "_data_at", lambda text: None):
+        return wire.decode_payload(code, payload)
+
+
+def generic_encode_payload(msg) -> bytes:
+    """encode_payload with the one-string Data writer turned off."""
+    with mock.patch.object(wire, "_exact_fields", lambda msg: None):
+        return wire.encode_payload(msg)
+
+
+DATA_CODE = wire.TYPE_CODES[Data]
+DATA_KEYS = [f.name for f in dataclasses.fields(Data)]
+numbers = st.sampled_from(["5", "+5", " 5", "5 ", "5_0", "²", "١٢", "-1", "007", "0", "",
+                           "9" * 5000, "1.0", "x"])
+bodies = st.text(alphabet="ab =\n\\é%", max_size=20)
+raw_bodies = st.sampled_from(["a\\qb", "a\\", "\\\\n", "a\\nb", "kind=summary\\ng x M 1 2 2 2"])
+data_messages = st.builds(Data, st.integers(0, 1000), st.integers(0, 10 ** 6),
+                          st.integers(0, 3600), st.integers(0, 10 ** 4),
+                          st.integers(0, 10 ** 4), bodies)
+
+
+@given(data_messages, st.data())
+@settings(max_examples=1000)
+def test_data_payloads_decode_as_the_generic_reader_does(msg, data):
+    """Keys in order, permuted, repeated, missing or joined by others, and
+    numbers and bodies spelled every way: the same message or the same
+    error text as the generic reader and as the reference."""
+    pairs = reference_fields_of(msg)
+    order = data.draw(st.one_of(st.just(list(range(6))), st.permutations(list(range(6))),
+                                st.lists(st.integers(0, 5), max_size=8)))
+    lines = [[pairs[i][0], wire._escape(pairs[i][1])] for i in order]
+    for i in data.draw(st.sets(st.integers(0, max(len(lines) - 1, 0)), max_size=3)):
+        if i < len(lines):
+            lines[i][1] = data.draw(raw_bodies if lines[i][0] == "aggregate_body" else numbers)
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, [data.draw(st.sampled_from(DATA_KEYS + ["junk", "round2"])),
+                          data.draw(numbers)])
+    payload = "".join(f"{key}={value}\n" for key, value in lines).encode()
+    want = _decode_outcome(generic_decode_payload, DATA_CODE, payload)
+    assert _decode_outcome(wire.decode_payload, DATA_CODE, payload) == want
+    assert _decode_outcome(reference_decode_payload, DATA_CODE, payload) == want
+
+
+@pytest.mark.parametrize("payload", [
+    b"stream_id=1\nround=2\nwindow_secs=1\nexpected_contributors=1\nactual_contributors=1\n"
+    b"aggregate_body=kind=summary\\ng a M 1 2 2 2\n",
+    b"stream_id=1\nround=2\nwindow_secs=1\nexpected_contributors=1\nactual_contributors=1\n"
+    b"aggregate_body=\n",
+], ids=["body", "empty-body"])
+def test_the_encoders_spelling_is_read_by_position(payload, monkeypatch):
+    read = []
+    original = wire._data_at
+    monkeypatch.setattr(wire, "_data_at", lambda text: read.append(original(text)) or read[-1])
+    assert wire.decode_payload(DATA_CODE, payload) == generic_decode_payload(DATA_CODE, payload)
+    assert read[0] is not None
+
+
+@pytest.mark.parametrize("field", DATA_KEYS[:-1])
+@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_a_data_with_a_wrong_typed_number_encodes_as_the_generic_codec(field, value):
+    msg = dataclasses.replace(Data(1, 2, 3, 4, 5, "kind=summary\ng a M 1 2 2 2"),
+                              **{field: value})
+    assert wire.encode_payload(msg) == generic_encode_payload(msg) \
+        == reference_encode_payload(msg)
+    assert str(value).encode() in wire.encode_payload(msg)
+
+
+@given(data_messages)
+@settings(max_examples=300)
+def test_an_exact_data_encodes_as_the_generic_codec(msg):
+    assert wire.encode_payload(msg) == generic_encode_payload(msg)
+
+
+def test_a_feed_on_an_empty_buffer_keeps_only_a_partial_frame():
+    one, two = encode_message(Detach("a")), encode_message(Detach("b"))
+    dec = FrameDecoder()
+    assert dec.feed(one + two[:5]) == [Detach("a")]
+    assert dec.pending_bytes == 5
+    assert dec.feed(two[5:] + one) == [Detach("b"), Detach("a")]
+    assert dec.pending_bytes == 0
+    with pytest.raises(ProtocolError, match="magic") as raised:
+        dec.feed(one + b"XX" + two)  # decoded from the bytes fed, then refused
+    assert raised.value.messages == [Detach("a")]
+    assert dec.pending_bytes == len(one) + 2 + len(two)
