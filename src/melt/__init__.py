@@ -18,7 +18,7 @@ from .aggregates import (
     merge,
     select_topk,
 )
-from .agent import AgentConfig, AgentCore, StatsFileSource, rate_from_counters, read_stats_file
+from .agent import AgentConfig, AgentCore, StatsFileSource, read_stats_file
 from .catalog import CATALOG, MetricDef, catalog_for_role, export_table, metrics_for_class
 from .humanize import humanize, parse_human
 from .jobmap import CommandJobSource, FileJobSource, parse_jobmap_text
@@ -55,6 +55,6 @@ __all__ = [
     "load_scenario", "load_topology", "merge", "message_accounting",
     "metrics_for_class", "oracle_aggregate", "parse_cli", "parse_human",
     "parse_jobmap_text", "parse_log_line", "parse_scenario", "parse_target",
-    "parse_topology", "rate_from_counters", "read_stats_file", "run_scenario",
-    "select_topk", "serve_overlay", "transport_connect",
+    "parse_topology", "read_stats_file", "run_scenario", "select_topk",
+    "serve_overlay", "transport_connect",
 ]

@@ -130,15 +130,6 @@ class StatsFileSource:
             raise SourceError(f"cannot read {self.path}: {exc}") from exc
 
 
-def rate_from_counters(prev: float, cur: float, dt: float) -> float:
-    """(cur - prev) / dt for monotone counters; regression raises."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if cur < prev:
-        raise SourceError(f"counter regression {cur} < {prev}")
-    return (cur - prev) / dt
-
-
 @dataclass
 class AgentConfig:
     node_id: str
@@ -188,7 +179,7 @@ class _StreamProduction:
     names: frozenset[str]  # what the stream reads of a snapshot (read_names)
     plan: Plan | None = None
     plan_keys: frozenset[CounterKey] = frozenset()  # the counter keys it was built on
-    plan_epoch: int = -1                              # and the job-map epoch
+    plan_job: str = ""                              # and the agent's job then
 
 
 class _RoundDeltas:
@@ -250,6 +241,7 @@ class AgentCore(ProcessCore):
         self.clock = 0
         self.specs: dict[int, StreamSpec] = {}
         self.production: dict[int, _StreamProduction] = {}
+        self.names: frozenset[str] = frozenset()  # what its streams read (read_names)
         self.overrides: dict[int, dict[str, int]] = {}
         self.jobmap_epoch = 0
         self.my_job = ""
@@ -287,8 +279,9 @@ class AgentCore(ProcessCore):
         if not metrics:
             return
         names = read_names(metrics)
+        self.names = self.names | names if self.names else names  # a first stream shares its set
         try:
-            baseline = self.source.snapshot(self.clock, names)
+            baseline = self.source.snapshot(self.clock, self.names)
         except SourceError as exc:
             self.note("source-failure", self.pid, str(exc))
             baseline = SourceSnapshot(ts=self.clock)
@@ -327,12 +320,8 @@ class AgentCore(ProcessCore):
                          else self.stream_interval(sid)) == 0]
         if not due:
             return
-        production = self.production
-        names = production[due[0]].names
-        for sid in due[1:]:
-            names |= production[sid].names
         try:
-            snap = self.source.snapshot(now, names)
+            snap = self.source.snapshot(now, self.names)
         except SourceError as exc:
             self.health_skips += 1
             self.note("source-failure", self.pid, str(exc))
@@ -370,9 +359,9 @@ class AgentCore(ProcessCore):
     def plan(self, prod: _StreamProduction, spec: StreamSpec,
              counters: dict[CounterKey, float]) -> Plan:
         """The stream's grouping plan for a snapshot's counters, rebuilt
-        when their key set or the job-map epoch (``my_job`` feeds the
-        groups) differs from the one it was built on."""
-        if prod.plan is not None and prod.plan_epoch == self.jobmap_epoch \
+        when their key set or the agent's job (the one input of the groups
+        that changes) differs from the one it was built on."""
+        if prod.plan is not None and prod.plan_job == self.my_job \
                 and counters.keys() == prod.plan_keys:
             return prod.plan
         keys_of: dict[str, list[CounterKey]] = {}
@@ -382,7 +371,7 @@ class AgentCore(ProcessCore):
         prod.plan = {raw: [(key, self._group(spec, key)) for key in sorted(keys)]
                      for raw, keys in keys_of.items()}
         prod.plan_keys = frozenset(counters)
-        prod.plan_epoch = self.jobmap_epoch
+        prod.plan_job = self.my_job
         return prod.plan
 
     def _key_matches(self, key: CounterKey, target) -> bool:

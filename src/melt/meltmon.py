@@ -148,7 +148,6 @@ class MeltmonCore(ClientCore):
         self.poll_secs = poll_secs
         self.base_time = base_time
         self.sinks: dict[str, LogSink] = {}
-        self.requested: list[str] = []   # stream names awaiting StreamCreated
         self.my_streams: dict[int, StreamSpec] = {}
         self.jobs: dict[str, tuple[str, ...]] | None = None
         self.epoch = 0
@@ -160,11 +159,9 @@ class MeltmonCore(ClientCore):
     def on_attached(self) -> None:
         self.poll_jobs(self.clock)
         for spec in default_stream_specs(self.topology):
-            self.requested.append(spec.name)
             self.create_stream(spec)
 
     def on_stream_created(self, stream_id: int) -> None:
-        self.requested.pop(0)
         self.my_streams[stream_id] = self.specs[stream_id]
         self.subscribe(stream_id)
 

@@ -593,7 +593,7 @@ class ClientCore(ProcessCore):
         self.specs: dict[int, StreamSpec] = {}
         self.stream_ids: dict[str, int] = {}
         self.created: list[int] = []
-        self.records: list[wire.Data] = []  # the latest RECORDS_KEPT
+        self.records: deque[wire.Data] = deque(maxlen=RECORDS_KEPT)
         self.errors: list[wire.Error] = []
         self.jobmap: wire.JobMapUpdate | None = None
 
@@ -615,8 +615,6 @@ class ClientCore(ProcessCore):
             pass
         elif isinstance(msg, wire.Data):
             self.records.append(msg)
-            if len(self.records) > RECORDS_KEPT:
-                del self.records[0]
             self.on_record(msg)
         elif isinstance(msg, wire.JobMapUpdate):
             self.jobmap = msg

@@ -15,11 +15,12 @@ snapshot at time t never depends on sampling history and replays are exact.
 Synthetic conventions: io operations are 1 MiB (which fixes the average
 size/latency metrics), RPC request counts derive from io/meta volume, lock
 counters stay flat, a node's counters carry the first filesystem its
-domain mounts (none for routers), and only the seed-selected MDS node of a
-fail-over pair reports metadata activity.
+domain mounts (none for routers), a ``roundrobin`` io event spreads over
+the OSTs of the OSS domains that serve its clients' filesystems, and only
+the seed-selected MDS node of a fail-over pair reports metadata activity.
 
 A snapshot may be asked for only some counter and gauge names, the ones an
-agent's due streams read: a client snapshot then builds only those, with
+agent's streams read: a client snapshot then builds only those, with
 the same values, bit for bit, as a whole one. Server and router snapshots
 are always whole.
 """
@@ -359,18 +360,16 @@ class WorkloadModel:
                  seed: int = 0) -> None:
         self.topology = topology
         self.workload = workload
-        self.seed = seed
         # node -> the filesystem its counters carry: its domain's first
         self.fs_of = {node: domain.filesystems[0] if domain.filesystems else ""
                       for domain in topology.domains for node in domain.member_nodes}
         self.jobs = {j.job_id: j for j in workload.jobs}
-        all_osts = [ost for d in topology.domains if d.lustre_role == "oss"
+        all_osts = [(ost, d.filesystems) for d in topology.domains if d.lustre_role == "oss"
                     for ost in d.osts]
         if all_osts:
             shift = seed % len(all_osts)
             all_osts = all_osts[shift:] + all_osts[:shift]
         self.all_osts = tuple(all_osts)
-        self.ost_server = topology.ost_to_server()
         self.flows = [self._flow(ev) for ev in workload.io]
         mds_nodes = topology.servers("mds")
         self.active_mds = mds_nodes[seed % len(mds_nodes)] if mds_nodes else ""
@@ -420,8 +419,9 @@ class WorkloadModel:
         start, end = max(ev.start, job.start), min(ev.end, job.end)
         if end <= start:
             return None
-        if ev.spread == "roundrobin":
-            osts = self.all_osts
+        if ev.spread == "roundrobin":  # the OSTs of the OSS domains serving its nodes' fs
+            mounted = {self.fs_of[node] for node in job.nodes}
+            osts = tuple(ost for ost, served in self.all_osts if not mounted.isdisjoint(served))
         else:
             oss = ev.spread[len("single:"):]
             osts = self.topology.domain_of_node(oss).osts_of(oss)

@@ -120,9 +120,9 @@ class RunResult:
         return out
 
 
-def run_scenario(spec: ScenarioSpec, job_source=None) -> RunResult:
+def run_scenario(spec: ScenarioSpec) -> RunResult:
     """Build, run to the scenario's duration, and collect the transcript."""
-    cluster = SimCluster(spec, job_source=job_source)
+    cluster = SimCluster(spec)
     cluster.advance(spec.duration)
     return cluster.result()
 

@@ -62,14 +62,6 @@ class DomainSpec:
     def tree_parent(self, pos: int) -> int:
         return (pos - 1) // self.fanout
 
-    def tree_depth(self) -> int:
-        """Depth of the deepest member position (manager at depth 0)."""
-        depth, pos = 0, len(self.member_nodes)
-        while pos > 0:
-            pos = self.tree_parent(pos)
-            depth += 1
-        return depth
-
     def internal_positions(self) -> list[int]:
         """Member positions that have heap children (they host relays)."""
         return [p for p in range(1, len(self.member_nodes) + 1) if self.tree_children(p)]
@@ -155,10 +147,6 @@ class OverlayTopology:
                 for ost in d.osts_of(node):
                     out[ost] = node
         return out
-
-    def ring_cycle(self) -> list[str]:
-        """Ring membership in multicast direction: root first, then domains."""
-        return ["@root"] + list(self.ring_order)
 
 
 def _split_list(value: str) -> tuple[str, ...]:

@@ -164,25 +164,22 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace("\n", "\\n")
 
 
+_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)  # a backslash and what follows it, if anything
+
+
+def _unescape_one(escape: re.Match) -> str:
+    nxt = escape[1]
+    if nxt == "n":
+        return "\n"
+    if nxt == "\\":
+        return "\\"
+    if not nxt:
+        raise ProtocolError("dangling escape in payload value")
+    raise ProtocolError(f"bad escape \\{nxt} in payload value")
+
+
 def _unescape(value: str) -> str:
-    if "\\" not in value:
-        return value
-    plain = value.replace("\\n", "\n")
-    if "\\" not in plain:  # the first of a \\ pair, or a bad escape, would be left
-        return plain
-    # split pairs backslashes left to right, as a scan would, so a backslash
-    # left in a part is valid only as the start of a \n escape
-    parts = value.split("\\\\")
-    for i, part in enumerate(parts):
-        plain = part.replace("\\n", "\n")
-        if "\\" in plain:
-            rest = part.replace("\\n", "")
-            at = rest.index("\\")
-            if at + 1 == len(rest):  # only possible at the end of the value
-                raise ProtocolError("dangling escape in payload value")
-            raise ProtocolError(f"bad escape \\{rest[at + 1]} in payload value")
-        parts[i] = plain
-    return "\\".join(parts)
+    return _ESCAPE.sub(_unescape_one, value) if "\\" in value else value
 
 
 def _num(x: float) -> str:

@@ -6,8 +6,8 @@ import pytest
 
 from melt import wire
 from melt.agent import (
-    AgentConfig, AgentCore, SourceError, SourceSnapshot, StatsFileSource,
-    StatsParseError, rate_from_counters, read_names, read_stats_file,
+    AgentConfig, AgentCore, SourceSnapshot, StatsFileSource,
+    StatsParseError, read_names, read_stats_file,
 )
 from melt.aggregates import body_from_text
 
@@ -17,22 +17,6 @@ from simutil import (
 )
 
 MI = 1024 * 1024
-
-
-class TestRateFromCounters:
-    def test_basic(self):
-        assert rate_from_counters(0, 2_097_152, 2.0) == 1_048_576
-
-    def test_flat(self):
-        assert rate_from_counters(5, 5, 2.0) == 0
-
-    def test_regression_raises(self):
-        with pytest.raises(SourceError, match="regression"):
-            rate_from_counters(10, 3, 1.0)
-
-    def test_zero_dt(self):
-        with pytest.raises(ValueError):
-            rate_from_counters(0, 1, 0)
 
 
 def synthetic_sim(extra=(), interval=2):
@@ -60,7 +44,7 @@ class TestSampling:
     def test_metric_not_due_between_rounds(self):
         host, handle, client, sid = synthetic_sim(interval=10)
         run_ticks(host, 1, 9)
-        assert client.records == []
+        assert not client.records
         run_ticks(host, 10, 1)
         assert [r.round for r in client.records] == [10]
 
@@ -241,7 +225,7 @@ class TestStatsFileAgent:
         host, handle, client, sid, path, agent = self.stats_sim(tmp_path)
         path.unlink()
         run_ticks(host, 1, 2)
-        assert client.records == []
+        assert not client.records
         assert agent.health_skips >= 1
         assert agent.attached
 
@@ -389,6 +373,38 @@ class TestGroupingPlan:
         assert fresh_host.transcript == host.transcript
         assert fresh_client.records == client.records
 
+    def test_a_new_epoch_that_keeps_the_agents_job_keeps_the_plan(self):
+        host, handle, client, sid = self.job_sim()
+        agent = handle.agents["n1"]
+        run_ticks(host, 1, 3)
+        plan = agent.production[sid].plan
+        client.emit("up", wire.JobMapUpdate(2, (("j1", ("n1",)), ("j9", ("n2",)))))
+        host.flush(client)
+        host.pump()
+        run_ticks(host, 4, 1)
+        assert (agent.jobmap_epoch, agent.my_job) == (2, "j1")
+        assert agent.production[sid].plan is plan
+
+    def test_the_testbed_builds_a_plan_in_at_most_a_third_of_its_uses(self, monkeypatch):
+        from melt.scenario import load_scenario
+        from melt.simharness import SimCluster, resolve_scenario_path
+
+        built: list[bool] = []  # per use: was the plan built anew
+        plan = AgentCore.plan
+
+        def counted(self, prod, spec, counters):
+            before = prod.plan
+            after = plan(self, prod, spec, counters)
+            built.append(after is not before)
+            return after
+
+        monkeypatch.setattr(AgentCore, "plan", counted)
+        cluster = SimCluster(load_scenario(resolve_scenario_path("testbed.cfg")))
+        cluster.add_cli(["-group=job", "fs", "status", "io", "-delay=5s"])
+        cluster.advance(60)
+        assert len(built) > 1000
+        assert 3 * sum(built) <= len(built)
+
     def test_a_new_counter_key_rebuilds_the_plan(self):
         host, handle, model = make_sim(ONE_DOMAIN)
         attach_agents(handle, model)
@@ -437,7 +453,7 @@ class RecordingSource:
         return SourceSnapshot(ts=now)
 
 
-def test_a_source_is_asked_for_the_names_of_the_due_streams():
+def test_a_source_is_asked_for_the_names_every_stream_of_the_agent_reads():
     host, handle, model = make_sim(ONE_DOMAIN)
     source = RecordingSource()
     agent = AgentCore(AgentConfig.from_topology(handle.topology, "n1"), source, handle.topology)
@@ -448,7 +464,9 @@ def test_a_source_is_asked_for_the_names_of_the_due_streams():
     create_stream(handle, client, io_stream_spec(name="load", metrics=load_metrics, interval=3))
     io_names = {"IO_RD_BYTES", "IO_WR_BYTES", "IO_WR_OPS"}
     assert read_names(io_metrics) == io_names and read_names(load_metrics) == {"LOAD_CPU_PCT"}
-    assert source.asked == [io_names, {"LOAD_CPU_PCT"}]  # each stream's baseline
+    every = io_names | {"LOAD_CPU_PCT"}
+    assert source.asked == [io_names, every]  # each stream's baseline, as the set grows
+    assert agent.names == every
     source.asked.clear()
     run_ticks(host, 1, 6)
-    assert source.asked == [io_names, {"LOAD_CPU_PCT"}, io_names, io_names | {"LOAD_CPU_PCT"}]
+    assert source.asked == [every] * 4  # the ticks where a stream is due: 2, 3, 4 and 6

@@ -308,6 +308,21 @@ def test_counters_carry_their_own_domains_filesystem():
         assert counters and {key[1] for key in counters} == {fs}, node
 
 
+def test_roundrobin_io_stays_on_the_osts_of_its_filesystem():
+    spec = parse_scenario(TWO_FILESYSTEMS)
+    model = WorkloadModel(spec.topology, spec.workload, spec.seed)
+    assert {key[2] for key in model.snapshot("c1", 10).counters} \
+        == {"", "knot2-OST0000", "knot2-OST0001"}
+    assert {key[3] for key in model.snapshot("p1", 10).counters} == {"", "ja"}
+    assert {key[3] for key in model.snapshot("o1", 10).counters} == {"", "jk"}
+    # no OSS domain serves alpha: its io lands on no OST
+    text = TWO_FILESYSTEMS.replace("single:p1", "roundrobin").replace(
+        "fs = alpha\nosts", "fs = knot2\nosts")
+    spec = parse_scenario(text)
+    model = WorkloadModel(spec.topology, spec.workload, spec.seed)
+    assert {key[2] for key in model.snapshot("a1", 10).counters} == {"", "-"}
+
+
 def test_every_filesystem_io_stream_carries_its_clients():
     from melt.simharness import SimCluster, oracle_aggregate
 

@@ -107,14 +107,14 @@ class TestTreeShape:
         d = DomainSpec("d", "mgr", ("n1",), 2, "client")
         assert d.tree_children(0) == [1]
         assert d.tree_children(1) == []
-        assert d.tree_depth() == 1
+        assert d.tree_parent(1) == 0
         assert d.internal_positions() == []
 
     def test_euler_depth_three_with_fanout_four(self):
         # hand-derived: 32 members under fanout 4 -> levels 4/16/12
         members = tuple(f"e{i}" for i in range(32))
         d = DomainSpec("euler", "mgr", members, 4, "client")
-        assert d.tree_depth() == 3
+        assert [d.tree_parent(pos) for pos in (32, 7, 1)] == [7, 1, 0]
         assert d.internal_positions() == list(range(1, 8))
         assert d.tree_children(7) == [29, 30, 31, 32]
         assert d.tree_children(8) == []
@@ -123,8 +123,4 @@ class TestTreeShape:
     def test_small_domain_has_no_relays(self):
         d = DomainSpec("d", "mgr", ("a", "b", "c", "x"), 4, "client")
         assert d.internal_positions() == []
-        assert d.tree_depth() == 1
-
-    def test_ring_cycle(self):
-        topo = parse_topology(SMALL)
-        assert topo.ring_cycle() == ["@root", "a"]
+        assert d.tree_parent(4) == 0
