@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-ROLES = ("client", "oss", "mds", "router")
 CLASSES = ("io", "lock", "meta", "rpc", "load", "op", "path", "client")
 
 # classes each agent role can produce
@@ -115,9 +114,6 @@ AVG_SOURCES = {
     "IO_CLNT_AVG_WR_TIME": ("IO_WR_TIME_SUM", "IO_WR_OPS"),
     "RPC_AVG_WAIT": ("RPC_WAIT_SUM", "RPC_REQS"),
 }
-
-AUX_COUNTERS = ("IO_RD_OPS", "IO_WR_OPS", "IO_RD_TIME_SUM", "IO_WR_TIME_SUM", "RPC_WAIT_SUM")
-KNOWN_COUNTERS = frozenset(RAW_TO_RATE) | frozenset(AUX_COUNTERS)
 
 # metric that carries each counted-key event class
 COUNTED_CLASS_METRIC = {"op": "OP_COUNT", "path": "PATH_COUNT", "client": "CLIENT_COUNT"}

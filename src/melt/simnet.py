@@ -6,14 +6,13 @@ a process when one of its links closes, and counts messages sent and
 received per process. :class:`SimHost` runs every link in process on a
 logical clock: each logical second every process gets a tick in
 registration order, then messages are pumped until the network is
-quiescent, so rounds are barrier-complete. Every frame passes through
-the host's :class:`~melt.wire.CodecMemo` in both directions: each link's
-decoder returns the last message the host decoded for a byte-equal
-payload, and a send of a Data equal to the last one the host encoded
-reuses its frame; everything else goes through the wire codec. Frames
-and messages are the ones the codec gives, so the layers above stay
-byte-exact with a socket deployment, while a record passing through
-several hops of one host is decoded and encoded once. The socket backend
+quiescent, so rounds are barrier-complete. Every send is encoded by
+:func:`~melt.wire.encode_message`, and every link's decoder reads through
+the host's :class:`~melt.wire.CodecMemo`, which returns the last message
+the host decoded for a byte-equal payload. Frames and messages are the
+ones the codec gives, so the layers above stay byte-exact with a socket
+deployment, while a record passing through several hops of one host is
+decoded once. The socket backend
 (:class:`melt.sockethost.SocketHost`) adds TCP links to the same loop.
 
 Delivery runs off one heap of ready links; idle links are never polled. A
@@ -180,7 +179,7 @@ class SimHost:
             self.record(("send-dropped", self.now, proc.pid, link, type(msg).__name__))
             return
         try:
-            state.channel.send(self.codec.encode(msg))
+            state.channel.send(wire.encode_message(msg))
         except ChannelClosedError:
             self.record(("send-dropped", self.now, proc.pid, link, type(msg).__name__))
             return

@@ -1,7 +1,7 @@
 """Socket backend of the host contract: the same process cores over real TCP.
 
 :class:`SocketHost` is :class:`~melt.simnet.SimHost` plus TCP links: flush,
-delivery, the codec memo, link-closed handling and the message counters
+delivery, the decode memo, link-closed handling and the message counters
 are the sim backend's, unchanged. In-process links (ring, relay tree) stay sim
 channels; agents and session clients attach over TCP listeners,
 identifying themselves with their first message (Attach), exactly as the

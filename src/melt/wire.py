@@ -1,33 +1,32 @@
 """Framed message protocol spoken by every overlay process.
 
-Frame layout: 2 magic bytes 0x4D 0x4C, 1 version byte (0x01), 1 message-type
+Frame layout: 2 magic bytes 0x4D 0x4C, 1 version byte (0x02), 1 message-type
 byte, 4-byte big-endian payload length, UTF-8 payload. The payload is
 ordered ``key=value`` lines terminated by LF; values escape backslash as
 ``\\\\`` and LF as ``\\n``; repeated fields use indexed keys (``job.0.id``).
 Floats are serialized as the shortest decimal that round-trips binary64.
+
+``Data``, the one message every round carries many of, has one fixed
+layout instead: its five numbers as ``key=<ASCII digits>`` lines (no
+leading zero) in declaration order, one empty line, then the aggregate
+body as it is. The frame length bounds the body, so it is never escaped.
+One reader and one writer handle it. A Data payload in any other spelling
+is refused, with the generic reader's text where that reader finds a
+fault in the numbers. A Data whose numbers are not non-negative ints, or
+whose body is not a str, is refused on encode.
 
 Any magic or version mismatch is a hard error; there is no negotiation. A
 payload longer than ``MAX_PAYLOAD`` (64 MiB) is refused on encode, and on
 decode as soon as a header announces it.
 Node lists inside JobMapUpdate are comma-joined, so node ids used there must
 not contain commas or newlines (enforced at construction).
-
-``Data``, the one message every round carries many of, has a fast path
-on both sides of the codec: :func:`encode_payload` writes a Data whose
-fields have exactly their declared types in one string, and
-:func:`decode_payload` reads a Data payload in that spelling (the six keys
-once each in declaration order, each number ASCII digits, no escape in the
-body but ``\\n``) by position. Both give the bytes and the message the
-generic codec gives; every other payload, valid or not, goes through the
-generic codec, which is the one place a :class:`ProtocolError` is raised.
 :class:`FrameDecoder` decodes straight from the bytes fed when it holds
 none back.
 
-A host runs its codec through one :class:`CodecMemo`, which remembers the
-last payload it decoded and the last Data it encoded. A repeat of either,
-as a record passing through several relays on one host is, costs a byte
-comparison instead of a decode or an encode, and gives the message or the
-frame the codec would.
+A host decodes through one :class:`CodecMemo`, which remembers the last
+payload it decoded. A repeat, as a record passing through several relays
+on one host is, costs a byte comparison instead of a decode and gives the
+message the codec would.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import Sequence, get_type_hints
 from .streams import StreamSpec
 
 MAGIC = b"\x4d\x4c"
-VERSION = 1
+VERSION = 2
 HEADER_LEN = 8
 _LENGTH = struct.Struct(">I")  # payload length field, at offset 4
 MAX_PAYLOAD = 64 << 20  # bytes; both ends refuse a larger payload
@@ -246,53 +245,42 @@ def _read(fields: dict[str, str], key: str, decode):
         raise
 
 
+_DATA_CODE = TYPE_CODES[Data]
 _data_fields = attrgetter(*(f.name for f in declared_fields(Data)))
 _DATA_TYPES = tuple(get_type_hints(Data)[f.name] for f in declared_fields(Data))
+_DATA_NUMBERS = _PLANS[Data][:-1]
+# the one spelling of a Data's numbers: each key once, in declaration order,
+# ASCII digits with no leading zero, then an empty line
+_DATA_HEAD = re.compile("".join(f"{key}=(0|[1-9][0-9]*)\n" for _, key, _, _ in _DATA_NUMBERS)
+                        + "\n")
 
 
-def _exact_fields(msg: Data) -> tuple | None:
-    """A Data's fields if each has exactly its declared type, else None."""
-    fields = _data_fields(msg)
-    return fields if tuple(map(type, fields)) == _DATA_TYPES else None
-
-
-_DATA_CODE = TYPE_CODES[Data]
-# the encoder's spelling of a Data up to its body: each number ASCII digits
-# ('²'.isdigit() holds, but int('²') raises)
-_DATA_HEAD = re.compile("".join(f"{f.name}=([0-9]+)\n" for f in declared_fields(Data)[:-1])
-                        + f"{declared_fields(Data)[-1].name}=")
-
-
-def _data_at(text: str) -> Data | None:
-    """The Data a payload in the encoder's own spelling gives, read by
-    position: the six keys once each in declaration order, each number
-    ASCII digits, and no escape in the body but ``\\n``. None sends any
-    other payload, valid or not, to the generic reader."""
+def _decode_data(text: str) -> Data:
     head = _DATA_HEAD.match(text)
-    if head is None:
-        return None
-    start, end = head.end(), len(text) - 1
-    if text.find("\n", start) != end:  # the body's LF must end the text
-        return None
-    body = text[start:end].replace("\\n", "\n")
-    if "\\" in body:  # a \\ pair, or a bad escape
-        return None
-    try:
-        numbers = list(map(int, head.groups()))
-    except ValueError:  # more digits than int() reads
-        return None
-    return Data(*numbers, body)
+    if head is not None:
+        try:
+            return Data(*map(int, head.groups()), text[head.end():])
+        except ValueError:  # more digits than int() reads
+            pass
+    # the generic reader words what is wrong with the header; a header it
+    # accepts has its keys in another order or spelling
+    fields = _fields(text.partition("\n\n")[0])
+    for _, key, _, decode in _DATA_NUMBERS:
+        _read(fields, key, decode)
+    raise ProtocolError("Data payload is not its numbers as key=digits lines in "
+                        "declaration order, an empty line and the body")
 
 
 def encode_payload(msg: Message) -> bytes:
     cls = type(msg)
     if cls is Data:
-        exact = _exact_fields(msg)
-        if exact is not None:  # the generic spelling, written in one go
-            sid, rnd, window, expected, actual, body = exact
-            return (f"stream_id={sid}\nround={rnd}\nwindow_secs={window}\n"
-                    f"expected_contributors={expected}\nactual_contributors={actual}\n"
-                    f"aggregate_body={_escape(body)}\n").encode("utf-8")
+        sid, rnd, window, expected, actual, body = fields = _data_fields(msg)
+        if tuple(map(type, fields)) != _DATA_TYPES or min(fields[:-1]) < 0:
+            raise ProtocolError(f"unencodable Data: numbers {fields[:-1]!r} and a "
+                                f"{type(body).__name__} body, not non-negative ints and a str")
+        return (f"stream_id={sid}\nround={rnd}\nwindow_secs={window}\n"
+                f"expected_contributors={expected}\nactual_contributors={actual}\n\n"
+                f"{body}").encode("utf-8")
     if cls is JobMapUpdate:
         pairs = [("epoch", str(msg.epoch))]
         for i, (job_id, nodes) in enumerate(msg.entries):
@@ -304,15 +292,7 @@ def encode_payload(msg: Message) -> bytes:
     return "".join([f"{key}={_escape(text)}\n" for key, text in pairs]).encode("utf-8")
 
 
-def decode_payload(code: int, payload: bytes) -> Message:
-    try:
-        text = payload.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"payload is not UTF-8: {exc}") from None
-    if code == _DATA_CODE:
-        msg = _data_at(text)
-        if msg is not None:
-            return msg
+def _fields(text: str) -> dict[str, str]:
     fields: dict[str, str] = {}
     for line in text.split("\n"):
         if not line:
@@ -323,6 +303,17 @@ def decode_payload(code: int, payload: bytes) -> Message:
         if key in fields:
             raise ProtocolError(f"duplicate payload key {key!r}")
         fields[key] = _unescape(value)
+    return fields
+
+
+def decode_payload(code: int, payload: bytes) -> Message:
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"payload is not UTF-8: {exc}") from None
+    if code == _DATA_CODE:
+        return _decode_data(text)
+    fields = _fields(text)
     cls = CODE_TYPES[code]
     try:
         if cls is CreateStream:
@@ -421,28 +412,21 @@ def decode_all(buf: bytes) -> tuple[list[Message], bytes]:
 
 
 class CodecMemo:
-    """The last payload a host decoded and the last Data it encoded.
+    """The last payload a host decoded.
 
-    A host gives one to the :class:`FrameDecoder` of every link it owns and
-    encodes its sends through it. :meth:`decode` returns the remembered
-    message for a payload byte-equal to the remembered one, with the same
-    type code; :meth:`encode` returns the remembered frame for a
-    :class:`Data` whose fields equal the remembered one's, when the fields
-    of both have exactly the types ``int`` and ``str`` (``True`` or ``1.0``
-    equal ``1`` but do not encode as it). Every other call goes to
-    :func:`decode_payload` or :func:`encode_message`, and only a call that
-    returns is remembered. Messages are frozen, so the links of a host can
-    share one.
+    A host gives one to the :class:`FrameDecoder` of every link it owns.
+    :meth:`decode` returns the remembered message for a payload byte-equal
+    to the remembered one, with the same type code; any other payload goes
+    to :func:`decode_payload`, and only a decode that returns is
+    remembered. Messages are frozen, so the links of a host can share one.
     """
 
-    __slots__ = ("_code", "_payload", "_msg", "_data", "_frame")
+    __slots__ = ("_code", "_payload", "_msg")
 
     def __init__(self) -> None:
         self._code = 0
         self._payload = b""
         self._msg: Message | None = None
-        self._data: Data | None = None
-        self._frame = b""
 
     def decode(self, code: int, payload) -> Message:
         if code == self._code and payload == self._payload:
@@ -450,20 +434,6 @@ class CodecMemo:
         msg = decode_payload(code, payload)
         self._code, self._payload, self._msg = code, payload, msg
         return msg
-
-    def encode(self, msg: Message) -> bytes:
-        if type(msg) is not Data:
-            return encode_message(msg)
-        last = self._data
-        # most Data differ from the last in their bodies: the fields are
-        # taken apart only when the bodies are equal
-        if last is not None and msg.aggregate_body == last.aggregate_body:
-            fields = _exact_fields(msg)
-            if fields is not None and fields == _exact_fields(last):
-                return self._frame
-        frame = encode_message(msg)
-        self._data, self._frame = msg, frame
-        return frame
 
 
 class FrameDecoder:

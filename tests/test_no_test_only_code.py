@@ -1,11 +1,12 @@
-"""Every function, class and method in ``src/melt`` is named by the program.
+"""Every function, class, method and module-level name in ``src/melt`` is
+named by the program.
 
 A definition counts as used when its name appears in ``src/melt`` or
 ``bench/`` (as a name, an attribute, an import or a string constant, which
 is how ``bench/tracing.py`` names what it wraps), as a ``pyproject.toml``
 script entry point, or in ``melt.__all__``. Anything else is reached only
-by tests and does not belong in ``src/``. Dunder methods are called by
-Python itself and are not checked.
+by tests and does not belong in ``src/``. Dunder methods and names
+(``__all__``, ``__init__``) are read by Python itself and are not checked.
 """
 
 from __future__ import annotations
@@ -28,10 +29,15 @@ ALLOWED = {
 
 
 def definitions(tree: ast.Module):
-    """Qualified names of the top-level functions and classes and their methods."""
+    """Qualified names of the top-level functions, classes and assigned
+    names, and of the classes' methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -41,7 +47,7 @@ def definitions(tree: ast.Module):
 def named(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)

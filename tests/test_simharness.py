@@ -425,18 +425,18 @@ def run_for_comparison(scenario: str) -> tuple:
                          ids=["testbed", "testbed-detach-agent", "testbed-drop-ring-link",
                               "random-5", "random-23"])
 def test_codec_memo_changes_no_transcript(scenario, monkeypatch):
-    encodes = []
-    encode = wire.encode_message
-    monkeypatch.setattr(wire, "encode_message", lambda msg: encodes.append(1) or encode(msg))
+    decodes = []
+    decode = wire.decode_payload
+    monkeypatch.setattr(wire, "decode_payload",
+                        lambda code, payload: decodes.append(1) or decode(code, payload))
     with_memo = run_for_comparison(scenario)
-    memo_encodes = len(encodes)
+    memo_decodes = len(decodes)
     with monkeypatch.context() as plain:
-        plain.setattr(wire.CodecMemo, "encode", lambda self, msg: wire.encode_message(msg))
         plain.setattr(wire.CodecMemo, "decode",
                       lambda self, code, payload: wire.decode_payload(code, payload))
-        encodes.clear()
+        decodes.clear()
         without = run_for_comparison(scenario)
     assert with_memo[0] == without[0]  # transcripts
     assert with_memo[1] == without[1] and with_memo[1]  # root records
     assert with_memo[2] == without[2]  # what the clients saw
-    assert memo_encodes < len(encodes)  # the memo was used
+    assert memo_decodes < len(decodes)  # the memo was used

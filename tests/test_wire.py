@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import random
 import struct
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,8 @@ from melt.wire import (
 def hand_frame(msg_type: int, payload_text: str) -> bytes:
     """Independent serializer used as the byte-level oracle."""
     payload = payload_text.encode("utf-8")
-    return b"\x4d\x4c" + bytes([1, msg_type]) + struct.pack(">I", len(payload)) + payload
+    header = b"\x4d\x4c" + bytes([wire.VERSION, msg_type]) + struct.pack(">I", len(payload))
+    return header + payload
 
 
 class TestAgainstHandSerializer:
@@ -35,6 +35,13 @@ class TestAgainstHandSerializer:
         expected = hand_frame(
             9, "epoch=7\njob.0.id=tait.1111\njob.0.nodes=c1,c2\n")
         msg = JobMapUpdate(7, (("tait.1111", ("c1", "c2")),))
+        assert encode_message(msg) == expected
+
+    def test_data(self):
+        expected = hand_frame(
+            7, "stream_id=3\nround=20\nwindow_secs=10\nexpected_contributors=50\n"
+               "actual_contributors=49\n\nkind=summary\ng j IO_RD_BW 2 10.5 1 9.5")
+        msg = Data(3, 20, 10, 50, 49, "kind=summary\ng j IO_RD_BW 2 10.5 1 9.5")
         assert encode_message(msg) == expected
 
     def test_attach(self):
@@ -138,7 +145,7 @@ class TestIncompleteAndMalformed:
 
     @pytest.mark.parametrize("length", [(64 << 20) + 1, 2 ** 32 - 1])
     def test_oversized_length_header_rejected_on_decode(self, length):
-        header = b"\x4d\x4c\x01\x0a" + struct.pack(">I", length)
+        header = b"\x4d\x4c" + bytes((wire.VERSION, 10)) + struct.pack(">I", length)
         with pytest.raises(ProtocolError, match="more than 67108864"):
             decode_frame(header)
         dec = FrameDecoder()
@@ -147,7 +154,7 @@ class TestIncompleteAndMalformed:
             dec.feed(header[5:])
 
     def test_largest_length_header_waits_for_payload(self):
-        header = b"\x4d\x4c\x01\x0a" + struct.pack(">I", 64 << 20)
+        header = b"\x4d\x4c" + bytes((wire.VERSION, 10)) + struct.pack(">I", 64 << 20)
         assert decode_frame(header) == (None, header)
         assert FrameDecoder().feed(header + b"node_id=") == []
 
@@ -255,11 +262,10 @@ def test_concatenation_property(msgs):
 # --- the host's codec memo ---------------------------------------------------
 # Small value pools make repeats likely; int fields also get True and 1.0,
 # and histogram edges 0.0 and -0.0, which compare equal to 0, 1 or 0.0 but
-# encode differently. Data's int fields are all some spelling of 1, so two
-# Data differ under == only by their bodies.
+# encode differently. Data, which refuses to encode those, gets ints only.
 
 num = st.sampled_from([0, 1, True, 1.0, 7])
-one = st.sampled_from([1, 1, 1, 1, True, 1.0])
+small = st.sampled_from([0, 1, 7])
 word = st.sampled_from(["a", "b", "a\nb"])
 name = st.sampled_from(["j1", "j2"])
 memo_messages = st.one_of(
@@ -273,7 +279,7 @@ memo_messages = st.one_of(
     st.builds(StreamCreated, num),
     st.builds(Subscribe, num, st.sampled_from(wire.DIRECTIONS)),
     st.builds(SubscribeAck, num),
-    st.builds(Data, one, one, one, one, one,
+    st.builds(Data, small, small, small, small, small,
               st.sampled_from(("kind=summary", "kind=summary\ng a b 1 1 1 1"))),
     st.builds(SetRate, num, st.sampled_from((("a",), ("a", "b"))), num),
     st.builds(JobMapUpdate, num, st.sampled_from(((), (("j1", ("n1",)),)))),
@@ -292,12 +298,11 @@ def _decoded(decode, frame):
 
 @given(st.lists(memo_messages, min_size=1, max_size=10))
 @settings(max_examples=300)
-def test_codec_memo_gives_the_codecs_frames_and_messages(msgs):
+def test_codec_memo_gives_the_codecs_messages(msgs):
     memo = wire.CodecMemo()
     decoders = [FrameDecoder(memo), FrameDecoder(memo)]
     for i, msg in enumerate(msgs * 2):
-        frame = memo.encode(msg)
-        assert frame == encode_message(msg)
+        frame = encode_message(msg)
         want = _decoded(lambda f: [decode_frame(f)[0]], frame)
         got = _decoded(decoders[i % 2].feed, frame)
         assert got == want
@@ -327,21 +332,6 @@ def test_codec_memo_tells_apart_types_with_equal_payloads():
     assert created[wire.HEADER_LEN:] == acked[wire.HEADER_LEN:]
     assert FrameDecoder(wire.CodecMemo()).feed(created + acked) == [
         StreamCreated(5), SubscribeAck(5)]
-
-
-def test_codec_memo_encodes_an_equal_data_once_and_a_differently_typed_one_afresh(monkeypatch):
-    memo = wire.CodecMemo()
-    calls = []
-    encode = wire.encode_message
-    monkeypatch.setattr(wire, "encode_message", lambda msg: calls.append(msg) or encode(msg))
-    record = Data(3, 20, 1, 50, 49, "kind=summary")
-    spelled = Data(3, 20, True, 50, 49, "kind=summary")
-    assert spelled == record
-    frame = memo.encode(record)
-    assert memo.encode(Data(3, 20, 1, 50, 49, "kind=summary")) is frame
-    assert memo.encode(spelled) == encode(spelled) != frame
-    assert memo.encode(record) == frame
-    assert calls == [record, spelled, record]
 
 
 def test_decoder_error_carries_the_frames_before_the_bad_one():
@@ -488,10 +478,6 @@ def reference_build(code: int, fields: dict[str, str], order: list[str]):
             return Subscribe(need_int("stream_id"), need("direction"))
         if cls is SubscribeAck:
             return SubscribeAck(need_int("stream_id"))
-        if cls is Data:
-            return Data(need_int("stream_id"), need_int("round"), need_int("window_secs"),
-                        need_int("expected_contributors"), need_int("actual_contributors"),
-                        need("aggregate_body"))
         if cls is SetRate:
             return SetRate(need_int("stream_id"), reference_split_csv(need("metric_names")),
                            need_int("interval_secs"))
@@ -515,16 +501,21 @@ def reference_build(code: int, fields: dict[str, str], order: list[str]):
     raise ProtocolError(f"unknown msg_type code {code}")
 
 
+DATA_KEYS = [f.name for f in dataclasses.fields(Data)]
+DATA_LAYOUT_ERROR = ("Data payload is not its numbers as key=digits lines in declaration "
+                     "order, an empty line and the body")
+
+
 def reference_encode_payload(msg) -> bytes:
-    lines = [f"{key}={wire._escape(value)}\n" for key, value in reference_fields_of(msg)]
+    pairs = reference_fields_of(msg)
+    if isinstance(msg, Data):  # the numbers' lines, an empty line, the body as it is
+        return "".join([f"{key}={value}\n" for key, value in pairs[:-1]]
+                       + ["\n", msg.aggregate_body]).encode("utf-8")
+    lines = [f"{key}={wire._escape(value)}\n" for key, value in pairs]
     return "".join(lines).encode("utf-8")
 
 
-def reference_decode_payload(code: int, payload: bytes):
-    try:
-        text = payload.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"payload is not UTF-8: {exc}") from None
+def reference_fields(text: str) -> tuple[dict[str, str], list[str]]:
     fields: dict[str, str] = {}
     order: list[str] = []
     for line in text.split("\n"):
@@ -537,7 +528,41 @@ def reference_decode_payload(code: int, payload: bytes):
             raise ProtocolError(f"duplicate payload key {key!r}")
         fields[key] = wire._unescape(value)
         order.append(key)
-    return reference_build(code, fields, order)
+    return fields, order
+
+
+def reference_decode_data(text: str) -> Data:
+    """The five number keys in declaration order, each a decimal with no sign,
+    space or leading zero, an empty line, and the rest of the text as the
+    body; any other header is worded by the field reader, or is out of layout."""
+    header, blank, body = text.partition("\n\n")
+    pairs = [line.partition("=") for line in header.split("\n")]
+    if blank and [key for key, _, _ in pairs] == DATA_KEYS[:-1] and all(
+            value.isascii() and value.isdigit() and (value == "0" or value[0] != "0")
+            for _, _, value in pairs):
+        try:
+            return Data(*(int(value) for _, _, value in pairs), body)
+        except ValueError:  # more digits than int() reads
+            pass
+    fields, _ = reference_fields(header)
+    for key in DATA_KEYS[:-1]:
+        if key not in fields:
+            raise ProtocolError(f"payload missing mandatory key {key!r}")
+        try:
+            int(fields[key])
+        except ValueError:
+            raise ProtocolError(f"payload key {key!r} is not an integer") from None
+    raise ProtocolError(DATA_LAYOUT_ERROR)
+
+
+def reference_decode_payload(code: int, payload: bytes):
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"payload is not UTF-8: {exc}") from None
+    if wire.CODE_TYPES[code] is Data:
+        return reference_decode_data(text)
+    return reference_build(code, *reference_fields(text))
 
 
 edge = st.one_of(st.floats(allow_nan=False), st.integers(-10 ** 6, 10 ** 6))
@@ -599,82 +624,105 @@ def test_decode_errors_match_reference(msg, data):
         _decode_outcome(reference_decode_payload, code, payload)
 
 
-# --- the Data fast paths against the generic codec -------------------------------
-
-def generic_decode_payload(code: int, payload: bytes):
-    """decode_payload with the positional Data reader turned off."""
-    with mock.patch.object(wire, "_data_at", lambda text: None):
-        return wire.decode_payload(code, payload)
-
-
-def generic_encode_payload(msg) -> bytes:
-    """encode_payload with the one-string Data writer turned off."""
-    with mock.patch.object(wire, "_exact_fields", lambda msg: None):
-        return wire.encode_payload(msg)
-
+# --- the Data layout ------------------------------------------------------------
 
 DATA_CODE = wire.TYPE_CODES[Data]
-DATA_KEYS = [f.name for f in dataclasses.fields(Data)]
-numbers = st.sampled_from(["5", "+5", " 5", "5 ", "5_0", "²", "١٢", "-1", "007", "0", "",
+numbers = st.sampled_from(["5", "+5", " 5", "5 ", "5_0", "²", "١٢", "-1", "007", "00", "0", "",
                            "9" * 5000, "1.0", "x"])
-bodies = st.text(alphabet="ab =\n\\é%", max_size=20)
-raw_bodies = st.sampled_from(["a\\qb", "a\\", "\\\\n", "a\\nb", "kind=summary\\ng x M 1 2 2 2"])
-data_messages = st.builds(Data, st.integers(0, 1000), st.integers(0, 10 ** 6),
+# bodies with leading empty lines, backslashes, '%', '=', and text beyond ASCII
+bodies = st.builds(lambda blank, text: "\n" * blank + text, st.integers(0, 3),
+                   st.one_of(st.text(max_size=60), st.text(alphabet="ab =\n\\é%\u2603",
+                                                           max_size=30)))
+data_messages = st.builds(Data, st.integers(0, 10 ** 30), st.integers(0, 10 ** 6),
                           st.integers(0, 3600), st.integers(0, 10 ** 4),
                           st.integers(0, 10 ** 4), bodies)
 
 
+@given(data_messages)
+@settings(max_examples=500)
+def test_a_data_round_trips_with_its_body_as_it_is(msg):
+    frame = encode_message(msg)
+    payload = frame[wire.HEADER_LEN:]
+    assert payload == reference_encode_payload(msg)
+    assert payload.endswith(b"\n\n" + msg.aggregate_body.encode("utf-8"))
+    assert decode_frame(frame) == (msg, b"")
+    assert reference_decode_payload(DATA_CODE, payload) == msg
+
+
 @given(data_messages, st.data())
 @settings(max_examples=1000)
-def test_data_payloads_decode_as_the_generic_reader_does(msg, data):
-    """Keys in order, permuted, repeated, missing or joined by others, and
-    numbers and bodies spelled every way: the same message or the same
-    error text as the generic reader and as the reference."""
-    pairs = reference_fields_of(msg)
-    order = data.draw(st.one_of(st.just(list(range(6))), st.permutations(list(range(6))),
-                                st.lists(st.integers(0, 5), max_size=8)))
-    lines = [[pairs[i][0], wire._escape(pairs[i][1])] for i in order]
+def test_only_the_encoders_spelling_of_a_data_decodes(msg, data):
+    """Keys in order, permuted, repeated, missing or joined by others, numbers
+    spelled every way, with and without the empty line: the same message or
+    the same error text as the reference, and a message only for the bytes
+    the encoder writes."""
+    pairs = reference_fields_of(msg)[:-1]
+    order = data.draw(st.one_of(st.just(list(range(5))), st.permutations(list(range(5))),
+                                st.lists(st.integers(0, 4), max_size=7)))
+    lines = [[pairs[i][0], pairs[i][1]] for i in order]
     for i in data.draw(st.sets(st.integers(0, max(len(lines) - 1, 0)), max_size=3)):
         if i < len(lines):
-            lines[i][1] = data.draw(raw_bodies if lines[i][0] == "aggregate_body" else numbers)
+            lines[i][1] = data.draw(numbers)
     for _ in range(data.draw(st.integers(0, 2))):
         at = data.draw(st.integers(0, len(lines)))
         lines.insert(at, [data.draw(st.sampled_from(DATA_KEYS + ["junk", "round2"])),
                           data.draw(numbers)])
-    payload = "".join(f"{key}={value}\n" for key, value in lines).encode()
-    want = _decode_outcome(generic_decode_payload, DATA_CODE, payload)
-    assert _decode_outcome(wire.decode_payload, DATA_CODE, payload) == want
-    assert _decode_outcome(reference_decode_payload, DATA_CODE, payload) == want
+    blank = data.draw(st.sampled_from(["\n", ""]))
+    payload = ("".join(f"{key}={value}\n" for key, value in lines) + blank
+               + msg.aggregate_body).encode("utf-8")
+    got = _decode_outcome(wire.decode_payload, DATA_CODE, payload)
+    assert got == _decode_outcome(reference_decode_payload, DATA_CODE, payload)
+    if got[0] == "ok":
+        assert wire.encode_payload(wire.decode_payload(DATA_CODE, payload)) == payload
 
 
-@pytest.mark.parametrize("payload", [
-    b"stream_id=1\nround=2\nwindow_secs=1\nexpected_contributors=1\nactual_contributors=1\n"
-    b"aggregate_body=kind=summary\\ng a M 1 2 2 2\n",
-    b"stream_id=1\nround=2\nwindow_secs=1\nexpected_contributors=1\nactual_contributors=1\n"
-    b"aggregate_body=\n",
-], ids=["body", "empty-body"])
-def test_the_encoders_spelling_is_read_by_position(payload, monkeypatch):
-    read = []
-    original = wire._data_at
-    monkeypatch.setattr(wire, "_data_at", lambda text: read.append(original(text)) or read[-1])
-    assert wire.decode_payload(DATA_CODE, payload) == generic_decode_payload(DATA_CODE, payload)
-    assert read[0] is not None
+DATA_HEADER = ("stream_id=3\nround=20\nwindow_secs=10\nexpected_contributors=50\n"
+               "actual_contributors=49\n")
+
+
+@pytest.mark.parametrize("payload, error", [
+    (DATA_HEADER.replace("actual_contributors=49\n", "") + "\nkind=summary",
+     "payload missing mandatory key 'actual_contributors'"),
+    ("\nkind=summary", "payload missing mandatory key 'stream_id'"),
+    (DATA_HEADER.replace("round=20", "round=2x") + "\nkind=summary",
+     "payload key 'round' is not an integer"),
+    (DATA_HEADER.replace("round=20", "round=²") + "\nkind=summary",
+     "payload key 'round' is not an integer"),
+    (DATA_HEADER.replace("round=20", "round=" + "9" * 5000) + "\nkind=summary",
+     "payload key 'round' is not an integer"),
+    ("round=20\nstream_id=3\n" + DATA_HEADER.split("\n", 2)[2] + "\nkind=summary",
+     DATA_LAYOUT_ERROR),
+    (DATA_HEADER.replace("round=20", "round=+20") + "\nkind=summary", DATA_LAYOUT_ERROR),
+    (DATA_HEADER.replace("round=20", "round=020") + "\nkind=summary", DATA_LAYOUT_ERROR),
+    (DATA_HEADER + "aggregate_body=kind=summary\\ng j IO_RD_BW 2 10.5 1 9.5\n", DATA_LAYOUT_ERROR),
+    (DATA_HEADER, DATA_LAYOUT_ERROR),
+    (DATA_HEADER + "kind=summary", DATA_LAYOUT_ERROR),
+], ids=["missing", "missing-all", "non-digit", "superscript-digit", "5000-digits",
+        "reordered", "plus-sign", "leading-zero", "v1-spelling", "no-empty-line",
+        "body-without-empty-line"])
+def test_a_malformed_data_is_a_protocol_error(payload, error):
+    frame = hand_frame(DATA_CODE, payload)
+    with pytest.raises(ProtocolError) as plain:
+        decode_frame(frame)
+    with pytest.raises(ProtocolError) as memoized:
+        FrameDecoder(wire.CodecMemo()).feed(frame)
+    assert str(plain.value) == str(memoized.value) == error
+    assert _decode_outcome(reference_decode_payload, DATA_CODE, payload.encode()) == \
+        ("error", error)
 
 
 @pytest.mark.parametrize("field", DATA_KEYS[:-1])
-@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "str"])
-def test_a_data_with_a_wrong_typed_number_encodes_as_the_generic_codec(field, value):
-    msg = dataclasses.replace(Data(1, 2, 3, 4, 5, "kind=summary\ng a M 1 2 2 2"),
-                              **{field: value})
-    assert wire.encode_payload(msg) == generic_encode_payload(msg) \
-        == reference_encode_payload(msg)
-    assert str(value).encode() in wire.encode_payload(msg)
+@pytest.mark.parametrize("value", [True, 1.0, "1", -1], ids=["bool", "float", "str", "negative"])
+def test_encode_refuses_a_bad_data_number(field, value):
+    msg = dataclasses.replace(Data(1, 2, 3, 4, 5, "kind=summary"), **{field: value})
+    with pytest.raises(ProtocolError, match="unencodable Data"):
+        encode_message(msg)
 
 
-@given(data_messages)
-@settings(max_examples=300)
-def test_an_exact_data_encodes_as_the_generic_codec(msg):
-    assert wire.encode_payload(msg) == generic_encode_payload(msg)
+@pytest.mark.parametrize("body", [b"kind=summary", None, 7], ids=["bytes", "none", "int"])
+def test_encode_refuses_a_bad_data_body(body):
+    with pytest.raises(ProtocolError, match="unencodable Data"):
+        encode_message(Data(1, 2, 3, 4, 5, body))
 
 
 def test_a_feed_on_an_empty_buffer_keeps_only_a_partial_frame():
