@@ -1,19 +1,25 @@
 """The host contract for overlay process cores, with its in-process backend.
 
 A host owns the processes, their links and the delivery loop: it flushes
-each process outbox through the wire codec, delivers decoded frames, tells
-a process when one of its links closes, and counts messages sent and
-received per process. :class:`SimHost` runs every link in process on a
-logical clock: each logical second every process gets a tick in
-registration order, then messages are pumped until the network is
-quiescent, so rounds are barrier-complete. Every send is encoded by
-:func:`~melt.wire.encode_message`, and every link's decoder reads through
-the host's :class:`~melt.wire.CodecMemo`, which returns the last message
-the host decoded for a byte-equal payload. Frames and messages are the
-ones the codec gives, so the layers above stay byte-exact with a socket
-deployment, while a record passing through several hops of one host is
-decoded once. The socket backend
+each process outbox through the wire codec, delivers received messages,
+tells a process when one of its links closes, and counts the frames and
+bytes each link sends and receives. :class:`SimHost` runs every link in
+process on a logical clock: each logical second every process gets a tick
+in registration order, then messages are pumped until the network is
+quiescent, so rounds are barrier-complete. The socket backend
 (:class:`melt.sockethost.SocketHost`) adds TCP links to the same loop.
+
+Every send is encoded by :func:`~melt.wire.encode_message`, which checks
+the message and gives the frame that is counted and sent. On a link whose
+peer is in process the channel carries the sender's frozen message with
+its frame, and the peer's process is handed that message: no in-process
+hop decodes. The codec refuses to encode any message that its frame would
+not decode back to, so the message handed over is the one a decode would
+give, and the layers above stay byte-exact with a socket deployment. Bytes
+written to an in-process channel without a message, and a whole frame that
+arrives while the link's decoder holds part of a frame, go through the
+link's :class:`~melt.wire.FrameDecoder` in the order they were sent, as
+does everything a TCP link reads.
 
 Delivery runs off one heap of ready links; idle links are never polled. A
 link is ready when a send has put bytes on it, when it or its in-process
@@ -29,7 +35,7 @@ scan of every link of every process would deliver in, so the work of a
 round is proportional to the frames it moves, not to the number of links.
 
 A frame the codec rejects ends only the link it came on. The host
-delivers the frames that came before it in the same read, sends
+delivers the messages that came before it in the same read, sends
 ``Error("link-fault", <reason>)`` to the peer, records a ``link-fault``
 event with the reason, releases the link and tells its process, as for a
 link found closed; the other links go on.
@@ -57,13 +63,17 @@ class LinkState:
 
     channel: object  # SimChannelEnd or TcpChannel
     peer: LinkState | None = field(default=None, repr=False)  # the in-process other end
-    decoder: wire.FrameDecoder | None = None  # through the host's codec memo
+    decoder: wire.FrameDecoder | None = None  # for what arrives without its message
     closed_notified: bool = False
     pid: str = "-"       # owning process
     name: str = ""       # link name within the owning process
     rank: int = -1       # registration rank of the owning process
     seq: int = -1        # position among the owning process's links
     ready: bool = False  # in the ready heap; a dropped link stays True forever
+    frames_sent: int = 0
+    bytes_sent: int = 0
+    frames_received: int = 0  # messages handed to the owning process
+    bytes_received: int = 0
 
 
 def _msg_key(msg: wire.Message):
@@ -78,16 +88,13 @@ def _msg_key(msg: wire.Message):
 
 
 class SimHost:
-    """Owns channels, delivery order, the transcript, and message counters."""
+    """Owns channels, delivery order, the transcript, and link counters."""
 
     def __init__(self) -> None:
         self.by_pid: dict[str, object] = {}
         self.links: dict[tuple[str, str], LinkState] = {}
         self.proc_links: dict[str, list[str]] = {}
         self.transcript: list[tuple] = []
-        self.codec = wire.CodecMemo()  # shared by every link of this host
-        self.sent: dict[str, int] = {}
-        self.received: dict[str, int] = {}
         self.now = 0
         self._rank: dict[str, int] = {}  # pid -> registration rank, never reused
         self._ranks = itertools.count()
@@ -101,13 +108,11 @@ class SimHost:
             raise ValueError(f"duplicate process id {proc.pid}")
         self.by_pid[proc.pid] = proc
         self.proc_links.setdefault(proc.pid, [])
-        self.sent.setdefault(proc.pid, 0)
-        self.received.setdefault(proc.pid, 0)
         self._rank[proc.pid] = next(self._ranks)
 
     def add_link(self, proc, link: str, state: LinkState) -> None:
         state.pid, state.name, state.rank = proc.pid, link, self._rank[proc.pid]
-        state.decoder = wire.FrameDecoder(self.codec)
+        state.decoder = wire.FrameDecoder()
         state.seq = len(self.proc_links[proc.pid])
         self.links[(proc.pid, link)] = state
         self.proc_links[proc.pid].append(link)
@@ -173,18 +178,24 @@ class SimHost:
         proc.outbox.clear()
 
     def send(self, proc, link: str, msg: wire.Message) -> None:
-        """Encode one message of a process and send it on one of its links."""
+        """Encode one message of a process and send it on one of its links,
+        with the message itself when the peer is in process."""
         state = self.links.get((proc.pid, link))
         if state is None or state.channel.closed:
             self.record(("send-dropped", self.now, proc.pid, link, type(msg).__name__))
             return
+        frame = wire.encode_message(msg)
+        peer = state.peer
         try:
-            state.channel.send(wire.encode_message(msg))
+            if peer is None:
+                state.channel.send(frame)
+            else:
+                state.channel.send(frame, msg)
         except ChannelClosedError:
             self.record(("send-dropped", self.now, proc.pid, link, type(msg).__name__))
             return
-        self.sent[proc.pid] += 1
-        peer = state.peer
+        state.frames_sent += 1
+        state.bytes_sent += len(frame)
         event = ("send", self.now, proc.pid, "-" if peer is None else peer.pid,
                  type(msg).__name__, _msg_key(msg))
         if isinstance(msg, wire.Data):
@@ -200,20 +211,29 @@ class SimHost:
         if state.closed_notified:
             return
         try:
-            data = state.channel.try_recv()
+            read = state.channel.try_recv()
         except ChannelClosedError:
             self.close_link(proc, state, ("link-closed", self.now, proc.pid, state.name))
             return
-        if not data:
+        if not read:
             return
-        if state.peer is not None and state.channel.readable:
+        if state.peer is None:  # a socket read is bytes
+            read = ((read, None),)
+        elif state.channel.readable:
             self.wake(state)  # more than one read's worth, or a close behind it
+        decoder = state.decoder
+        msgs: list = []
         try:
-            msgs = state.decoder.feed(data)
+            for data, msg in read:
+                state.bytes_received += len(data)
+                if msg is not None and not decoder.pending_bytes:
+                    msgs.append(msg)  # what decoding its frame would give
+                else:
+                    msgs += decoder.feed(data)
         except wire.ProtocolError as exc:
-            # a malformed frame ends only its own link, after the frames
+            # a malformed frame ends only its own link, after the messages
             # that came before it in the same read
-            self.receive(proc, state, exc.messages)
+            self.receive(proc, state, msgs + exc.messages)
             self.send(proc, state.name, wire.Error("link-fault", str(exc)))
             self.close_link(proc, state,
                             ("link-fault", self.now, proc.pid, state.name, str(exc)))
@@ -223,9 +243,9 @@ class SimHost:
         self.receive(proc, state, msgs)
 
     def receive(self, proc, state: LinkState, msgs) -> None:
-        """Hand decoded messages of one link to its process, one at a time."""
+        """Hand the messages of one link to its process, one at a time."""
         for msg in msgs:
-            self.received[proc.pid] += 1
+            state.frames_received += 1
             proc.on_message(state.name, msg)
             self.flush(proc)
 
@@ -266,5 +286,11 @@ class SimHost:
         self.pump()
 
     def counters_snapshot(self) -> list[tuple]:
-        return [("counter", self.now, proc.pid, self.sent[proc.pid], self.received[proc.pid])
-                for proc in self.by_pid.values()]
+        """One ``counter`` event per process: the frames its links sent and
+        received."""
+        events = []
+        for pid in self.by_pid:
+            links = [self.links[(pid, name)] for name in self.proc_links[pid]]
+            events.append(("counter", self.now, pid, sum(s.frames_sent for s in links),
+                           sum(s.frames_received for s in links)))
+        return events

@@ -1,17 +1,20 @@
 """Socket backend of the host contract: the same process cores over real TCP.
 
 :class:`SocketHost` is :class:`~melt.simnet.SimHost` plus TCP links: flush,
-delivery, the decode memo, link-closed handling and the message counters
-are the sim backend's, unchanged. In-process links (ring, relay tree) stay sim
-channels; agents and session clients attach over TCP listeners,
+delivery, link-closed handling and the link counters are the sim
+backend's, unchanged. In-process links (ring, relay tree) stay sim
+channels, which hand the peer the sender's message with its frame, so a
+record that climbs several hops of one host is decoded once, where it
+came in over TCP. Agents and session clients attach over TCP listeners,
 identifying themselves with their first message (Attach), exactly as the
 protocol intends, and a process can dial out over a channel of its own.
 This is the desk-scale deployment mode behind the ``--connect`` flags of
 meltagent, meltmon, and melt, each of which runs its core as a one-process
 SocketHost with one dialed ``up`` link.
 
-The socket backend keeps no transcript: sends are counted, and notes,
-sends and link closures go to this module's logger at DEBUG.
+The socket backend keeps no transcript: sends and receives are counted
+per link, and notes, sends and link closures go to this module's logger
+at DEBUG.
 
 A TCP link released while its socket is open (a ``link-fault``, a dropped
 process) is half-closed rather than closed: closing a socket with unread

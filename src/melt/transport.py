@@ -2,16 +2,22 @@
 
 Everything above this layer is transport-agnostic: a channel is an ordered,
 reliable, bidirectional byte pipe with non-blocking reads. The in-process
-backend is a pair of byte queues (closing either end closes both, and each
-side drains what it was sent before it sees the close); the TCP backend
-wraps real sockets, with endpoints given as host:port strings.
+backend is a pair of queues (closing either end closes both, and each side
+drains what it was sent before it sees the close); the TCP backend wraps
+real sockets, with endpoints given as host:port strings.
+
+An in-process send may carry, beside a whole frame, the message that frame
+encodes. A read returns, in send order, the pieces of the first
+``SIM_RECV_BYTES`` pending bytes as (bytes, message or None): a sent frame
+that lies whole in the read comes with its message, and bytes sent without
+one, or the part of a frame that a read boundary cuts, come alone.
 """
 
 from __future__ import annotations
 
 import socket
 
-SIM_RECV_BYTES = 1 << 20  # most bytes one try_recv returns, per backend
+SIM_RECV_BYTES = 1 << 20  # most bytes one try_recv takes, per backend
 TCP_RECV_BYTES = 1 << 16
 
 
@@ -27,27 +33,53 @@ class SimChannelEnd:
     """One end of an in-process duplex channel."""
 
     def __init__(self) -> None:
-        self._rx = bytearray()
+        # (bytes, message or None) sent to this end; a list, not a deque:
+        # most channels hold nothing most of the time, and an empty deque
+        # takes 760 bytes to an empty list's 56 (CPython 3.11)
+        self._rx: list[tuple[bytes, object]] = []
+        self._taken = 0  # bytes of the first entry that earlier reads took
         self.closed = False
         self.peer: "SimChannelEnd" | None = None
 
-    def send(self, data: bytes) -> None:
+    def send(self, data: bytes, msg=None) -> None:
+        """Queue ``data`` for the peer; ``msg``, when given, is the message
+        that ``data``, one whole frame, encodes."""
         if self.closed or self.peer is None or self.peer.closed:
             raise ChannelClosedError("send on closed channel")
-        self.peer._rx.extend(data)
+        if data:
+            self.peer._rx.append((data, msg))
 
-    def try_recv(self) -> bytes:
-        if not self._rx:
+    def try_recv(self) -> list[tuple[bytes, object]]:
+        """The pieces of the first ``SIM_RECV_BYTES`` pending bytes (see the
+        module docstring); [] when nothing is pending."""
+        rx = self._rx
+        if not rx:
             if self.closed:
                 raise ChannelClosedError("recv on closed channel")
-            return b""
-        data = bytes(self._rx[:SIM_RECV_BYTES])
-        del self._rx[:SIM_RECV_BYTES]
-        return data
+            return []
+        pieces = []
+        budget = SIM_RECV_BYTES
+        start = self._taken
+        done = 0  # entries read to their end
+        for data, msg in rx:
+            size = len(data) - start
+            if size > budget:  # the read ends inside this entry
+                pieces.append((data[start:start + budget], None))
+                start += budget
+                break
+            pieces.append((data, msg) if start == 0 else (data[start:], None))
+            done += 1
+            start = 0
+            budget -= size
+            if not budget:
+                break
+        del rx[:done]
+        self._taken = start
+        return pieces
 
     @property
     def readable(self) -> bool:
-        """Whether ``try_recv`` would return bytes or raise ChannelClosedError."""
+        """Whether ``try_recv`` would return pieces or raise ChannelClosedError."""
         return bool(self._rx) or self.closed
 
     def close(self) -> None:

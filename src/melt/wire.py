@@ -23,10 +23,14 @@ not contain commas or newlines (enforced at construction).
 :class:`FrameDecoder` decodes straight from the bytes fed when it holds
 none back.
 
-A host decodes through one :class:`CodecMemo`, which remembers the last
-payload it decoded. A repeat, as a record passing through several relays
-on one host is, costs a byte comparison instead of a decode and gives the
-message the codec would.
+Encode refuses, with a :class:`ProtocolError`, every message that decoding
+its frame would not give back field for field and type for type: an int
+field must hold exactly an ``int`` (not a ``bool`` or a ``float``), a str
+field exactly a ``str``, a tuple field exactly a ``tuple`` of ``str``
+(non-empty, without commas) or of ``float``, and a stream spec's edges
+travel only with a histogram. So a host may hand an in-process peer the
+sender's frozen message with its frame instead of decoding the frame
+(:mod:`melt.simnet`): the peer gets what the decoder would give.
 """
 
 from __future__ import annotations
@@ -206,18 +210,29 @@ def _floats(value: str) -> tuple[float, ...]:
     return tuple(map(float, _split_csv(value)))
 
 
-# (encode, decode) per declared field type
+def _is_tokens(value) -> bool:
+    return type(value) is tuple and all(type(t) is str and t and "," not in t for t in value)
+
+
+def _is_floats(value) -> bool:
+    return type(value) is tuple and all(type(x) is float for x in value)
+
+
+# (encode, decode, accepts, what it accepts) per declared field type: a value
+# that ``accepts`` refuses would not decode back as it is, so it is not encoded
 _CODECS = {
-    int: (str, int),
-    str: (str, str),
-    tuple[str, ...]: (",".join, _split_csv),
-    tuple[float, ...]: (_join_nums, _floats),
+    int: (str, int, lambda value: type(value) is int, "an int"),
+    str: (str, str, lambda value: type(value) is str, "a str"),
+    tuple[str, ...]: (",".join, _split_csv, _is_tokens,
+                      "a tuple of non-empty strs without commas"),
+    tuple[float, ...]: (_join_nums, _floats, _is_floats, "a tuple of floats"),
 }
 
 
 def _plan(cls: type, **keys: str) -> tuple:
-    """(attribute, payload key, encode, decode) per field of ``cls``, in
-    declaration order; ``keys`` renames the payload key of some attributes."""
+    """(attribute, payload key, encode, decode, accepts, what it accepts) per
+    field of ``cls``, in declaration order; ``keys`` renames the payload key
+    of some attributes."""
     hints = get_type_hints(cls)
     return tuple((f.name, keys.get(f.name, f.name), *_CODECS[hints[f.name]])
                  for f in declared_fields(cls))
@@ -251,7 +266,7 @@ _DATA_TYPES = tuple(get_type_hints(Data)[f.name] for f in declared_fields(Data))
 _DATA_NUMBERS = _PLANS[Data][:-1]
 # the one spelling of a Data's numbers: each key once, in declaration order,
 # ASCII digits with no leading zero, then an empty line
-_DATA_HEAD = re.compile("".join(f"{key}=(0|[1-9][0-9]*)\n" for _, key, _, _ in _DATA_NUMBERS)
+_DATA_HEAD = re.compile("".join(f"{key}=(0|[1-9][0-9]*)\n" for _, key, *_ in _DATA_NUMBERS)
                         + "\n")
 
 
@@ -265,31 +280,65 @@ def _decode_data(text: str) -> Data:
     # the generic reader words what is wrong with the header; a header it
     # accepts has its keys in another order or spelling
     fields = _fields(text.partition("\n\n")[0])
-    for _, key, _, decode in _DATA_NUMBERS:
+    for _, key, _, decode, _, _ in _DATA_NUMBERS:
         _read(fields, key, decode)
     raise ProtocolError("Data payload is not its numbers as key=digits lines in "
                         "declaration order, an empty line and the body")
 
 
+def _unencodable(msg: Message, attr: str, value, want: str) -> ProtocolError:
+    return ProtocolError(f"unencodable {type(msg).__name__}: {attr} is {value!r}, not {want}")
+
+
+def _pairs(msg: Message, obj, plan, prefix: str = "") -> list[tuple[str, str]]:
+    pairs = []
+    for attr, key, encode, _, accepts, want in plan:
+        value = getattr(obj, attr)
+        if not accepts(value):
+            raise _unencodable(msg, prefix + attr, value, want)
+        pairs.append((key, encode(value)))
+    return pairs
+
+
 def encode_payload(msg: Message) -> bytes:
+    """The payload of ``msg``; a :class:`ProtocolError` for a message whose
+    frame would not decode back to it (see the module docstring)."""
     cls = type(msg)
-    if cls is Data:
-        sid, rnd, window, expected, actual, body = fields = _data_fields(msg)
-        if tuple(map(type, fields)) != _DATA_TYPES or min(fields[:-1]) < 0:
-            raise ProtocolError(f"unencodable Data: numbers {fields[:-1]!r} and a "
-                                f"{type(body).__name__} body, not non-negative ints and a str")
-        return (f"stream_id={sid}\nround={rnd}\nwindow_secs={window}\n"
-                f"expected_contributors={expected}\nactual_contributors={actual}\n\n"
-                f"{body}").encode("utf-8")
-    if cls is JobMapUpdate:
-        pairs = [("epoch", str(msg.epoch))]
-        for i, (job_id, nodes) in enumerate(msg.entries):
-            pairs += ((f"job.{i}.id", job_id), (f"job.{i}.nodes", ",".join(nodes)))
-    else:
-        obj, plan = (msg.spec, _SPEC_PLANS[msg.spec.aggregation == "histogram"]) \
-            if cls is CreateStream else (msg, _PLANS[cls])
-        pairs = [(key, encode(getattr(obj, attr))) for attr, key, encode, _ in plan]
-    return "".join([f"{key}={_escape(text)}\n" for key, text in pairs]).encode("utf-8")
+    try:
+        if cls is Data:
+            sid, rnd, window, expected, actual, body = fields = _data_fields(msg)
+            if tuple(map(type, fields)) != _DATA_TYPES or min(fields[:-1]) < 0:
+                raise ProtocolError(f"unencodable Data: numbers {fields[:-1]!r} and a "
+                                    f"{type(body).__name__} body, not non-negative ints "
+                                    f"and a str")
+            return (f"stream_id={sid}\nround={rnd}\nwindow_secs={window}\n"
+                    f"expected_contributors={expected}\nactual_contributors={actual}\n\n"
+                    f"{body}").encode("utf-8")
+        if cls is JobMapUpdate:
+            if type(msg.epoch) is not int:
+                raise _unencodable(msg, "epoch", msg.epoch, "an int")
+            pairs = [("epoch", str(msg.epoch))]
+            for i, (job_id, nodes) in enumerate(msg.entries):
+                if type(job_id) is not str or not all(type(n) is str for n in nodes):
+                    raise _unencodable(msg, f"entry {i}", (job_id, nodes),
+                                       "a str job id and a tuple of str nodes")
+                pairs += ((f"job.{i}.id", job_id), (f"job.{i}.nodes", ",".join(nodes)))
+        elif cls is CreateStream:
+            spec = msg.spec
+            if type(spec) is not StreamSpec:
+                raise _unencodable(msg, "spec", spec, "a StreamSpec")
+            hist = spec.aggregation == "histogram"
+            if not hist and spec.hist_edges != ():
+                raise _unencodable(msg, "spec.hist_edges", spec.hist_edges,
+                                   "() for a stream that is not a histogram")
+            pairs = _pairs(msg, spec, _SPEC_PLANS[hist], "spec.")
+        else:
+            pairs = _pairs(msg, msg, _PLANS[cls])
+        return "".join([f"{key}={_escape(text)}\n" for key, text in pairs]).encode("utf-8")
+    except ProtocolError:
+        raise
+    except ValueError as exc:  # an int too long for str(), a str that is not UTF-8
+        raise ProtocolError(f"unencodable {cls.__name__}: {exc}") from None
 
 
 def _fields(text: str) -> dict[str, str]:
@@ -319,7 +368,7 @@ def decode_payload(code: int, payload: bytes) -> Message:
         if cls is CreateStream:
             plan = _SPEC_READS[fields.get("aggregation") == "histogram"]
             return CreateStream(StreamSpec(
-                **{attr: _read(fields, key, decode) for attr, key, _, decode in plan}))
+                **{attr: _read(fields, key, decode) for attr, key, _, decode, _, _ in plan}))
         if cls is JobMapUpdate:
             entries = []
             i = 0
@@ -331,7 +380,7 @@ def decode_payload(code: int, payload: bytes) -> Message:
                 raise ProtocolError("job map payload has stray keys")
             return JobMapUpdate(_read(fields, "epoch", int), tuple(entries))
         return cls(**{attr: _read(fields, key, decode)
-                      for attr, key, _, decode in _PLANS[cls]})
+                      for attr, key, _, decode, _, _ in _PLANS[cls]})
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -350,9 +399,8 @@ def encode_message(msg: Message) -> bytes:
     return _HEADS[code] + _LENGTH.pack(len(payload)) + payload
 
 
-def _frame_at(buf, pos: int, memo: CodecMemo | None) -> tuple[Message | None, int]:
-    """Decode the frame that starts at ``buf[pos]``, its payload through
-    ``memo`` when one is given.
+def _frame_at(buf, pos: int) -> tuple[Message | None, int]:
+    """Decode the frame that starts at ``buf[pos]``.
 
     Returns (message, offset just past it), or (None, pos) when only an
     incomplete prefix is there. Malformed data raises :class:`ProtocolError`.
@@ -372,20 +420,17 @@ def _frame_at(buf, pos: int, memo: CodecMemo | None) -> tuple[Message | None, in
     end = pos + HEADER_LEN + length
     if len(buf) < end:
         return None, pos
-    code, payload = buf[pos + 3], buf[pos + HEADER_LEN:end]
-    if memo is None:
-        return decode_payload(code, payload), end
-    return memo.decode(code, payload), end
+    return decode_payload(buf[pos + 3], buf[pos + HEADER_LEN:end]), end
 
 
-def _frames(buf, memo: CodecMemo | None = None) -> tuple[list[Message], int]:
+def _frames(buf) -> tuple[list[Message], int]:
     """Every complete frame at the start of ``buf``, and the offset after
     them; a :class:`ProtocolError` carries the frames before the bad one."""
     out: list[Message] = []
     pos = 0
     try:
         while True:
-            msg, pos = _frame_at(buf, pos, memo)
+            msg, pos = _frame_at(buf, pos)
             if msg is None:
                 return out, pos
             out.append(msg)
@@ -401,7 +446,7 @@ def decode_frame(buf: bytes) -> tuple[Message | None, bytes]:
     buffer holds only an incomplete prefix. Malformed data raises
     :class:`ProtocolError`.
     """
-    msg, end = _frame_at(buf, 0, None)
+    msg, end = _frame_at(buf, 0)
     return (None, buf) if msg is None else (msg, buf[end:])
 
 
@@ -411,57 +456,30 @@ def decode_all(buf: bytes) -> tuple[list[Message], bytes]:
     return msgs, buf[end:]
 
 
-class CodecMemo:
-    """The last payload a host decoded.
-
-    A host gives one to the :class:`FrameDecoder` of every link it owns.
-    :meth:`decode` returns the remembered message for a payload byte-equal
-    to the remembered one, with the same type code; any other payload goes
-    to :func:`decode_payload`, and only a decode that returns is
-    remembered. Messages are frozen, so the links of a host can share one.
-    """
-
-    __slots__ = ("_code", "_payload", "_msg")
-
-    def __init__(self) -> None:
-        self._code = 0
-        self._payload = b""
-        self._msg: Message | None = None
-
-    def decode(self, code: int, payload) -> Message:
-        if code == self._code and payload == self._payload:
-            return self._msg
-        msg = decode_payload(code, payload)
-        self._code, self._payload, self._msg = code, payload, msg
-        return msg
-
-
 class FrameDecoder:
     """Incremental decoder for one byte-stream direction of a channel.
 
     Fed bytes go into one bytearray that is decoded at an advancing offset
     and then trimmed from the front, so a feed costs time linear in the
-    bytes it brings, however many frames they hold. Payloads go through
-    ``memo`` when one is given (see :class:`CodecMemo`). After a
+    bytes it brings, however many frames they hold. After a
     :class:`ProtocolError` the decoder still holds everything fed since the
     last successful feed.
     """
 
-    def __init__(self, memo: CodecMemo | None = None) -> None:
+    def __init__(self) -> None:
         self._buf = bytearray()
-        self._memo = memo
 
     def feed(self, data: bytes) -> list[Message]:
         buf = self._buf
         if buf:
             buf += data
-            msgs, end = _frames(buf, self._memo)
+            msgs, end = _frames(buf)
             del buf[:end]
             return msgs
         # nothing held back: decode straight from the bytes fed, and keep
         # only what follows the last whole frame
         try:
-            msgs, end = _frames(data, self._memo)
+            msgs, end = _frames(data)
         except ProtocolError:
             buf += data
             raise

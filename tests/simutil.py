@@ -8,6 +8,7 @@ from melt.scenario import SyntheticSource, WorkloadModel, WorkloadScript, parse_
 from melt.simnet import SimHost
 from melt.streams import StreamSpec
 from melt.topology import parse_topology
+from melt.transport import SimChannelEnd
 
 FIVE_DOMAINS = """
 [domain d0]
@@ -162,6 +163,18 @@ def create_stream(handle: OverlayHandle, client: DriverClient, spec: StreamSpec)
     if len(client.created) == before:
         raise AssertionError(f"stream not created: {client.errors[-1:]}" )
     return client.created[-1]
+
+
+def received(host: SimHost) -> dict[str, int]:
+    """Frames each live process was handed, summed over its links."""
+    return {event[2]: event[4] for event in host.counters_snapshot()}
+
+
+def decode_every_frame(monkeypatch) -> None:
+    """Send every in-process frame without its message, so that the peer's
+    host decodes it as it would a frame off a socket."""
+    send = SimChannelEnd.send
+    monkeypatch.setattr(SimChannelEnd, "send", lambda self, data, msg=None: send(self, data))
 
 
 def run_ticks(host: SimHost, start: int, count: int) -> int:

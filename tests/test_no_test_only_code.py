@@ -22,7 +22,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # public helpers that only demos, tests or the docs call, with why they stay
 ALLOWED = {
     "decode_all": "decodes every frame of a byte string; demo 02 and the socket tests",
-    "FrameDecoder.pending_bytes": "the bytes a decoder holds back; the codec tests read it",
     "Accounting.tree_edge_counts": "frames per tree edge in a round; demo 01 prints them",
     "launch_distributed": "the deployment with every process on its own host (README)",
 }

@@ -23,8 +23,8 @@ from melt.topology import parse_topology
 from melt.transport import transport_connect
 
 from simutil import (
-    ONE_DOMAIN, assert_body_matches_oracle, brute_force_topk, random_scenario,
-    random_stream_specs,
+    ONE_DOMAIN, assert_body_matches_oracle, brute_force_topk, decode_every_frame,
+    random_scenario, random_stream_specs,
 )
 
 MI = 1024 * 1024
@@ -378,7 +378,7 @@ io 0 24 j1 1M 0 roundrobin
         assert all(r.expected_contributors == 4 for r in driver.records)
 
 
-# --- the host's codec memo against the plain codec ------------------------------
+# --- handed-over messages against decoded frames ------------------------------
 
 TESTBED_FAULTS = {"": "", "detach-agent": "fault = 20 detach-agent tait05\n",
                   "drop-ring-link": "fault = 30 drop-ring-link conway\n"}
@@ -424,19 +424,17 @@ def run_for_comparison(scenario: str) -> tuple:
                                       "random-5", "random-23"],
                          ids=["testbed", "testbed-detach-agent", "testbed-drop-ring-link",
                               "random-5", "random-23"])
-def test_codec_memo_changes_no_transcript(scenario, monkeypatch):
+def test_handing_over_messages_changes_no_transcript(scenario, monkeypatch):
     decodes = []
     decode = wire.decode_payload
     monkeypatch.setattr(wire, "decode_payload",
                         lambda code, payload: decodes.append(1) or decode(code, payload))
-    with_memo = run_for_comparison(scenario)
-    memo_decodes = len(decodes)
-    with monkeypatch.context() as plain:
-        plain.setattr(wire.CodecMemo, "decode",
-                      lambda self, code, payload: wire.decode_payload(code, payload))
-        decodes.clear()
-        without = run_for_comparison(scenario)
-    assert with_memo[0] == without[0]  # transcripts
-    assert with_memo[1] == without[1] and with_memo[1]  # root records
-    assert with_memo[2] == without[2]  # what the clients saw
-    assert memo_decodes < len(decodes)  # the memo was used
+    handed = run_for_comparison(scenario)
+    assert not decodes  # no in-process frame was decoded
+    with monkeypatch.context() as decoded:
+        decode_every_frame(decoded)
+        every_frame = run_for_comparison(scenario)
+    assert decodes  # every frame was
+    assert handed[0] == every_frame[0]  # transcripts
+    assert handed[1] == every_frame[1] and handed[1]  # root records
+    assert handed[2] == every_frame[2]  # what the clients saw

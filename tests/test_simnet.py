@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melt import simnet, wire
+from melt import simnet, transport, wire
 from melt.simnet import SimHost
 from melt.transport import ChannelClosedError, SimChannelEnd
 
-from simutil import add_driver, attach_agents, create_stream, deep_domain, io_stream_spec, make_sim
+from simutil import (add_driver, attach_agents, create_stream, decode_every_frame, deep_domain,
+                     io_stream_spec, make_sim, received)
 
 
 def test_round_reads_links_only_when_they_carry_frames(monkeypatch):
@@ -34,9 +35,9 @@ def test_round_reads_links_only_when_they_carry_frames(monkeypatch):
         return try_recv(self, *args)
 
     monkeypatch.setattr(SimChannelEnd, "try_recv", counted)
-    before = sum(host.received.values())
+    before = sum(received(host).values())
     host.tick(2)
-    frames = sum(host.received.values()) - before
+    frames = sum(received(host).values()) - before
     assert len(driver.records) == 2
     assert frames >= 64 + len(handle.relays)  # every tree edge carried round 2
     assert calls <= 2 * frames
@@ -104,7 +105,7 @@ def test_process_added_after_a_drop_is_read_after_earlier_ones():
     b.outbox += [("e", wire.Detach("to-e")), ("c", wire.Detach("to-c"))]
     host.pump()
     assert log == [("c", "to-c"), ("e", "to-e")]
-    assert host.received == {"a": 0, "b": 0, "c": 1, "e": 1}
+    assert received(host) == {"b": 0, "c": 1, "e": 1}
 
 
 def test_severed_link_is_seen_by_both_ends_in_order():
@@ -153,7 +154,7 @@ def test_frames_before_a_malformed_one_in_the_same_read_are_delivered():
     events = [e for e in host.transcript if e[0] in ("send", "link-fault")]
     assert events == [("send", 0, "b", "a", "Detach", ""), ("send", 0, "b", "a", "Error", ""),
                       ("link-fault", 0, "b", "a", "bad magic b'BA'")]
-    assert host.received == {"a": 2, "b": 1}
+    assert received(host) == {"a": 2, "b": 1}
 
 
 class Hop(Node):
@@ -194,7 +195,8 @@ def link(host: SimHost, a: Hop, b: Hop, name: str) -> None:
 class FullScanHost(SimHost):
     """The reference delivery order: every link of every process, processes
     in registration order and links in the order they were added, each
-    readable link read once per scan, scans repeated until none is readable."""
+    readable link read once per scan, scans repeated until none is readable.
+    It decodes every frame it reads, handed-over or not."""
 
     def wake(self, state) -> None:
         pass  # nothing is queued: every scan looks at every link
@@ -215,12 +217,12 @@ class FullScanHost(SimHost):
 
     def read_once(self, proc, state) -> None:
         try:
-            data = state.channel.try_recv()
+            read = state.channel.try_recv()
         except ChannelClosedError:
             self.close_link(proc, state, ("link-closed", self.now, proc.pid, state.name))
             return
         try:
-            msgs = state.decoder.feed(data)
+            msgs = state.decoder.feed(b"".join(data for data, _msg in read))
         except wire.ProtocolError as exc:
             self.receive(proc, state, exc.messages)
             self.send(proc, state.name, wire.Error("link-fault", str(exc)))
@@ -291,7 +293,7 @@ def run_plan(host: SimHost, plan) -> tuple:
                 state.channel.send(b"BADMAGIC")
                 host.wake(state.peer)
     host.pump()
-    return log, host.transcript, host.received
+    return log, host.transcript, received(host)
 
 
 @settings(max_examples=300, deadline=None)
@@ -343,7 +345,7 @@ def test_dropped_process_is_never_read_through_its_old_links():
     b.outbox.append(("ab2", wire.Detach("new/0")))
     host.pump()
     assert log == [("b", "closed ab"), ("a", "ab2", "new/0")]
-    assert host.received == {"a": 1, "b": 0}
+    assert received(host) == {"a": 1, "b": 0}
 
 
 class Fragile(Hop):
@@ -367,3 +369,104 @@ def test_links_queued_behind_a_failing_handler_are_read_by_the_next_pump():
         host.pump()
     host.pump()
     assert log == [("a", "ba", "boom/0"), ("a", "ca", "after/0")]
+
+
+# --- what a sim link carries besides handed-over messages -------------------------
+
+def test_a_raw_partial_frame_is_completed_by_the_bytes_of_a_handed_over_one(monkeypatch):
+    """Bytes sent without a message come first, so the handed-over frame
+    after them is read as the bytes it is, as a socket would read it."""
+    handed = wire.encode_message(wire.Detach("yy"))
+    payload = b"node_id=x\nz="  # the handed-over frame's bytes end this frame's payload
+    head = wire.MAGIC + bytes((wire.VERSION, wire.TYPE_CODES[wire.Detach]))
+    raw = head + (len(payload) + len(handed)).to_bytes(4, "big") + payload
+
+    def run(monkeypatch) -> tuple:
+        decodes = []
+        decode = wire.decode_payload
+        monkeypatch.setattr(wire, "decode_payload",
+                            lambda code, body: decodes.append(code) or decode(code, body))
+        log: list = []
+        a, b = Node("a", log), Node("b", log)
+        host = hosted(a, b)
+        host.wire(a, "b", b, "a")
+        host.links[("a", "b")].channel.send(raw)
+        a.outbox.append(("b", wire.Detach("yy")))
+        host.pump()
+        return log, host.transcript, received(host), len(decodes)
+
+    with monkeypatch.context() as patch:
+        got = run(patch)
+    (want_msg,) = wire.FrameDecoder().feed(raw + handed)
+    assert got[0] == [("b", want_msg.node_id)] and want_msg.node_id == "x"
+    assert got[2] == {"a": 0, "b": 1} and got[3] == 1  # one frame, decoded
+    with monkeypatch.context() as patch:
+        decode_every_frame(patch)
+        assert run(patch)[:3] == got[:3]
+
+
+def test_raw_garbage_after_a_handed_over_frame_faults_the_link_after_it():
+    log: list = []
+    a, b = Node("a", log), Node("b", log, replies={"x": [("a", "ack-x")]})
+    host = hosted(a, b)
+    host.wire(a, "b", b, "a")
+    a.outbox.append(("b", wire.Detach("x")))
+    host.flush(a)
+    host.links[("a", "b")].channel.send(b"BADMAGIC")
+    host.pump()
+    assert log == [("b", "x"), ("b", "closed a"), ("a", "ack-x"),
+                   ("a", "link-fault: bad magic b'BA'"), ("a", "closed b")]
+    assert [e for e in host.transcript if e[0] == "link-fault"] == [
+        ("link-fault", 0, "b", "a", "bad magic b'BA'")]
+    assert received(host) == {"a": 2, "b": 1}
+
+
+def test_a_read_takes_the_frames_that_end_within_its_bytes(monkeypatch):
+    """Five 300 KB frames on one link and a small one on the next: the first
+    read takes the three that end within SIM_RECV_BYTES, the next pass the
+    rest, as when every frame was decoded off the bytes."""
+    big = 300_000
+    assert 3 * big < transport.SIM_RECV_BYTES < 4 * big
+
+    def run(monkeypatch) -> tuple:
+        decodes = []
+        decode = wire.decode_payload
+        monkeypatch.setattr(wire, "decode_payload",
+                            lambda code, body: decodes.append(code) or decode(code, body))
+        log: list = []
+        a, b, c = Hop("a", log), Hop("b", log), Hop("c", log)
+        host = hosted(a, b, c)
+        link(host, a, b, "ab")
+        link(host, c, b, "cb")
+        a.outbox += [("ab", wire.Detach(f"{i}{'.' * big}/0")) for i in range(5)]
+        c.outbox.append(("cb", wire.Detach("small/0")))
+        host.pump()
+        return ([(pid, name, tag[:1]) for pid, name, tag in log], host.transcript,
+                received(host), len(decodes))
+
+    with monkeypatch.context() as patch:
+        got = run(patch)
+    assert got[0] == [("b", "ab", "0"), ("b", "ab", "1"), ("b", "ab", "2"),
+                      ("b", "cb", "s"), ("b", "ab", "3"), ("b", "ab", "4")]
+    assert got[3] == 1  # the frame that the read boundary cut is decoded
+    with monkeypatch.context() as patch:
+        decode_every_frame(patch)
+        want = run(patch)
+    assert got[:3] == want[:3] and want[3] == 6
+
+
+def test_links_count_the_frames_and_bytes_they_carry():
+    log: list = []
+    a, b = Node("a", log), Node("b", log, replies={"x": [("a", "ack-x")]})
+    host = hosted(a, b)
+    host.wire(a, "b", b, "a")
+    a.outbox += [("b", wire.Detach("x")), ("b", wire.Detach("yy"))]
+    host.pump()
+    a_end, b_end = host.links[("a", "b")], host.links[("b", "a")]
+    sent = [wire.encode_message(wire.Detach(t)) for t in ("x", "yy")]
+    assert (a_end.frames_sent, a_end.bytes_sent) == (2, sum(map(len, sent)))
+    assert (b_end.frames_received, b_end.bytes_received) == (a_end.frames_sent, a_end.bytes_sent)
+    ack = len(wire.encode_message(wire.Detach("ack-x")))
+    assert (b_end.frames_sent, b_end.bytes_sent) == (1, ack)
+    assert (a_end.frames_received, a_end.bytes_received) == (1, ack)
+    assert host.counters_snapshot() == [("counter", 0, "a", 2, 1), ("counter", 0, "b", 1, 2)]

@@ -22,7 +22,7 @@ from melt.wire import (MAGIC, MAX_PAYLOAD, TYPE_CODES, VERSION, Attach, AttachAc
                        CreateStream, Data, Error, FrameDecoder, StreamCreated, Subscribe,
                        SubscribeAck, decode_all, encode_message)
 
-from simutil import ONE_DOMAIN
+from simutil import ONE_DOMAIN, received
 
 
 def test_dialed_host_drains_more_than_64k_in_one_step():
@@ -40,7 +40,7 @@ def test_dialed_host_drains_more_than_64k_in_one_step():
         writer.join(timeout=5)
         assert not writer.is_alive()
         assert [r.round for r in core.records] == list(range(1, 1001))
-        assert host.received[core.pid] == 1000
+        assert received(host)[core.pid] == 1000
     finally:
         host.close()
         conn.close()
@@ -389,6 +389,9 @@ def test_a_relay_chain_decodes_a_record_once_and_encodes_it_per_hop(monkeypatch)
     pumping = False
     calls: Counter = Counter()
     pump, decode, encode = rig.host.pump, wire.decode_payload, wire.encode_message
+    feed = FrameDecoder.feed
+    in_process = {id(state.decoder) for state in rig.host.links.values()
+                  if state.peer is not None}
 
     def host_pump():
         nonlocal pumping
@@ -406,9 +409,14 @@ def test_a_relay_chain_decodes_a_record_once_and_encodes_it_per_hop(monkeypatch)
         calls["encode"] += pumping
         return encode(msg)
 
+    def counting_feed(self, data):
+        calls["in-process feed"] += pumping and id(self) in in_process
+        return feed(self, data)
+
     rig.host.pump = host_pump
     monkeypatch.setattr(wire, "decode_payload", counting_decode)
     monkeypatch.setattr(wire, "encode_message", counting_encode)
+    monkeypatch.setattr(FrameDecoder, "feed", counting_feed)
     try:
         for rnd in (1, 2, 3):
             calls.clear()
@@ -416,9 +424,10 @@ def test_a_relay_chain_decodes_a_record_once_and_encodes_it_per_hop(monkeypatch)
             rig.produce(rnd, body)
             (record,) = rig.pump_until(rig.cons, Data)
             assert (record.round, record.aggregate_body) == (rnd, body)
-            # four hops decode the record and four encode it; the host's
-            # codec memo makes one decode do the work
-            assert calls == {"decode": 1, "encode": 4}
+            # the frame off the producer's socket is decoded; each of the four
+            # hops encodes the record, and the three in-process hops hand the
+            # message over without decoding it
+            assert calls == {"decode": 1, "encode": 4, "in-process feed": 0}
     finally:
         rig.close()
 

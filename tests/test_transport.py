@@ -4,7 +4,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from melt import transport
 from melt.transport import (
     ChannelClosedError, TcpListener, TransportError, sim_channel_pair, transport_connect,
 )
@@ -15,21 +18,55 @@ class TestSimTransport:
     def test_connect_and_fifo_order(self):
         client, server = sim_channel_pair()
         a, b = Detach("one"), AttachAck(2)
-        client.send(encode_message(a))
+        client.send(encode_message(a), a)  # a frame with the message it encodes
         client.send(encode_message(b))
-        dec = FrameDecoder()
-        msgs = dec.feed(server.try_recv())
-        assert msgs == [a, b]
+        assert server.try_recv() == [(encode_message(a), a), (encode_message(b), None)]
+        assert server.try_recv() == []
 
     def test_close_visible_to_peer(self):
         client, server = sim_channel_pair()
         client.send(b"tail")
         client.close()
-        assert server.try_recv() == b"tail"  # drained before the error
+        assert server.try_recv() == [(b"tail", None)]  # drained before the error
         with pytest.raises(ChannelClosedError):
             server.try_recv()
         with pytest.raises(ChannelClosedError):
             server.send(b"nope")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.tuples(st.just("send"), st.binary(min_size=1, max_size=40),
+                                    st.booleans()),
+                          st.just(("read",))), max_size=30))
+def test_a_sim_read_takes_what_a_byte_pipe_read_would(steps):
+    """Each read takes the first SIM_RECV_BYTES pending bytes, as a read of
+    one byte pipe would, and a frame sent with its message comes with it
+    exactly when it lies whole in one read."""
+    budget = 16
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "SIM_RECV_BYTES", budget)
+        client, server = sim_channel_pair()
+        pipe = b""
+        spans = {}  # message -> (first, last + 1) offset of its frame in the pipe
+        whole, got = set(), set()
+        read_at = 0
+        for i, (kind, *args) in enumerate(steps + [("read",)] * 100):
+            if kind == "send":
+                data, with_msg = args
+                client.send(data, i if with_msg else None)
+                if with_msg:
+                    spans[i] = (len(pipe), len(pipe) + len(data))
+                pipe += data
+                continue
+            pieces = server.try_recv()
+            taken = b"".join(data for data, _msg in pieces)
+            assert taken == pipe[read_at:read_at + budget]
+            whole |= {i for i, (first, end) in spans.items()
+                      if read_at <= first and end <= read_at + len(taken)}
+            got |= {msg for data, msg in pieces if msg is not None and data == steps[msg][1]}
+            read_at += len(taken)
+        assert read_at == len(pipe) and not server.readable
+        assert got == whole
 
 
 class TestTcpTransport:
