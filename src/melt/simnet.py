@@ -10,16 +10,18 @@ quiescent, so rounds are barrier-complete. The socket backend
 (:class:`melt.sockethost.SocketHost`) adds TCP links to the same loop.
 
 Every send is encoded by :func:`~melt.wire.encode_message`, which checks
-the message and gives the frame that is counted and sent. On a link whose
-peer is in process the channel carries the sender's frozen message with
-its frame, and the peer's process is handed that message: no in-process
-hop decodes. The codec refuses to encode any message that its frame would
-not decode back to, so the message handed over is the one a decode would
-give, and the layers above stay byte-exact with a socket deployment. Bytes
-written to an in-process channel without a message, and a whole frame that
-arrives while the link's decoder holds part of a frame, go through the
-link's :class:`~melt.wire.FrameDecoder` in the order they were sent, as
-does everything a TCP link reads.
+the message and gives the frame that is counted and sent. A message sent
+again right after itself (the same object, as in a multicast to a
+process's links) reuses that frame. On a link whose peer is in process
+the channel carries the sender's frozen message with its frame, and the
+peer's process is handed that message: no in-process hop decodes. The
+codec refuses to encode any message that its frame would not decode back
+to, so the message handed over is the one a decode would give, and the
+layers above stay byte-exact with a socket deployment. Bytes written to an
+in-process channel without a message, and a whole frame that arrives while
+the link's decoder holds part of a frame, go through the link's
+:class:`~melt.wire.FrameDecoder` in the order they were sent, as does
+everything a TCP link reads.
 
 Delivery runs off one heap of ready links; idle links are never polled. A
 link is ready when a send has put bytes on it, when it or its in-process
@@ -100,6 +102,11 @@ class SimHost:
         self._ranks = itertools.count()
         self._heap: list[tuple] = []  # ready links: (pass, rank, seq, state)
         self._at = (0, -1)  # the (pass, rank) being visited; (0, -1) once quiescent
+        # the message encoded last (none yet) and its frame. Messages are
+        # frozen, so the same object has the same frame; an equal one may
+        # not encode at all (Data(True, ...) == Data(1, ...))
+        self._encoded: object = object()
+        self._frame = b""
 
     # --- construction ----------------------------------------------------------
 
@@ -179,12 +186,17 @@ class SimHost:
 
     def send(self, proc, link: str, msg: wire.Message) -> None:
         """Encode one message of a process and send it on one of its links,
-        with the message itself when the peer is in process."""
+        with the message itself when the peer is in process. A message sent
+        right after itself (the same object) reuses its frame."""
         state = self.links.get((proc.pid, link))
         if state is None or state.channel.closed:
             self.record(("send-dropped", self.now, proc.pid, link, type(msg).__name__))
             return
-        frame = wire.encode_message(msg)
+        if msg is self._encoded:
+            frame = self._frame
+        else:
+            frame = wire.encode_message(msg)
+            self._encoded, self._frame = msg, frame
         peer = state.peer
         try:
             if peer is None:

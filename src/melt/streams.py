@@ -142,14 +142,12 @@ def produced_metrics(spec: StreamSpec, agent: AgentIdentity) -> tuple[str, ...]:
     if target.kind == "fs" and target.name is not None:
         if target.name not in agent.filesystems:
             return ()
-    out = []
-    role_catalog = {d.name for d in catalog.catalog_for_role(agent.lustre_role)}
-    for m in spec.metric_names:
-        if agent.lustre_role not in producer_roles_for(target, m):
-            continue
-        if m in role_catalog:
-            out.append(m)
-    return tuple(out)
+    classes = catalog.ROLE_CLASSES.get(agent.lustre_role)
+    if classes is None:
+        raise ValueError(f"unknown lustre role {agent.lustre_role!r}")
+    return tuple(m for m in spec.metric_names
+                 if agent.lustre_role in producer_roles_for(target, m)
+                 and catalog.metric(m).metric_class in classes)
 
 
 def expected_producers(spec: StreamSpec, topology: OverlayTopology) -> list[str]:

@@ -15,6 +15,8 @@ is refused, with the generic reader's text where that reader finds a
 fault in the numbers. A Data whose numbers are not non-negative ints, or
 whose body is not a str, is refused on encode.
 
+Decode refuses a payload with a key that its type does not declare (for
+a stream spec that is not a histogram, ``edges`` too).
 Any magic or version mismatch is a hard error; there is no negotiation. A
 payload longer than ``MAX_PAYLOAD`` (64 MiB) is refused on encode, and on
 decode as soon as a header announces it.
@@ -365,10 +367,6 @@ def decode_payload(code: int, payload: bytes) -> Message:
     fields = _fields(text)
     cls = CODE_TYPES[code]
     try:
-        if cls is CreateStream:
-            plan = _SPEC_READS[fields.get("aggregation") == "histogram"]
-            return CreateStream(StreamSpec(
-                **{attr: _read(fields, key, decode) for attr, key, _, decode, _, _ in plan}))
         if cls is JobMapUpdate:
             entries = []
             i = 0
@@ -379,8 +377,13 @@ def decode_payload(code: int, payload: bytes) -> Message:
             if len(fields) != 1 + 2 * i:
                 raise ProtocolError("job map payload has stray keys")
             return JobMapUpdate(_read(fields, "epoch", int), tuple(entries))
-        return cls(**{attr: _read(fields, key, decode)
-                      for attr, key, _, decode, _, _ in _PLANS[cls]})
+        plan = (_SPEC_READS[fields.get("aggregation") == "histogram"] if cls is CreateStream
+                else _PLANS[cls])
+        values = {attr: _read(fields, key, decode) for attr, key, _, decode, _, _ in plan}
+        msg = CreateStream(StreamSpec(**values)) if cls is CreateStream else cls(**values)
+        if len(fields) != len(plan):  # each key of the plan is in fields: the rest are stray
+            raise ProtocolError(f"{cls.__name__} payload has stray keys")
+        return msg
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 

@@ -177,6 +177,18 @@ def decode_every_frame(monkeypatch) -> None:
     monkeypatch.setattr(SimChannelEnd, "send", lambda self, data, msg=None: send(self, data))
 
 
+def encode_every_send(monkeypatch) -> None:
+    """Make the host forget its last encoded message before every send, so
+    that a multicast is encoded once per link."""
+    send = SimHost.send
+
+    def forgetful(self, proc, link, msg) -> None:
+        self._encoded = object()
+        send(self, proc, link, msg)
+
+    monkeypatch.setattr(SimHost, "send", forgetful)
+
+
 def run_ticks(host: SimHost, start: int, count: int) -> int:
     for t in range(start, start + count):
         host.tick(t)

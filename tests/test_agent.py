@@ -470,3 +470,55 @@ def test_a_source_is_asked_for_the_names_every_stream_of_the_agent_reads():
     source.asked.clear()
     run_ticks(host, 1, 6)
     assert source.asked == [every] * 4  # the ticks where a stream is due: 2, 3, 4 and 6
+
+
+def reference_produced_metrics(spec, agent) -> tuple[str, ...]:
+    """produced_metrics as it was before it matched classes per metric: it
+    built the set of names of the agent's role catalog for every call."""
+    from melt import catalog
+    from melt.streams import parse_target, producer_roles_for
+
+    target = parse_target(spec.target)
+    if target.kind in ("oss", "mds", "clnt"):
+        if agent.node_id != target.name:
+            return ()
+    if target.kind == "fs" and target.name is not None:
+        if target.name not in agent.filesystems:
+            return ()
+    out = []
+    role_catalog = {d.name for d in catalog.catalog_for_role(agent.lustre_role)}
+    for m in spec.metric_names:
+        if agent.lustre_role not in producer_roles_for(target, m):
+            continue
+        if m in role_catalog:
+            out.append(m)
+    return tuple(out)
+
+
+def test_produced_metrics_matches_the_role_catalog_reference():
+    """Every catalog metric, alone and all together, for every role (and an
+    unknown one) under every target kind, named to match the agent or not."""
+    from melt import catalog
+    from melt.streams import AgentIdentity, StreamSpec, produced_metrics
+
+    def outcome(fn, spec, agent):
+        try:
+            return fn(spec, agent)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    targets = ["fs", "fs=knot2", "fs=other", "job=j1"] + [
+        f"{kind}={node}" for kind in ("oss", "mds", "clnt") for node in ("n1", "n2")]
+    names = [d.name for d in catalog.CATALOG]
+    metric_sets = [(m,) for m in names] + [tuple(names), tuple(reversed(names))]
+    produced = errors = 0
+    for role in [*catalog.ROLE_CLASSES, "tape-robot"]:
+        agent = AgentIdentity("n1", role, ("knot2",))
+        for target in targets:
+            for metrics in metric_sets:
+                spec = StreamSpec(1, "s", target, metrics)
+                got = outcome(produced_metrics, spec, agent)
+                assert got == outcome(reference_produced_metrics, spec, agent), (role, spec)
+                produced += bool(got) and type(got[0]) is str
+                errors += got == (ValueError, "unknown lustre role 'tape-robot'")
+    assert produced and errors == 6 * len(metric_sets)  # the targets that reach the role

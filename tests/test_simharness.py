@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import threading
 import time
@@ -20,11 +21,11 @@ from melt.simharness import (
 )
 from melt.sockethost import SocketHost, serve_overlay
 from melt.topology import parse_topology
-from melt.transport import transport_connect
+from melt.transport import SimChannelEnd, transport_connect
 
 from simutil import (
     ONE_DOMAIN, assert_body_matches_oracle, brute_force_topk, decode_every_frame,
-    random_scenario, random_stream_specs,
+    encode_every_send, random_scenario, random_stream_specs,
 )
 
 MI = 1024 * 1024
@@ -438,3 +439,45 @@ def test_handing_over_messages_changes_no_transcript(scenario, monkeypatch):
     assert handed[0] == every_frame[0]  # transcripts
     assert handed[1] == every_frame[1] and handed[1]  # root records
     assert handed[2] == every_frame[2]  # what the clients saw
+
+
+@pytest.mark.parametrize("scenario", ["", "detach-agent", "drop-ring-link",
+                                      "random-5", "random-23"],
+                         ids=["testbed", "testbed-detach-agent", "testbed-drop-ring-link",
+                              "random-5", "random-23"])
+def test_encoding_a_multicast_once_changes_no_frame_or_transcript(scenario, monkeypatch):
+    def run(monkeypatch) -> tuple:
+        encodes, frames = [], hashlib.sha256()
+        encode, send = wire.encode_message, SimChannelEnd.send
+
+        def sent(self, data, msg=None) -> None:
+            frames.update(data)
+            send(self, data, msg)
+
+        monkeypatch.setattr(wire, "encode_message",
+                            lambda msg: encodes.append(1) or encode(msg))
+        monkeypatch.setattr(SimChannelEnd, "send", sent)
+        return run_for_comparison(scenario), frames.hexdigest(), len(encodes)
+
+    with monkeypatch.context() as patch:
+        once = run(patch)
+    with monkeypatch.context() as patch:
+        encode_every_send(patch)
+        every_send = run(patch)
+    assert once[0] == every_send[0]  # transcripts, root records, what the clients saw
+    assert once[1] == every_send[1]  # every frame sent, byte for byte
+    assert once[2] < every_send[2]
+
+
+def test_a_testbed_build_encodes_each_multicast_once(monkeypatch):
+    """Building testbed.cfg with two melt sessions: 1,876 sends, of which the
+    886 that do not repeat the message just sent are encoded."""
+    encodes = []
+    encode = wire.encode_message
+    monkeypatch.setattr(wire, "encode_message", lambda msg: encodes.append(1) or encode(msg))
+    with open(resolve_scenario_path("testbed.cfg"), encoding="utf-8") as fh:
+        cluster = SimCluster(parse_scenario(fh.read()))
+    for name, argv in CLI_SESSIONS:
+        cluster.add_cli(argv, name=name)
+    sends = [e for e in cluster.host.transcript if e[0] == "send"]
+    assert (len(encodes), len(sends)) == (886, 1876)

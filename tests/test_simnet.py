@@ -376,8 +376,10 @@ def test_links_queued_behind_a_failing_handler_are_read_by_the_next_pump():
 def test_a_raw_partial_frame_is_completed_by_the_bytes_of_a_handed_over_one(monkeypatch):
     """Bytes sent without a message come first, so the handed-over frame
     after them is read as the bytes it is, as a socket would read it."""
-    handed = wire.encode_message(wire.Detach("yy"))
-    payload = b"node_id=x\nz="  # the handed-over frame's bytes end this frame's payload
+    # the handed-over frame's bytes end this frame's payload as part of the
+    # node id: that frame's header has no LF and its payload one line
+    handed = wire.encode_message(wire.StreamCreated(5))
+    payload = b"node_id="
     head = wire.MAGIC + bytes((wire.VERSION, wire.TYPE_CODES[wire.Detach]))
     raw = head + (len(payload) + len(handed)).to_bytes(4, "big") + payload
 
@@ -391,18 +393,39 @@ def test_a_raw_partial_frame_is_completed_by_the_bytes_of_a_handed_over_one(monk
         host = hosted(a, b)
         host.wire(a, "b", b, "a")
         host.links[("a", "b")].channel.send(raw)
-        a.outbox.append(("b", wire.Detach("yy")))
+        a.outbox.append(("b", wire.StreamCreated(5)))
         host.pump()
         return log, host.transcript, received(host), len(decodes)
 
     with monkeypatch.context() as patch:
         got = run(patch)
     (want_msg,) = wire.FrameDecoder().feed(raw + handed)
-    assert got[0] == [("b", want_msg.node_id)] and want_msg.node_id == "x"
+    assert got[0] == [("b", want_msg.node_id)] and want_msg.node_id == handed[:-1].decode()
     assert got[2] == {"a": 0, "b": 1} and got[3] == 1  # one frame, decoded
     with monkeypatch.context() as patch:
         decode_every_frame(patch)
         assert run(patch)[:3] == got[:3]
+
+
+def test_a_raw_partial_frame_that_swallows_a_handed_over_one_faults_the_link():
+    """A Detach whose length covers the next frame reads that frame's bytes
+    as keys a Detach does not declare: a link-fault, not Detach('x')."""
+    handed = wire.encode_message(wire.Detach("yy"))
+    payload = b"node_id=x\nz="
+    head = wire.MAGIC + bytes((wire.VERSION, wire.TYPE_CODES[wire.Detach]))
+    log: list = []
+    a, b = Node("a", log), Node("b", log)
+    host = hosted(a, b)
+    host.wire(a, "b", b, "a")
+    host.links[("a", "b")].channel.send(
+        head + (len(payload) + len(handed)).to_bytes(4, "big") + payload)
+    a.outbox.append(("b", wire.Detach("yy")))
+    host.pump()
+    assert log == [("b", "closed a"), ("a", "link-fault: Detach payload has stray keys"),
+                   ("a", "closed b")]
+    assert [e for e in host.transcript if e[0] == "link-fault"] == [
+        ("link-fault", 0, "b", "a", "Detach payload has stray keys")]
+    assert received(host) == {"a": 1, "b": 0}
 
 
 def test_raw_garbage_after_a_handed_over_frame_faults_the_link_after_it():
@@ -470,3 +493,74 @@ def test_links_count_the_frames_and_bytes_they_carry():
     assert (b_end.frames_sent, b_end.bytes_sent) == (1, ack)
     assert (a_end.frames_received, a_end.bytes_received) == (1, ack)
     assert host.counters_snapshot() == [("counter", 0, "a", 2, 1), ("counter", 0, "b", 1, 2)]
+
+
+class Sink(Node):
+    """A process core that logs every message it receives."""
+
+    def on_message(self, link: str, msg) -> None:
+        self.log.append((self.pid, msg))
+
+
+def counted_encodes(monkeypatch) -> list:
+    encoded: list = []
+    encode = wire.encode_message
+    monkeypatch.setattr(wire, "encode_message", lambda msg: encoded.append(msg) or encode(msg))
+    return encoded
+
+
+def test_a_multicast_is_encoded_once(monkeypatch):
+    msg = wire.CreateStream(io_stream_spec())
+    frame = wire.encode_message(msg)
+    encoded = counted_encodes(monkeypatch)
+    log: list = []
+    relay, kids = Node("r", log), [Sink(f"c{i}", log) for i in range(4)]
+    host = hosted(relay, *kids)
+    for kid in kids:
+        host.wire(relay, kid.pid, kid, "up")
+    relay.outbox += [(kid.pid, msg) for kid in kids]
+    host.pump()
+    assert encoded == [msg]
+    assert [e for e in host.transcript if e[0] == "send"] == [
+        ("send", 0, "r", kid.pid, "CreateStream", 0) for kid in kids]
+    assert log == [(kid.pid, msg) for kid in kids]
+    for kid in kids:
+        end = host.links[(kid.pid, "up")]
+        assert (end.frames_received, end.bytes_received) == (1, len(frame))
+
+
+def test_equal_but_distinct_messages_are_each_encoded(monkeypatch):
+    encoded = counted_encodes(monkeypatch)
+    log: list = []
+    a, b = Node("a", log), Sink("b", log)
+    host = hosted(a, b)
+    host.wire(a, "b", b, "a")
+    first, second = wire.Detach("x"), wire.Detach("x")
+    assert first == second and first is not second
+    a.outbox += [("b", first), ("b", second), ("b", second)]
+    host.pump()
+    assert [m is first for m in encoded] == [True, False]
+    assert log == [("b", first)] * 3
+    assert host.links[("b", "a")].bytes_received == 3 * len(wire.encode_message(first))
+
+
+def test_an_unencodable_message_after_an_equal_encodable_one_is_refused(monkeypatch):
+    """The host matches its last encoded message by identity: Data(True, ...)
+    equals Data(1, ...) but does not encode. A failed encode leaves the last
+    encoded message as it was."""
+    encoded = counted_encodes(monkeypatch)
+    log: list = []
+    a, b = Node("a", log), Sink("b", log)
+    host = hosted(a, b)
+    host.wire(a, "b", b, "a")
+    good = wire.Data(1, 2, 1, 1, 1, "kind=summary\n")
+    bad = wire.Data(True, 2, 1, 1, 1, "kind=summary\n")
+    assert good == bad
+    host.send(a, "b", good)
+    with pytest.raises(wire.ProtocolError, match="unencodable Data"):
+        host.send(a, "b", bad)
+    host.send(a, "b", good)  # still the last message encoded: no encode
+    assert [m is good for m in encoded] == [True, False]
+    host.pump()
+    assert log == [("b", good), ("b", good)]
+    assert [e[0] for e in host.transcript] == ["send", "send"]

@@ -352,6 +352,27 @@ def test_decoder_error_carries_the_frames_before_the_bad_one():
     assert err.value.messages == [Detach("a"), AttachAck(2)]
 
 
+@pytest.mark.parametrize("msg", [m for m in SAMPLE_MESSAGES
+                                 if not isinstance(m, (Data, JobMapUpdate))],
+                         ids=lambda m: type(m).__name__)
+def test_a_payload_with_a_key_its_type_does_not_declare_is_refused(msg):
+    code = wire.TYPE_CODES[type(msg)]
+    payload = wire.encode_payload(msg)
+    assert wire.decode_payload(code, payload) == msg
+    for stray in (b"junk=1\n", b"z=\n", b"stream_id.0=5\n"):
+        for spoiled in (payload + stray, stray + payload):
+            with pytest.raises(ProtocolError,
+                               match=f"^{type(msg).__name__} payload has stray keys$"):
+                wire.decode_payload(code, spoiled)
+
+
+def test_a_stream_that_is_not_a_histogram_refuses_edges():
+    msg = CreateStream(StreamSpec(1, "s", "fs", ("IO_RD_BW",)))
+    payload = wire.encode_payload(msg)
+    with pytest.raises(ProtocolError, match="^CreateStream payload has stray keys$"):
+        wire.decode_payload(wire.TYPE_CODES[CreateStream], payload + b"edges=1.5\n")
+
+
 def test_jobmap_rejects_commas_in_nodes():
     with pytest.raises(ValueError, match="comma"):
         JobMapUpdate(1, (("job", ("a,b",)),))
@@ -451,9 +472,12 @@ def reference_split_csv(value: str) -> tuple[str, ...]:
 
 
 def reference_build(code: int, fields: dict[str, str], order: list[str]):
+    read: set[str] = set()
+
     def need(key: str) -> str:
         if key not in fields:
             raise ProtocolError(f"payload missing mandatory key {key!r}")
+        read.add(key)
         return fields[key]
 
     def need_int(key: str) -> int:
@@ -466,32 +490,40 @@ def reference_build(code: int, fields: dict[str, str], order: list[str]):
             raise ProtocolError(f"payload key {key!r} is not an integer") from None
 
     cls = wire.CODE_TYPES[code]
+
+    def whole(msg):
+        # a key that the build did not read is one the type does not declare
+        if len(read) != len(order):
+            raise ProtocolError(f"{cls.__name__} payload has stray keys")
+        return msg
+
     try:
         if cls is Attach:
-            return Attach(need("node_id"), need("domain_id"),
-                          need("process_role"), need("lustre_role"))
+            return whole(Attach(need("node_id"), need("domain_id"),
+                                need("process_role"), need("lustre_role")))
         if cls is AttachAck:
-            return AttachAck(need_int("session_epoch"))
+            return whole(AttachAck(need_int("session_epoch")))
         if cls is CreateStream:
             aggregation = need("aggregation")
             edges = ()
             if aggregation == "histogram":
                 edges = tuple(float(e) for e in reference_split_csv(need("edges")))
-            return CreateStream(StreamSpec(
+            return whole(CreateStream(StreamSpec(
                 stream_id=need_int("stream_id"), name=need("name"),
                 target=need("target"), metric_names=reference_split_csv(need("metrics")),
                 aggregation=aggregation, hist_edges=edges,
                 group_by=need("group_by"), interval_secs=need_int("interval_secs"),
-                buffer_capacity=need_int("buffer_capacity")))
+                buffer_capacity=need_int("buffer_capacity"))))
         if cls is StreamCreated:
-            return StreamCreated(need_int("stream_id"))
+            return whole(StreamCreated(need_int("stream_id")))
         if cls is Subscribe:
-            return Subscribe(need_int("stream_id"), need("direction"))
+            return whole(Subscribe(need_int("stream_id"), need("direction")))
         if cls is SubscribeAck:
-            return SubscribeAck(need_int("stream_id"))
+            return whole(SubscribeAck(need_int("stream_id")))
         if cls is SetRate:
-            return SetRate(need_int("stream_id"), reference_split_csv(need("metric_names")),
-                           need_int("interval_secs"))
+            return whole(SetRate(need_int("stream_id"),
+                                 reference_split_csv(need("metric_names")),
+                                 need_int("interval_secs")))
         if cls is JobMapUpdate:
             entries = []
             i = 0
@@ -504,9 +536,9 @@ def reference_build(code: int, fields: dict[str, str], order: list[str]):
                 raise ProtocolError("job map payload has stray keys")
             return JobMapUpdate(need_int("epoch"), tuple(entries))
         if cls is Detach:
-            return Detach(need("node_id"))
+            return whole(Detach(need("node_id")))
         if cls is Error:
-            return Error(need("code"), need("text"))
+            return whole(Error(need("code"), need("text")))
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
     raise ProtocolError(f"unknown msg_type code {code}")
