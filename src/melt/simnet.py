@@ -12,16 +12,24 @@ quiescent, so rounds are barrier-complete. The socket backend
 Every send is encoded by :func:`~melt.wire.encode_message`, which checks
 the message and gives the frame that is counted and sent. A message sent
 again right after itself (the same object, as in a multicast to a
-process's links) reuses that frame. On a link whose peer is in process
-the channel carries the sender's frozen message with its frame, and the
-peer's process is handed that message: no in-process hop decodes. The
-codec refuses to encode any message that its frame would not decode back
-to, so the message handed over is the one a decode would give, and the
-layers above stay byte-exact with a socket deployment. Bytes written to an
-in-process channel without a message, and a whole frame that arrives while
-the link's decoder holds part of a frame, go through the link's
-:class:`~melt.wire.FrameDecoder` in the order they were sent, as does
-everything a TCP link reads.
+process's links) reuses that frame; the host keeps it until ``pump``
+returns. A message that a process sends while it handles it, having been
+handed it with its frame over an in-process link (a relay forwarding a
+stream spec, a rate change or a job map), goes out with the frame it
+arrived with, held only while the flush after that message runs: a spec
+is encoded where it is made, not once per forwarding hop, and a TCP child
+below in-process relays gets the frame encoded where the spec was made.
+On a link whose peer is in process the channel carries the sender's
+frozen message with its frame, and the peer's process is handed that
+message: no in-process hop decodes. The codec refuses to encode any
+message that its frame would not decode back to, so the message handed
+over is the one a decode would give, its frame is the one encoding it
+would give, and the layers above stay byte-exact with a socket
+deployment. Bytes written to an in-process channel without a message, and
+a whole frame that arrives while the link's decoder holds part of a
+frame, go through the link's :class:`~melt.wire.FrameDecoder`, built on
+the first such bytes, in the order they were sent, as does everything a
+TCP link reads; a message decoded so has no frame to reuse.
 
 Delivery runs off one heap of ready links; idle links are never polled. A
 link is ready when a send has put bytes on it, when it or its in-process
@@ -59,13 +67,14 @@ from .transport import ChannelClosedError, sim_channel_pair
 MAX_PUMP_PASSES = 100_000  # more means messages keep causing messages: pump raises
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LinkState:
     """One end of a link as its process sees it; ``add_link`` fills the owner fields."""
 
     channel: object  # SimChannelEnd or TcpChannel
     peer: LinkState | None = field(default=None, repr=False)  # the in-process other end
-    decoder: wire.FrameDecoder | None = None  # for what arrives without its message
+    # for what arrives without its message; built on the first such bytes
+    decoder: wire.FrameDecoder | None = None
     closed_notified: bool = False
     pid: str = "-"       # owning process
     name: str = ""       # link name within the owning process
@@ -78,15 +87,25 @@ class LinkState:
     bytes_received: int = 0
 
 
-def _msg_key(msg: wire.Message):
-    if isinstance(msg, (wire.Data, wire.SetRate, wire.Subscribe, wire.SubscribeAck,
-                        wire.StreamCreated)):
-        return msg.stream_id
-    if isinstance(msg, wire.CreateStream):
-        return msg.spec.stream_id
-    if isinstance(msg, wire.JobMapUpdate):
-        return msg.epoch
-    return ""
+def _stream_key(msg) -> tuple:
+    return (msg.stream_id,)
+
+
+def _no_key(msg) -> tuple:
+    return ("",)
+
+
+# what a send event records after the message type, by message type
+_EVENT_TAIL = {
+    wire.Data: lambda m: (m.stream_id, m.round, m.window_secs, m.expected_contributors,
+                          m.actual_contributors),
+    wire.SetRate: _stream_key,
+    wire.Subscribe: _stream_key,
+    wire.SubscribeAck: _stream_key,
+    wire.StreamCreated: _stream_key,
+    wire.CreateStream: lambda m: (m.spec.stream_id,),
+    wire.JobMapUpdate: lambda m: (m.epoch,),
+}
 
 
 class SimHost:
@@ -102,11 +121,15 @@ class SimHost:
         self._ranks = itertools.count()
         self._heap: list[tuple] = []  # ready links: (pass, rank, seq, state)
         self._at = (0, -1)  # the (pass, rank) being visited; (0, -1) once quiescent
-        # the message encoded last (none yet) and its frame. Messages are
-        # frozen, so the same object has the same frame; an equal one may
-        # not encode at all (Data(True, ...) == Data(1, ...))
-        self._encoded: object = object()
+        # the message encoded last and its frame, until the network is
+        # quiescent. Messages are frozen, so the same object has the same
+        # frame; an equal one may not encode at all (Data(True, ...) == Data(1, ...))
+        self._encoded: object = None
         self._frame = b""
+        # the message a process is handling and the frame it arrived with,
+        # while the flush after its on_message runs
+        self._arrived: object = None
+        self._arrived_frame = b""
 
     # --- construction ----------------------------------------------------------
 
@@ -119,7 +142,6 @@ class SimHost:
 
     def add_link(self, proc, link: str, state: LinkState) -> None:
         state.pid, state.name, state.rank = proc.pid, link, self._rank[proc.pid]
-        state.decoder = wire.FrameDecoder()
         state.seq = len(self.proc_links[proc.pid])
         self.links[(proc.pid, link)] = state
         self.proc_links[proc.pid].append(link)
@@ -187,13 +209,16 @@ class SimHost:
     def send(self, proc, link: str, msg: wire.Message) -> None:
         """Encode one message of a process and send it on one of its links,
         with the message itself when the peer is in process. A message sent
-        right after itself (the same object) reuses its frame."""
+        right after itself, or while the process handles it after it arrived
+        with its frame (the same object either way), reuses that frame."""
         state = self.links.get((proc.pid, link))
         if state is None or state.channel.closed:
             self.record(("send-dropped", self.now, proc.pid, link, type(msg).__name__))
             return
         if msg is self._encoded:
             frame = self._frame
+        elif msg is self._arrived:
+            frame = self._arrived_frame
         else:
             frame = wire.encode_message(msg)
             self._encoded, self._frame = msg, frame
@@ -208,13 +233,10 @@ class SimHost:
             return
         state.frames_sent += 1
         state.bytes_sent += len(frame)
-        event = ("send", self.now, proc.pid, "-" if peer is None else peer.pid,
-                 type(msg).__name__, _msg_key(msg))
-        if isinstance(msg, wire.Data):
-            event += (msg.round, msg.window_secs, msg.expected_contributors,
-                      msg.actual_contributors)
-        self.record(event)
-        if peer is not None:
+        cls = type(msg)
+        self.record(("send", self.now, proc.pid, "-" if peer is None else peer.pid,
+                     cls.__name__) + _EVENT_TAIL.get(cls, _no_key)(msg))
+        if peer is not None and not peer.ready:
             self.wake(peer)
 
     def _deliver(self, proc, state: LinkState) -> None:
@@ -234,32 +256,45 @@ class SimHost:
         elif state.channel.readable:
             self.wake(state)  # more than one read's worth, or a close behind it
         decoder = state.decoder
-        msgs: list = []
+        arrived: list = []  # (frame it arrived with or None, message)
         try:
-            for data, msg in read:
+            for piece in read:
+                data, msg = piece
                 state.bytes_received += len(data)
-                if msg is not None and not decoder.pending_bytes:
-                    msgs.append(msg)  # what decoding its frame would give
+                if msg is not None and (decoder is None or not decoder.pending_bytes):
+                    arrived.append(piece)  # msg is what decoding its frame would give
                 else:
-                    msgs += decoder.feed(data)
+                    if decoder is None:
+                        decoder = state.decoder = wire.FrameDecoder()
+                    arrived += [(None, m) for m in decoder.feed(data)]
         except wire.ProtocolError as exc:
             # a malformed frame ends only its own link, after the messages
             # that came before it in the same read
-            self.receive(proc, state, msgs + exc.messages)
+            self.receive(proc, state, arrived + [(None, m) for m in exc.messages])
             self.send(proc, state.name, wire.Error("link-fault", str(exc)))
             self.close_link(proc, state,
                             ("link-fault", self.now, proc.pid, state.name, str(exc)))
             if state.peer is not None:
                 self.wake(state.peer)
             return
-        self.receive(proc, state, msgs)
+        self.receive(proc, state, arrived)
 
-    def receive(self, proc, state: LinkState, msgs) -> None:
-        """Hand the messages of one link to its process, one at a time."""
-        for msg in msgs:
+    def receive(self, proc, state: LinkState, arrived) -> None:
+        """Hand the messages of one link to its process, one at a time, from
+        (frame or None, message) pairs, and flush the process when it emitted
+        or noted something; a message it sends again meanwhile goes out with
+        the frame it arrived with."""
+        for frame, msg in arrived:
             state.frames_received += 1
             proc.on_message(state.name, msg)
-            self.flush(proc)
+            if not (proc.outbox or proc.notes):
+                continue
+            if frame is not None:  # a decoded message has no frame to reuse
+                self._arrived, self._arrived_frame = msg, frame
+            try:
+                self.flush(proc)
+            finally:
+                self._arrived, self._arrived_frame = None, b""
 
     def close_link(self, proc, state: LinkState, event: tuple) -> None:
         """Release a link found closed or faulty, record ``event`` and tell
@@ -274,20 +309,23 @@ class SimHost:
         """Deliver messages until the network is quiescent, popping the ready
         heap (see the module docstring for the order). Raises RuntimeError,
         leaving the heap as it is, when the work runs past MAX_PUMP_PASSES
-        passes."""
-        for proc in self.by_pid.values():
-            if proc.outbox or proc.notes:
-                self.flush(proc)
-        heap = self._heap
-        limit = self._at[0] + MAX_PUMP_PASSES
-        while heap:
-            if heap[0][0] >= limit:
-                raise RuntimeError("message pump did not quiesce")
-            at_pass, rank, _seq, state = heapq.heappop(heap)
-            self._at = at_pass, rank
-            if self._rank.get(state.pid) == rank:  # else its process was dropped
-                self._deliver(self.by_pid[state.pid], state)
-        self._at = (0, -1)
+        passes. Returning or raising, it forgets the message encoded last."""
+        try:
+            for proc in self.by_pid.values():
+                if proc.outbox or proc.notes:
+                    self.flush(proc)
+            heap = self._heap
+            limit = self._at[0] + MAX_PUMP_PASSES
+            while heap:
+                if heap[0][0] >= limit:
+                    raise RuntimeError("message pump did not quiesce")
+                at_pass, rank, _seq, state = heapq.heappop(heap)
+                self._at = at_pass, rank
+                if self._rank.get(state.pid) == rank:  # else its process was dropped
+                    self._deliver(self.by_pid[state.pid], state)
+            self._at = (0, -1)
+        finally:
+            self._encoded, self._frame = None, b""
 
     def tick(self, now: int) -> None:
         """Advance the logical clock one step: timers first, then delivery."""

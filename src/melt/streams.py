@@ -133,6 +133,16 @@ class AgentIdentity:
     filesystems: tuple[str, ...] = ()
 
 
+# (target kind, agent role) -> names of the catalog metrics that an agent of
+# that role produces for a target of that kind: the role is one of the
+# metric's producer roles for the kind, and the metric's class is one the
+# role can produce
+_PRODUCED = {(kind, role): frozenset(d.name for d in catalog.CATALOG
+                                     if role in producer_roles_for(Target(kind), d.name)
+                                     and d.metric_class in classes)
+             for kind in TARGET_KINDS for role, classes in catalog.ROLE_CLASSES.items()}
+
+
 def produced_metrics(spec: StreamSpec, agent: AgentIdentity) -> tuple[str, ...]:
     """Metrics of ``spec`` this agent produces; empty means not a producer."""
     target = parse_target(spec.target)
@@ -142,12 +152,10 @@ def produced_metrics(spec: StreamSpec, agent: AgentIdentity) -> tuple[str, ...]:
     if target.kind == "fs" and target.name is not None:
         if target.name not in agent.filesystems:
             return ()
-    classes = catalog.ROLE_CLASSES.get(agent.lustre_role)
-    if classes is None:
+    names = _PRODUCED.get((target.kind, agent.lustre_role))
+    if names is None:
         raise ValueError(f"unknown lustre role {agent.lustre_role!r}")
-    return tuple(m for m in spec.metric_names
-                 if agent.lustre_role in producer_roles_for(target, m)
-                 and catalog.metric(m).metric_class in classes)
+    return tuple([m for m in spec.metric_names if m in names])
 
 
 def expected_producers(spec: StreamSpec, topology: OverlayTopology) -> list[str]:

@@ -32,6 +32,8 @@ class ChannelClosedError(TransportError):
 class SimChannelEnd:
     """One end of an in-process duplex channel."""
 
+    __slots__ = ("_rx", "_taken", "closed", "peer")
+
     def __init__(self) -> None:
         # (bytes, message or None) sent to this end; a list, not a deque:
         # most channels hold nothing most of the time, and an empty deque
@@ -57,6 +59,13 @@ class SimChannelEnd:
             if self.closed:
                 raise ChannelClosedError("recv on closed channel")
             return []
+        if not self._taken:
+            size = 0
+            for data, _msg in rx:
+                size += len(data)
+            if size <= SIM_RECV_BYTES:  # every entry whole: the queue is the read
+                self._rx = []
+                return rx
         pieces = []
         budget = SIM_RECV_BYTES
         start = self._taken

@@ -178,12 +178,14 @@ def decode_every_frame(monkeypatch) -> None:
 
 
 def encode_every_send(monkeypatch) -> None:
-    """Make the host forget its last encoded message before every send, so
-    that a multicast is encoded once per link."""
+    """Make the host forget its last encoded message, and the frame the
+    message being handled arrived with, before every send, so that every
+    send is encoded: a multicast once per link, a forwarded message again
+    at every hop."""
     send = SimHost.send
 
     def forgetful(self, proc, link, msg) -> None:
-        self._encoded = object()
+        self._encoded = self._arrived = None
         send(self, proc, link, msg)
 
     monkeypatch.setattr(SimHost, "send", forgetful)

@@ -495,9 +495,32 @@ def reference_produced_metrics(spec, agent) -> tuple[str, ...]:
     return tuple(out)
 
 
+def per_metric_produced_metrics(spec, agent) -> tuple[str, ...]:
+    """produced_metrics as it was before it read a (target kind, role)
+    table: per metric, the role must be a producer role for the target and
+    the metric's class one the role produces."""
+    from melt import catalog
+    from melt.streams import parse_target, producer_roles_for
+
+    target = parse_target(spec.target)
+    if target.kind in ("oss", "mds", "clnt"):
+        if agent.node_id != target.name:
+            return ()
+    if target.kind == "fs" and target.name is not None:
+        if target.name not in agent.filesystems:
+            return ()
+    classes = catalog.ROLE_CLASSES.get(agent.lustre_role)
+    if classes is None:
+        raise ValueError(f"unknown lustre role {agent.lustre_role!r}")
+    return tuple(m for m in spec.metric_names
+                 if agent.lustre_role in producer_roles_for(target, m)
+                 and catalog.metric(m).metric_class in classes)
+
+
 def test_produced_metrics_matches_the_role_catalog_reference():
     """Every catalog metric, alone and all together, for every role (and an
-    unknown one) under every target kind, named to match the agent or not."""
+    unknown one) under every target kind, named to match the agent or not:
+    the same tuple, or the same ValueError, as both earlier rules."""
     from melt import catalog
     from melt.streams import AgentIdentity, StreamSpec, produced_metrics
 
@@ -519,6 +542,44 @@ def test_produced_metrics_matches_the_role_catalog_reference():
                 spec = StreamSpec(1, "s", target, metrics)
                 got = outcome(produced_metrics, spec, agent)
                 assert got == outcome(reference_produced_metrics, spec, agent), (role, spec)
+                assert got == outcome(per_metric_produced_metrics, spec, agent), (role, spec)
                 produced += bool(got) and type(got[0]) is str
                 errors += got == (ValueError, "unknown lustre role 'tape-robot'")
     assert produced and errors == 6 * len(metric_sets)  # the targets that reach the role
+
+
+def test_a_metric_the_catalog_lacks_is_produced_by_no_agent():
+    """The per-metric rule raised UnknownMetricError out of the agent, so a
+    forged spec stopped the host; the table just has no such name."""
+    from melt import catalog
+    from melt.streams import AgentIdentity, StreamSpec, produced_metrics
+
+    spec = StreamSpec(1, "s", "fs", ("IO_RD_BW", "NO_SUCH_METRIC"))
+    agent = AgentIdentity("n1", "client", ("knot2",))
+    assert produced_metrics(spec, agent) == ("IO_RD_BW",)
+    with pytest.raises(catalog.UnknownMetricError):
+        per_metric_produced_metrics(spec, agent)
+
+
+def test_expected_producers_on_the_testbed_match_the_per_metric_rule(monkeypatch):
+    """Every node of testbed.cfg, for each target kind there (named to match
+    or not) and each catalog metric alone and all together."""
+    from melt import catalog, streams
+    from melt.scenario import parse_scenario
+    from melt.simharness import resolve_scenario_path
+    from melt.streams import StreamSpec, expected_producers
+
+    with open(resolve_scenario_path("testbed.cfg"), encoding="utf-8") as fh:
+        topology = parse_scenario(fh.read()).topology
+    clients = [node for domain in topology.domains if domain.lustre_role == "client"
+               for node in domain.member_nodes]
+    targets = ["fs", "fs=knot2", "fs=other", "job=j1", "clnt=oss01"] + [
+        f"{kind}={name}" for kind in ("oss", "mds") for name in topology.servers(kind)] + [
+        f"clnt={node}" for node in clients[:2]]
+    names = [d.name for d in catalog.CATALOG]
+    specs = [StreamSpec(1, "s", target, metrics) for target in targets
+             for metrics in [(m,) for m in names] + [tuple(names)]]
+    got = [expected_producers(spec, topology) for spec in specs]
+    monkeypatch.setattr(streams, "produced_metrics", per_metric_produced_metrics)
+    assert got == [expected_producers(spec, topology) for spec in specs]
+    assert sum(map(bool, got)) > len(targets)  # most targets have producers

@@ -6,6 +6,7 @@ import hashlib
 import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -471,13 +472,25 @@ def test_encoding_a_multicast_once_changes_no_frame_or_transcript(scenario, monk
 
 def test_a_testbed_build_encodes_each_multicast_once(monkeypatch):
     """Building testbed.cfg with two melt sessions: 1,876 sends, of which the
-    886 that do not repeat the message just sent are encoded."""
-    encodes = []
+    579 that neither repeat the message just sent nor forward the message
+    being handled are encoded. Each of the 14 stream specs is encoded where
+    a message carrying it is made: by meltmon, which asks for it, by the
+    root, which multicasts it, and by the root's catch-up for each of the two
+    sessions attached later; the managers and relays forward the root's
+    frame."""
+    encodes = Counter()
     encode = wire.encode_message
-    monkeypatch.setattr(wire, "encode_message", lambda msg: encodes.append(1) or encode(msg))
+
+    def counted(msg) -> bytes:
+        encodes[type(msg).__name__] += 1
+        return encode(msg)
+
+    monkeypatch.setattr(wire, "encode_message", counted)
     with open(resolve_scenario_path("testbed.cfg"), encoding="utf-8") as fh:
         cluster = SimCluster(parse_scenario(fh.read()))
     for name, argv in CLI_SESSIONS:
         cluster.add_cli(argv, name=name)
     sends = [e for e in cluster.host.transcript if e[0] == "send"]
-    assert (len(encodes), len(sends)) == (886, 1876)
+    assert (sum(encodes.values()), len(sends)) == (579, 1876)
+    assert encodes == {"Attach": 69, "AttachAck": 69, "CreateStream": 56, "JobMapUpdate": 3,
+                       "StreamCreated": 14, "Subscribe": 184, "SubscribeAck": 184}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from melt.simnet import SimHost
 from melt.transport import ChannelClosedError, SimChannelEnd
 
 from simutil import (add_driver, attach_agents, create_stream, decode_every_frame, deep_domain,
-                     io_stream_spec, make_sim, received)
+                     encode_every_send, io_stream_spec, make_sim, received)
 
 
 def test_round_reads_links_only_when_they_carry_frames(monkeypatch):
@@ -196,7 +198,8 @@ class FullScanHost(SimHost):
     """The reference delivery order: every link of every process, processes
     in registration order and links in the order they were added, each
     readable link read once per scan, scans repeated until none is readable.
-    It decodes every frame it reads, handed-over or not."""
+    It decodes every frame it reads, handed-over or not, with a decoder it
+    builds on a link's first read."""
 
     def wake(self, state) -> None:
         pass  # nothing is queued: every scan looks at every link
@@ -221,15 +224,17 @@ class FullScanHost(SimHost):
         except ChannelClosedError:
             self.close_link(proc, state, ("link-closed", self.now, proc.pid, state.name))
             return
+        if state.decoder is None:
+            state.decoder = wire.FrameDecoder()
         try:
             msgs = state.decoder.feed(b"".join(data for data, _msg in read))
         except wire.ProtocolError as exc:
-            self.receive(proc, state, exc.messages)
+            self.receive(proc, state, [(None, m) for m in exc.messages])
             self.send(proc, state.name, wire.Error("link-fault", str(exc)))
             self.close_link(proc, state,
                             ("link-fault", self.now, proc.pid, state.name, str(exc)))
             return
-        self.receive(proc, state, msgs)
+        self.receive(proc, state, [(None, m) for m in msgs])
 
 
 @st.composite
@@ -564,3 +569,132 @@ def test_an_unencodable_message_after_an_equal_encodable_one_is_refused(monkeypa
     host.pump()
     assert log == [("b", good), ("b", good)]
     assert [e[0] for e in host.transcript] == ["send", "send"]
+
+
+class Forwarder(Sink):
+    """A relay-like core: it answers each message on the link it came in on,
+    then passes the message itself on to its down links, as a relay's
+    forward_multicast does after other sends."""
+
+    def __init__(self, pid: str, log: list, down=()) -> None:
+        super().__init__(pid, log)
+        self.down = list(down)
+
+    def on_message(self, link: str, msg) -> None:
+        super().on_message(link, msg)
+        if isinstance(msg, wire.CreateStream):
+            self.outbox.append((link, wire.Detach(f"{self.pid}-got")))
+            self.outbox += [(name, msg) for name in self.down]
+
+
+def forwarding_chain(monkeypatch, raw: bool) -> tuple:
+    """A source, two forwarding hops and three sinks below them; the source
+    sends one CreateStream with its message or, when ``raw``, as bytes alone.
+    Returns (encoded messages, the message, the host, every frame sent)."""
+    frames: list = []
+    send = SimChannelEnd.send
+
+    def sent(self, data, msg=None) -> None:
+        frames.append(data)
+        send(self, data, msg)
+
+    monkeypatch.setattr(SimChannelEnd, "send", sent)
+    encoded = counted_encodes(monkeypatch)
+    log: list = []
+    src, f1, f2 = Sink("s", log), Forwarder("f1", log, ["f2"]), Forwarder("f2", log)
+    kids = [Sink(f"k{i}", log) for i in range(3)]
+    host = hosted(src, f1, f2, *kids)
+    host.wire(src, "f1", f1, "up")
+    host.wire(f1, "f2", f2, "up")
+    for kid in kids:
+        host.wire(f2, kid.pid, kid, "up")
+        f2.down.append(kid.pid)
+    msg = wire.CreateStream(io_stream_spec())
+    if raw:
+        host.links[("s", "f1")].channel.send(wire.encode_message(msg))
+        host.wake(host.links[("f1", "up")])
+    else:
+        src.outbox.append(("f1", msg))
+    host.pump()
+    return encoded, msg, host, frames
+
+
+def test_a_forwarded_message_goes_out_with_the_frame_it_arrived_with(monkeypatch):
+    """Each hop answers before it forwards, so the host's last encoded
+    message is the answer, yet the spec is encoded only at its source: each
+    hop sends it with the frame it arrived with, and every link carries the
+    bytes it carried when every send was encoded."""
+    with monkeypatch.context() as patch:
+        encoded, msg, host, frames = forwarding_chain(patch, raw=False)
+    assert [type(m).__name__ for m in encoded] == ["CreateStream", "Detach", "Detach"]
+    assert encoded[0] is msg
+    frame = wire.encode_message(msg)
+    for pid in ("f2", "k0", "k1", "k2"):
+        end = host.links[(pid, "up")]
+        assert (end.frames_received, end.bytes_received) == (1, len(frame))
+    with monkeypatch.context() as patch:
+        encode_every_send(patch)
+        every = forwarding_chain(patch, raw=False)
+    assert len(every[0]) == 5 + 2  # the spec on each of its five links, and the answers
+    assert frames == every[3] and host.transcript == every[2].transcript
+
+
+def test_a_decoded_message_that_is_forwarded_is_encoded_once(monkeypatch):
+    """A message decoded off bytes has no frame to reuse: the first hop
+    encodes it, and the next hop forwards that frame."""
+    with monkeypatch.context() as patch:
+        encoded, msg, host, frames = forwarding_chain(patch, raw=True)
+    frame = wire.encode_message(msg)
+    assert [type(m).__name__ for m in encoded] == [
+        "CreateStream", "Detach", "CreateStream", "Detach"]  # the raw frame, then f1, f2
+    assert encoded[2] == msg and frames.count(frame) == 1 + 1 + 3
+    assert host.links[("f1", "up")].decoder is not None
+    assert host.links[("f2", "up")].decoder is None
+
+
+def test_after_pump_the_host_holds_no_message_and_no_frame(monkeypatch):
+    """Neither the message encoded last nor the one being forwarded, nor
+    their frames, stay on the host once pump returns, or once it raises."""
+
+    def held(host) -> list:
+        return [name for name, value in vars(host).items()
+                if isinstance(value, (bytes, wire.Detach, wire.CreateStream)) and value]
+
+    with monkeypatch.context() as patch:
+        _encoded, msg, host, _frames = forwarding_chain(patch, raw=False)
+    gone = weakref.ref(msg)
+    del msg, _encoded
+    host.by_pid["s"].log.clear()  # every process's log: they share one
+    assert held(host) == [] and gone() is None
+
+    class Breaking(Forwarder):
+        def on_message(self, link: str, msg) -> None:
+            super().on_message(link, msg)
+            self.outbox.append((link, wire.AttachAck(True)))  # unencodable
+
+    log: list = []
+    src, hop = Sink("s", log), Breaking("b", log)
+    host = hosted(src, hop)
+    host.wire(src, "b", hop, "up")
+    src.outbox.append(("b", wire.CreateStream(io_stream_spec())))
+    with pytest.raises(wire.ProtocolError, match="unencodable AttachAck"):
+        host.pump()
+    assert held(host) == []
+
+
+def test_a_link_that_carries_only_handed_over_messages_builds_no_decoder():
+    log: list = []
+    a, b = Node("a", log), Node("b", log, replies={"x": [("a", "ack-x")]})
+    host = hosted(a, b)
+    host.wire(a, "b", b, "a")
+    a.outbox.append(("b", wire.Detach("x")))
+    host.pump()
+    assert log == [("b", "x"), ("a", "ack-x")]
+    assert [state.decoder for state in host.links.values()] == [None, None]
+    # raw bytes build the decoder, and decode after what was handed over
+    a.outbox.append(("b", wire.Detach("y")))
+    host.flush(a)
+    host.links[("a", "b")].channel.send(wire.encode_message(wire.Detach("z")))
+    host.pump()
+    assert log[2:] == [("b", "y"), ("b", "z")]
+    assert host.links[("b", "a")].decoder is not None and host.links[("a", "b")].decoder is None

@@ -19,8 +19,8 @@ from melt.streams import StreamSpec
 from melt.topology import load_topology, parse_topology
 from melt.transport import parse_endpoint
 from melt.wire import (MAGIC, MAX_PAYLOAD, TYPE_CODES, VERSION, Attach, AttachAck,
-                       CreateStream, Data, Error, FrameDecoder, StreamCreated, Subscribe,
-                       SubscribeAck, decode_all, encode_message)
+                       CreateStream, Data, Error, FrameDecoder, JobMapUpdate, StreamCreated,
+                       Subscribe, SubscribeAck, decode_all, decode_frame, encode_message)
 
 from simutil import ONE_DOMAIN, received
 
@@ -195,7 +195,7 @@ class RelayRig:
         topology = parse_topology(
             f"[domain big]\nmanager = bigmgr\nmembers = {names}\nfanout = 4\n"
             "role = client\nfs = knot2\n[ring]\norder = big\nroot = skein\n")
-        self.host, _handle, self.endpoints = serve_overlay(topology)
+        self.host, self.handle, self.endpoints = serve_overlay(topology)
         self.decoders: dict[socket.socket, FrameDecoder] = {}
         self.cons = self.connect("@root")
         self.send(self.cons, Attach("test-consumer", "-", "session-client", "-"))
@@ -389,9 +389,7 @@ def test_a_relay_chain_decodes_a_record_once_and_encodes_it_per_hop(monkeypatch)
     pumping = False
     calls: Counter = Counter()
     pump, decode, encode = rig.host.pump, wire.decode_payload, wire.encode_message
-    feed = FrameDecoder.feed
-    in_process = {id(state.decoder) for state in rig.host.links.values()
-                  if state.peer is not None}
+    in_process = [state for state in rig.host.links.values() if state.peer is not None]
 
     def host_pump():
         nonlocal pumping
@@ -409,14 +407,9 @@ def test_a_relay_chain_decodes_a_record_once_and_encodes_it_per_hop(monkeypatch)
         calls["encode"] += pumping
         return encode(msg)
 
-    def counting_feed(self, data):
-        calls["in-process feed"] += pumping and id(self) in in_process
-        return feed(self, data)
-
     rig.host.pump = host_pump
     monkeypatch.setattr(wire, "decode_payload", counting_decode)
     monkeypatch.setattr(wire, "encode_message", counting_encode)
-    monkeypatch.setattr(FrameDecoder, "feed", counting_feed)
     try:
         for rnd in (1, 2, 3):
             calls.clear()
@@ -426,8 +419,9 @@ def test_a_relay_chain_decodes_a_record_once_and_encodes_it_per_hop(monkeypatch)
             assert (record.round, record.aggregate_body) == (rnd, body)
             # the frame off the producer's socket is decoded; each of the four
             # hops encodes the record, and the three in-process hops hand the
-            # message over without decoding it
-            assert calls == {"decode": 1, "encode": 4, "in-process feed": 0}
+            # message over: no in-process link has built a decoder
+            assert calls == {"decode": 1, "encode": 4}
+            assert [state for state in in_process if state.decoder is not None] == []
     finally:
         rig.close()
 
@@ -461,5 +455,69 @@ def test_bad_frame_closes_only_its_link(frame, reason, caplog):
         rig.produce(1, GOOD_BODY)
         (record,) = rig.pump_until(rig.cons, Data)
         assert (record.round, record.aggregate_body) == (1, GOOD_BODY)
+    finally:
+        rig.close()
+
+
+def frames_of(data: bytes) -> list[bytes]:
+    """The whole frames that ``data`` holds, as bytes, in order."""
+    frames = []
+    while True:
+        msg, rest = decode_frame(data)
+        if msg is None:
+            return frames
+        frames.append(data[:len(data) - len(rest)])
+        data = rest
+
+
+def test_a_tcp_agent_below_two_relay_hops_gets_the_frames_the_root_encoded(monkeypatch):
+    """An agent attached over TCP at the deepest relay, below the manager and
+    two in-process relay hops, gets a new stream's CreateStream and a
+    JobMapUpdate as the frames the root encoded: no hop below the root
+    encodes them again, each decodes to what the root holds, and each equals
+    encode_message of what it decodes to, byte for byte."""
+    rig = RelayRig()
+    try:
+        root = rig.handle.root
+        domain = rig.handle.topology.domain("big")
+        deepest = domain.internal_positions()[-1]
+        assert domain.tree_parent(domain.tree_parent(deepest)) == 0  # the manager's position
+        leaf = domain.node_at(domain.tree_children(deepest)[1])
+        agent_sock = rig.connect(domain.node_at(deepest))
+        rig.send(agent_sock, Attach(leaf, "big", "agent", "client"))
+        raw = b""
+
+        def pump_until(want) -> None:
+            nonlocal raw
+            deadline = time.monotonic() + 5.0
+            while not any(isinstance(m, want) for m in decode_all(raw)[0]):
+                assert time.monotonic() < deadline, f"no {want.__name__} for the agent"
+                rig.host.pump()
+                try:
+                    raw += agent_sock.recv(1 << 20)
+                except BlockingIOError:
+                    pass
+
+        pump_until(CreateStream)  # the catch-up for the rig's stream
+        assert decode_all(raw)[1] == b""
+        raw = b""
+        encodes: Counter = Counter()
+        encode = wire.encode_message
+        monkeypatch.setattr(wire, "encode_message",
+                            lambda msg: encodes.update([type(msg).__name__]) or encode(msg))
+        rig.send(rig.cons, CreateStream(StreamSpec(
+            0, "test/twin", "fs=knot2", ("IO_RD_BW", "IO_WR_BW"), "summary", (),
+            "client", 2, 64)))
+        pump_until(CreateStream)
+        rig.send(rig.cons, JobMapUpdate(5, (("job.1", (leaf,)), ("job.2", ("c001", "c002")))))
+        pump_until(JobMapUpdate)
+        assert encodes == {"CreateStream": 1, "StreamCreated": 1, "JobMapUpdate": 1}
+        frames = frames_of(raw)
+        got = [decode_frame(frame)[0] for frame in frames]
+        assert [type(m) for m in got] == [CreateStream, JobMapUpdate]
+        assert got[0].spec == root.streams[got[0].spec.stream_id].spec
+        assert got[0].spec.name == "test/twin"
+        assert got[1] == root.jobmap_msg
+        assert frames == [encode(m) for m in got]
     finally:
         rig.close()

@@ -33,6 +33,24 @@ class TestSimTransport:
         with pytest.raises(ChannelClosedError):
             server.send(b"nope")
 
+    @pytest.mark.parametrize("size", [15, 16, 17, 53])
+    def test_a_lone_entry_comes_whole_or_is_cut_at_the_read_boundary(self, size, monkeypatch):
+        """A lone entry that fits one read is that read, with its message;
+        a longer one is cut into reads of SIM_RECV_BYTES, without it."""
+        monkeypatch.setattr(transport, "SIM_RECV_BYTES", 16)
+        client, server = sim_channel_pair()
+        data = bytes(range(size))
+        client.send(data, "msg")
+        reads = []
+        while server.readable:
+            reads.append(server.try_recv())
+        if size <= 16:
+            assert reads == [[(data, "msg")]]
+        else:
+            assert reads == [[(data[i:i + 16], None)] for i in range(0, size, 16)]
+        client.send(b"next", "m2")  # a read after a cut starts afresh
+        assert server.try_recv() == [(b"next", "m2")]
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.tuples(st.just("send"), st.binary(min_size=1, max_size=40),
