@@ -12,13 +12,14 @@ quiescent, so rounds are barrier-complete. The socket backend
 Every send is encoded by :func:`~melt.wire.encode_message`, which checks
 the message and gives the frame that is counted and sent. A message sent
 again right after itself (the same object, as in a multicast to a
-process's links) reuses that frame; the host keeps it until ``pump``
-returns. A message that a process sends while it handles it, having been
-handed it with its frame over an in-process link (a relay forwarding a
-stream spec, a rate change or a job map), goes out with the frame it
-arrived with, held only while the flush after that message runs: a spec
-is encoded where it is made, not once per forwarding hop, and a TCP child
-below in-process relays gets the frame encoded where the spec was made.
+process's links) reuses that frame. The host also keeps the message it
+handed a process last with the frame it arrived with over an in-process
+link, so a process that sends it on, even after a reply of its own (a
+relay forwarding a stream spec, a rate change, a job map or a producer's
+Subscribe), sends that frame: a spec is encoded where it is made, not once
+per forwarding hop, and a TCP child below in-process relays gets the
+frame encoded where the spec was made. The host holds these two messages
+and their frames until ``pump`` returns.
 On a link whose peer is in process the channel carries the sender's
 frozen message with its frame, and the peer's process is handed that
 message: no in-process hop decodes. The codec refuses to encode any
@@ -87,25 +88,15 @@ class LinkState:
     bytes_received: int = 0
 
 
-def _stream_key(msg) -> tuple:
-    return (msg.stream_id,)
-
-
-def _no_key(msg) -> tuple:
-    return ("",)
-
-
-# what a send event records after the message type, by message type
-_EVENT_TAIL = {
-    wire.Data: lambda m: (m.stream_id, m.round, m.window_secs, m.expected_contributors,
-                          m.actual_contributors),
-    wire.SetRate: _stream_key,
-    wire.Subscribe: _stream_key,
-    wire.SubscribeAck: _stream_key,
-    wire.StreamCreated: _stream_key,
-    wire.CreateStream: lambda m: (m.spec.stream_id,),
-    wire.JobMapUpdate: lambda m: (m.epoch,),
-}
+def _msg_key(msg: wire.Message):
+    if isinstance(msg, (wire.Data, wire.SetRate, wire.Subscribe, wire.SubscribeAck,
+                        wire.StreamCreated)):
+        return msg.stream_id
+    if isinstance(msg, wire.CreateStream):
+        return msg.spec.stream_id
+    if isinstance(msg, wire.JobMapUpdate):
+        return msg.epoch
+    return ""
 
 
 class SimHost:
@@ -121,13 +112,12 @@ class SimHost:
         self._ranks = itertools.count()
         self._heap: list[tuple] = []  # ready links: (pass, rank, seq, state)
         self._at = (0, -1)  # the (pass, rank) being visited; (0, -1) once quiescent
-        # the message encoded last and its frame, until the network is
-        # quiescent. Messages are frozen, so the same object has the same
+        # the message encoded last and its frame, and the message handed to
+        # a process last with the frame it arrived with, until the network
+        # is quiescent. Messages are frozen, so the same object has the same
         # frame; an equal one may not encode at all (Data(True, ...) == Data(1, ...))
         self._encoded: object = None
         self._frame = b""
-        # the message a process is handling and the frame it arrived with,
-        # while the flush after its on_message runs
         self._arrived: object = None
         self._arrived_frame = b""
 
@@ -208,9 +198,9 @@ class SimHost:
 
     def send(self, proc, link: str, msg: wire.Message) -> None:
         """Encode one message of a process and send it on one of its links,
-        with the message itself when the peer is in process. A message sent
-        right after itself, or while the process handles it after it arrived
-        with its frame (the same object either way), reuses that frame."""
+        with the message itself when the peer is in process. The message
+        encoded last, or handed to a process last with its frame (the same
+        object either way), reuses that frame."""
         state = self.links.get((proc.pid, link))
         if state is None or state.channel.closed:
             self.record(("send-dropped", self.now, proc.pid, link, type(msg).__name__))
@@ -233,10 +223,13 @@ class SimHost:
             return
         state.frames_sent += 1
         state.bytes_sent += len(frame)
-        cls = type(msg)
-        self.record(("send", self.now, proc.pid, "-" if peer is None else peer.pid,
-                     cls.__name__) + _EVENT_TAIL.get(cls, _no_key)(msg))
-        if peer is not None and not peer.ready:
+        event = ("send", self.now, proc.pid, "-" if peer is None else peer.pid,
+                 type(msg).__name__, _msg_key(msg))
+        if isinstance(msg, wire.Data):
+            event += (msg.round, msg.window_secs, msg.expected_contributors,
+                      msg.actual_contributors)
+        self.record(event)
+        if peer is not None:
             self.wake(peer)
 
     def _deliver(self, proc, state: LinkState) -> None:
@@ -282,19 +275,15 @@ class SimHost:
     def receive(self, proc, state: LinkState, arrived) -> None:
         """Hand the messages of one link to its process, one at a time, from
         (frame or None, message) pairs, and flush the process when it emitted
-        or noted something; a message it sends again meanwhile goes out with
-        the frame it arrived with."""
+        or noted something. A message that arrived with its frame is kept
+        with it, so forwarding it reuses that frame."""
         for frame, msg in arrived:
             state.frames_received += 1
-            proc.on_message(state.name, msg)
-            if not (proc.outbox or proc.notes):
-                continue
             if frame is not None:  # a decoded message has no frame to reuse
                 self._arrived, self._arrived_frame = msg, frame
-            try:
+            proc.on_message(state.name, msg)
+            if proc.outbox or proc.notes:
                 self.flush(proc)
-            finally:
-                self._arrived, self._arrived_frame = None, b""
 
     def close_link(self, proc, state: LinkState, event: tuple) -> None:
         """Release a link found closed or faulty, record ``event`` and tell
@@ -309,7 +298,7 @@ class SimHost:
         """Deliver messages until the network is quiescent, popping the ready
         heap (see the module docstring for the order). Raises RuntimeError,
         leaving the heap as it is, when the work runs past MAX_PUMP_PASSES
-        passes. Returning or raising, it forgets the message encoded last."""
+        passes. Returning or raising, it forgets the messages it keeps frames of."""
         try:
             for proc in self.by_pid.values():
                 if proc.outbox or proc.notes:
@@ -326,6 +315,7 @@ class SimHost:
             self._at = (0, -1)
         finally:
             self._encoded, self._frame = None, b""
+            self._arrived, self._arrived_frame = None, b""
 
     def tick(self, now: int) -> None:
         """Advance the logical clock one step: timers first, then delivery."""

@@ -59,13 +59,6 @@ class SimChannelEnd:
             if self.closed:
                 raise ChannelClosedError("recv on closed channel")
             return []
-        if not self._taken:
-            size = 0
-            for data, _msg in rx:
-                size += len(data)
-            if size <= SIM_RECV_BYTES:  # every entry whole: the queue is the read
-                self._rx = []
-                return rx
         pieces = []
         budget = SIM_RECV_BYTES
         start = self._taken

@@ -178,10 +178,9 @@ def decode_every_frame(monkeypatch) -> None:
 
 
 def encode_every_send(monkeypatch) -> None:
-    """Make the host forget its last encoded message, and the frame the
-    message being handled arrived with, before every send, so that every
-    send is encoded: a multicast once per link, a forwarded message again
-    at every hop."""
+    """Make the host forget its last encoded message, and the last one it
+    handed over with its frame, before every send, so that a multicast is
+    encoded once per link and a forwarded message once per hop."""
     send = SimHost.send
 
     def forgetful(self, proc, link, msg) -> None:

@@ -472,12 +472,14 @@ def test_encoding_a_multicast_once_changes_no_frame_or_transcript(scenario, monk
 
 def test_a_testbed_build_encodes_each_multicast_once(monkeypatch):
     """Building testbed.cfg with two melt sessions: 1,876 sends, of which the
-    579 that neither repeat the message just sent nor forward the message
-    being handled are encoded. Each of the 14 stream specs is encoded where
-    a message carrying it is made: by meltmon, which asks for it, by the
-    root, which multicasts it, and by the root's catch-up for each of the two
-    sessions attached later; the managers and relays forward the root's
-    frame."""
+    579 that neither repeat the message encoded last nor forward the message
+    handed over last are encoded. Each of the 14 stream specs is encoded
+    where a message carrying it is made: by meltmon, which asks for it, by
+    the root, which multicasts it, and by the root's catch-up for each of the
+    two sessions attached later; the managers and relays forward the root's
+    frame. A relay acks a producer's Subscribe before it forwards it, so
+    with only the last encoded message kept it would encode 36 Subscribes
+    more (615)."""
     encodes = Counter()
     encode = wire.encode_message
 

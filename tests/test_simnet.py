@@ -572,9 +572,9 @@ def test_an_unencodable_message_after_an_equal_encodable_one_is_refused(monkeypa
 
 
 class Forwarder(Sink):
-    """A relay-like core: it answers each message on the link it came in on,
-    then passes the message itself on to its down links, as a relay's
-    forward_multicast does after other sends."""
+    """A relay-like core: it answers each CreateStream on the link it came
+    in on, then passes the message itself on to its down links, as a
+    relay's handle_producer_subscribe acks a Subscribe before it forwards it."""
 
     def __init__(self, pid: str, log: list, down=()) -> None:
         super().__init__(pid, log)
@@ -653,7 +653,7 @@ def test_a_decoded_message_that_is_forwarded_is_encoded_once(monkeypatch):
 
 
 def test_after_pump_the_host_holds_no_message_and_no_frame(monkeypatch):
-    """Neither the message encoded last nor the one being forwarded, nor
+    """Neither the message encoded last nor the one handed over last, nor
     their frames, stay on the host once pump returns, or once it raises."""
 
     def held(host) -> list:
