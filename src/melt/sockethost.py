@@ -6,9 +6,10 @@ backend's, unchanged. In-process links (ring, relay tree) stay sim
 channels, which hand the peer the sender's message with its frame, so a
 record that climbs several hops of one host is decoded once, where it
 came in over TCP, and a stream spec or job map that the relays forward
-reaches a TCP child in the frame the root encoded. Agents and session clients attach over TCP listeners,
-identifying themselves with their first message (Attach), exactly as the
-protocol intends, and a process can dial out over a channel of its own.
+reaches a TCP child in the frame the root encoded. Agents and session
+clients attach over TCP listeners, identifying themselves with their
+first message (Attach), exactly as the protocol intends, and a process
+can dial out over a channel of its own.
 This is the desk-scale deployment mode behind the ``--connect`` flags of
 meltagent, meltmon, and melt, each of which runs its core as a one-process
 SocketHost with one dialed ``up`` link.
