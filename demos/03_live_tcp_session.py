@@ -1,9 +1,9 @@
 """A live deployment in miniature: real sockets, an agent, the melt tool.
 
-The overlay (root plus one domain manager) serves TCP attach points; an
-agent connects from this process over localhost and samples a scripted
-1 MiB/s workload; the melt session engine connects as a second TCP client
-and watches it. Both clients run on one client-side SocketHost, the same
+The overlay (root plus one domain manager) serves one TCP endpoint, which
+places each connection by its Attach; an agent connects from this process
+over localhost and samples a scripted 1 MiB/s workload; the melt session
+engine connects as a second TCP client and watches it. Both clients run on one client-side SocketHost, the same
 host loop the overlay runs on. Time is accelerated (4 logical seconds per
 wall second).
 """
@@ -31,7 +31,7 @@ root = skein
 """)
 
 host, handle, endpoints = serve_overlay(topology)
-print("attach points:", endpoints)
+print("endpoint for agents and sessions (placed by their Attach):", endpoints["@root"])
 stop = threading.Event()
 threading.Thread(target=host.serve,
                  kwargs=dict(logical_seconds=600, wall_per_tick=0.25, stop=stop),

@@ -275,7 +275,8 @@ class AgentCore(ProcessCore):
         if spec.stream_id in self.specs:
             return
         self.specs[spec.stream_id] = spec
-        metrics = produced_metrics(spec, self.identity)
+        target = parse_target(spec.target)
+        metrics = produced_metrics(spec, self.identity, target)
         if not metrics:
             return
         names = read_names(metrics)
@@ -286,7 +287,7 @@ class AgentCore(ProcessCore):
             self.note("source-failure", self.pid, str(exc))
             baseline = SourceSnapshot(ts=self.clock)
         self.production[spec.stream_id] = _StreamProduction(
-            metrics, baseline, self.clock, parse_target(spec.target), names)
+            metrics, baseline, self.clock, target, names)
         self.emit("up", wire.Subscribe(spec.stream_id, "agent-producer"))
 
     def apply_rate(self, msg: wire.SetRate) -> None:

@@ -261,16 +261,19 @@ class SimHost:
                         decoder = state.decoder = wire.FrameDecoder()
                     arrived += [(None, m) for m in decoder.feed(data)]
         except wire.ProtocolError as exc:
-            # a malformed frame ends only its own link, after the messages
-            # that came before it in the same read
-            self.receive(proc, state, arrived + [(None, m) for m in exc.messages])
-            self.send(proc, state.name, wire.Error("link-fault", str(exc)))
-            self.close_link(proc, state,
-                            ("link-fault", self.now, proc.pid, state.name, str(exc)))
-            if state.peer is not None:
-                self.wake(state.peer)
+            self.link_fault(proc, state, arrived + [(None, m) for m in exc.messages], exc)
             return
         self.receive(proc, state, arrived)
+
+    def link_fault(self, proc, state: LinkState, arrived, exc: wire.ProtocolError) -> None:
+        """End a link that brought a malformed frame: hand its process the
+        messages that came before that frame, tell the peer why, then
+        release the link and tell its process."""
+        self.receive(proc, state, arrived)
+        self.send(proc, state.name, wire.Error("link-fault", str(exc)))
+        self.close_link(proc, state, ("link-fault", self.now, proc.pid, state.name, str(exc)))
+        if state.peer is not None:
+            self.wake(state.peer)
 
     def receive(self, proc, state: LinkState, arrived) -> None:
         """Hand the messages of one link to its process, one at a time, from

@@ -6,13 +6,22 @@ backend's, unchanged. In-process links (ring, relay tree) stay sim
 channels, which hand the peer the sender's message with its frame, so a
 record that climbs several hops of one host is decoded once, where it
 came in over TCP, and a stream spec or job map that the relays forward
-reaches a TCP child in the frame the root encoded. Agents and session
-clients attach over TCP listeners, identifying themselves with their
-first message (Attach), exactly as the protocol intends, and a process
-can dial out over a channel of its own.
-This is the desk-scale deployment mode behind the ``--connect`` flags of
-meltagent, meltmon, and melt, each of which runs its core as a one-process
-SocketHost with one dialed ``up`` link.
+reaches a TCP child in the frame the root encoded. A process can dial out
+over a channel of its own. This is the desk-scale deployment mode behind
+the ``--connect`` flags of meltagent, meltmon, and melt, each of which runs
+its core as a one-process SocketHost with one dialed ``up`` link.
+
+Agents and session clients attach over TCP. A host needs one listener
+however many of its processes take connections: :func:`serve_overlay`
+opens one endpoint for the whole overlay. A listener is given a route, a
+function from an Attach to the process that takes it, or None. An
+accepted connection is held unbound until its first frame is whole. That
+frame must be an Attach that the route places; the connection is then
+added as a ``tcp<n>`` link of that process, with its decoder and byte
+count, and the process is handed the Attach and every frame read behind
+it. Anything else ends the connection as a link fault, like a malformed
+frame on a link: a first frame that is not an Attach, an Attach that the
+route refuses, a malformed first frame, and EOF before the first frame.
 
 The socket backend keeps no transcript: sends and receives are counted
 per link, and notes, sends and link closures go to this module's logger
@@ -33,11 +42,12 @@ import sys
 import threading
 import time
 
+from . import wire
 from .overlay import (ROOT_PID, OverlayHandle, attach_point, build_overlay, overlay_links,
                       overlay_processes)
 from .simnet import LinkState, SimHost
 from .topology import OverlayTopology
-from .transport import TcpChannel, TcpListener, transport_connect
+from .transport import ChannelClosedError, TcpChannel, TcpListener, transport_connect
 
 LINGER_SECONDS = 2.0  # longest a released socket is drained before it is closed
 
@@ -52,7 +62,8 @@ class SocketHost(SimHost):
 
         super().__init__()
         self.log = logging.getLogger(__name__)
-        self.listeners: list[tuple[object, TcpListener]] = []
+        self.listeners: list[tuple[object, TcpListener]] = []  # (route, listener)
+        self.unbound: set[TcpChannel] = set()  # accepted, waiting for a whole Attach
         self.selector = selectors.DefaultSelector()
         self._accept_seq = 0
         self.lingering: dict[TcpChannel, float] = {}  # half-closed socket -> close deadline
@@ -85,10 +96,13 @@ class SocketHost(SimHost):
         self.selector.unregister(channel)
         channel.close()
 
-    def listen(self, proc, host: str = "127.0.0.1", port: int = 0) -> str:
+    def listen(self, route, host: str = "127.0.0.1", port: int = 0) -> str:
+        """Accept connections at a new endpoint and return it; ``route``
+        maps each connection's Attach to the process that takes it, or
+        to None to refuse it."""
         listener = TcpListener(host, port)
-        self.listeners.append((proc, listener))
-        self.selector.register(listener, selectors.EVENT_READ, proc)
+        self.listeners.append((route, listener))
+        self.selector.register(listener, selectors.EVENT_READ, route)
         return listener.endpoint
 
     def attach_channel(self, proc, link: str, channel) -> None:
@@ -99,24 +113,82 @@ class SocketHost(SimHost):
         self.selector.register(channel, selectors.EVENT_READ, state)
         self.wake(state)
 
+    def _place(self, route, state: LinkState) -> None:
+        """Read an unbound connection; once its first frame is whole, add it
+        as a link of the process ``route`` gives for that Attach and hand
+        the process what it read, or end it as a link fault."""
+        channel = state.channel
+        try:
+            data = channel.try_recv()
+        except ChannelClosedError:
+            self._refuse(state, "connection closed before its Attach")
+            return
+        if not data:
+            return
+        state.bytes_received += len(data)
+        fault = None
+        try:
+            msgs = state.decoder.feed(data)
+        except wire.ProtocolError as exc:
+            msgs, fault = exc.messages, exc
+        if not msgs:
+            if fault is not None:
+                self._refuse(state, str(fault))
+            return
+        first = msgs[0]
+        if not isinstance(first, wire.Attach):
+            self._refuse(state, f"first frame is {type(first).__name__}, not Attach")
+            return
+        proc = route(first)
+        if proc is None:
+            self._refuse(state, f"no process takes an Attach from {first.process_role} "
+                                f"{first.node_id!r}")
+            return
+        self.unbound.discard(channel)
+        self.add_link(proc, state.name, state)
+        self.selector.modify(channel, selectors.EVENT_READ, state)
+        arrived = [(None, msg) for msg in msgs]
+        if fault is None:
+            self.receive(proc, state, arrived)
+        else:
+            self.link_fault(proc, state, arrived, fault)
+
+    def _refuse(self, state: LinkState, reason: str) -> None:
+        """End an unbound connection: tell the peer why, if it still
+        reads, and release it as a link."""
+        self.unbound.discard(state.channel)
+        try:
+            state.channel.send(wire.encode_message(wire.Error("link-fault", reason)))
+        except ChannelClosedError:
+            pass
+        self.record(("link-fault", self.now, "-", state.name, reason))
+        self.release(state)
+
     def pump(self) -> None:
-        """Queue readable sockets, accept on readable listeners, then deliver
-        until quiescent; never blocks."""
+        """Close half-closed sockets past their deadline, queue readable
+        sockets, accept on readable listeners and place what unbound
+        connections bring, then deliver until quiescent; never blocks."""
+        if self.lingering:
+            now = time.monotonic()
+            for channel in [c for c, deadline in self.lingering.items() if deadline <= now]:
+                self._drop_lingering(channel)
         for key, _events in self.selector.select(0):
             if isinstance(key.data, LinkState):
                 self.wake(key.data)
             elif isinstance(key.data, TcpChannel):  # half-closed: drop what it reads
                 if not key.data.discard():
                     self._drop_lingering(key.data)
+            elif isinstance(key.data, tuple):  # unbound: (route, state)
+                self._place(*key.data)
             else:
                 channel = key.fileobj.accept()
                 if channel is not None:
                     self._accept_seq += 1
-                    self.attach_channel(key.data, f"tcp{self._accept_seq}", channel)
-        if self.lingering:
-            now = time.monotonic()
-            for channel in [c for c, deadline in self.lingering.items() if deadline <= now]:
-                self._drop_lingering(channel)
+                    state = LinkState(channel, decoder=wire.FrameDecoder(),
+                                      name=f"tcp{self._accept_seq}")
+                    self.unbound.add(channel)
+                    self.selector.register(channel, selectors.EVENT_READ, (key.data, state))
+                    self._place(key.data, state)  # the peer may have sent already
         super().pump()
 
     def serve(self, logical_seconds: int, wall_per_tick: float = 1.0,
@@ -136,11 +208,15 @@ class SocketHost(SimHost):
                     self.pump()
 
     def close(self) -> None:
-        """Close every listener, every link and the selector."""
-        for _proc, listener in self.listeners:
+        """Close every listener, every link, every unbound connection and
+        the selector."""
+        for _route, listener in self.listeners:
             listener.close()
         for state in self.links.values():
             state.channel.close()
+        for channel in self.unbound:
+            channel.close()
+        self.unbound.clear()
         for channel in self.lingering:
             channel.close()
         self.lingering.clear()
@@ -210,23 +286,28 @@ def run_core(prog: str, core, endpoint: str, goodbye, step=None) -> int | None:
 
 
 def serve_overlay(topology: OverlayTopology, bind: str = "127.0.0.1"):
-    """Build the overlay on one SocketHost with TCP attach points.
+    """Build the overlay on one SocketHost with one TCP endpoint.
 
-    Internal ring and tree links stay in process; agents and session clients
-    attach over TCP. Returns (host, handle, endpoints) where endpoints maps
-    "@root" and every member node id to the host:port its agent should
-    --connect to.
+    Internal ring and tree links stay in process; agents and session
+    clients attach over TCP, all at the host's one endpoint, and each
+    connection is placed by its Attach: a session client at the root, an
+    agent or a relay child at the attach point of the member node it
+    names. Any other Attach, such as one that claims a ring role, is
+    refused as a link fault. Returns (host, handle, endpoints) where
+    endpoints maps "@root" and every member node id to that endpoint.
     """
     host = SocketHost()
     handle: OverlayHandle = build_overlay(topology, host)
-    endpoints: dict[str, str] = {"@root": host.listen(handle.root, bind)}
-    opened: dict[str, str] = {}
-    for node in topology.all_nodes():
-        pid, _link = attach_point(topology, node)
-        if pid not in opened:
-            opened[pid] = host.listen(host.by_pid[pid], bind)
-        endpoints[node] = opened[pid]
-    return host, handle, endpoints
+
+    def route(attach: wire.Attach):
+        if attach.process_role == "session-client":
+            return handle.root
+        if attach.process_role in ("agent", "relay") and topology.has_node(attach.node_id):
+            return host.by_pid.get(attach_point(topology, attach.node_id)[0])
+        return None
+
+    endpoint = host.listen(route, bind)
+    return host, handle, dict.fromkeys(["@root", *topology.all_nodes()], endpoint)
 
 
 class DistributedOverlay:
@@ -266,9 +347,10 @@ def launch_distributed(topology: OverlayTopology,
                        bind: str = "127.0.0.1") -> DistributedOverlay:
     """Run root, managers, and relays as separate hosts joined only by TCP.
 
-    Every process listens on its own host; then the opening end of each
-    ring and tree link dials its peer and names itself with the link's
-    Attach, which binds the link at the peer through the normal handshake.
+    Every process listens on its own host, which gives it every Attach;
+    then the opening end of each ring and tree link dials its peer and
+    names itself with the link's Attach, which binds the link at the peer
+    through the normal handshake.
     """
     cores = overlay_processes(topology)
     hosts: dict[str, SocketHost] = {}
@@ -276,7 +358,7 @@ def launch_distributed(topology: OverlayTopology,
     for pid, core in cores.items():
         hosts[pid] = SocketHost()
         hosts[pid].add_process(core)
-        endpoints[pid] = hosts[pid].listen(core, bind)
+        endpoints[pid] = hosts[pid].listen(lambda _attach, core=core: core, bind)
     for pid, link, peer, _peer_link, attach in overlay_links(topology):
         hosts[pid].attach_channel(cores[pid], link, transport_connect(endpoints[peer]))
         cores[pid].emit(link, attach)

@@ -143,9 +143,12 @@ _PRODUCED = {(kind, role): frozenset(d.name for d in catalog.CATALOG
              for kind in TARGET_KINDS for role, classes in catalog.ROLE_CLASSES.items()}
 
 
-def produced_metrics(spec: StreamSpec, agent: AgentIdentity) -> tuple[str, ...]:
-    """Metrics of ``spec`` this agent produces; empty means not a producer."""
-    target = parse_target(spec.target)
+def produced_metrics(spec: StreamSpec, agent: AgentIdentity,
+                     target: Target | None = None) -> tuple[str, ...]:
+    """Metrics of ``spec`` this agent produces; empty means not a producer.
+    ``target`` is ``spec.target`` parsed, for a caller that has it."""
+    if target is None:
+        target = parse_target(spec.target)
     if target.kind in ("oss", "mds", "clnt"):
         if agent.node_id != target.name:
             return ()
@@ -160,11 +163,12 @@ def produced_metrics(spec: StreamSpec, agent: AgentIdentity) -> tuple[str, ...]:
 
 def expected_producers(spec: StreamSpec, topology: OverlayTopology) -> list[str]:
     """Node ids expected to contribute to this stream (static resolution)."""
+    target = parse_target(spec.target)
     nodes = []
     for domain in topology.domains:
         for node in domain.member_nodes:
             ident = AgentIdentity(node, domain.lustre_role, domain.filesystems)
-            if produced_metrics(spec, ident):
+            if produced_metrics(spec, ident, target):
                 nodes.append(node)
     return nodes
 

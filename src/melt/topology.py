@@ -63,8 +63,9 @@ class DomainSpec:
         return (pos - 1) // self.fanout
 
     def internal_positions(self) -> list[int]:
-        """Member positions that have heap children (they host relays)."""
-        return [p for p in range(1, len(self.member_nodes) + 1) if self.tree_children(p)]
+        """Member positions that have heap children (they host relays): those
+        whose first child, ``fanout * p + 1``, is still a member."""
+        return list(range(1, (len(self.member_nodes) - 1) // self.fanout + 1))
 
     def node_at(self, pos: int) -> str:
         return self.manager_node if pos == 0 else self.member_nodes[pos - 1]

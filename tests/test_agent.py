@@ -472,6 +472,27 @@ def test_a_source_is_asked_for_the_names_every_stream_of_the_agent_reads():
     assert source.asked == [every] * 4  # the ticks where a stream is due: 2, 3, 4 and 6
 
 
+def test_an_agent_parses_the_target_of_a_stream_it_produces_once(monkeypatch):
+    from melt import agent as agent_module
+    from melt import streams
+    from melt.topology import parse_topology
+
+    parsed = []
+    parse = streams.parse_target
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(streams, "parse_target", counting_parse)
+    monkeypatch.setattr(agent_module, "parse_target", counting_parse)
+    topology = parse_topology(ONE_DOMAIN)
+    agent = AgentCore(AgentConfig.from_topology(topology, "n1"), RecordingSource(), topology)
+    spec = io_stream_spec()
+    agent.learn_stream(spec)
+    assert spec.stream_id in agent.production and parsed == [spec.target]
+
+
 def reference_produced_metrics(spec, agent) -> tuple[str, ...]:
     """produced_metrics as it was before it matched classes per metric: it
     built the set of names of the agent's role catalog for every call."""
@@ -495,14 +516,16 @@ def reference_produced_metrics(spec, agent) -> tuple[str, ...]:
     return tuple(out)
 
 
-def per_metric_produced_metrics(spec, agent) -> tuple[str, ...]:
+def per_metric_produced_metrics(spec, agent, parsed=None) -> tuple[str, ...]:
     """produced_metrics as it was before it read a (target kind, role)
     table: per metric, the role must be a producer role for the target and
-    the metric's class one the role produces."""
+    the metric's class one the role produces. A caller's already parsed
+    target, when given, must be the spec's."""
     from melt import catalog
     from melt.streams import parse_target, producer_roles_for
 
     target = parse_target(spec.target)
+    assert parsed is None or parsed == target
     if target.kind in ("oss", "mds", "clnt"):
         if agent.node_id != target.name:
             return ()

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import logging
+import os
 import select
 import socket
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -152,18 +156,54 @@ def test_bad_input_exits_1_with_reason(prog, args, reason, tmp_path, capsys):
     assert reason in err
 
 
+def attach_over_tcp(hosts, endpoint: str, attach: Attach) -> tuple[str, str]:
+    """Send ``attach`` over a new connection to ``endpoint``, pump ``hosts``
+    until it is acked, and return the (pid, link) where it landed."""
+    before = {key for host in hosts for key in host.links}
+    sock = socket.create_connection(parse_endpoint(endpoint), timeout=5.0)
+    try:
+        sock.sendall(encode_message(attach))
+        sock.setblocking(False)
+        decoder, got = FrameDecoder(), []
+        deadline = time.monotonic() + 5.0
+        while not any(isinstance(m, AttachAck) for m in got):
+            assert time.monotonic() < deadline, f"no AttachAck for {attach}"
+            for host in hosts:
+                host.pump()
+            try:
+                got += decoder.feed(sock.recv(1 << 16))
+            except BlockingIOError:
+                pass
+        (landed,) = {key for host in hosts for key in host.links} - before
+        return landed
+    finally:
+        sock.close()
+
+
 def test_both_socket_deployments_attach_each_node_at_the_same_process():
     topology = load_topology(resolve_scenario_path("testbed.cfg"))
     host, _handle, endpoints = serve_overlay(topology)
     cluster = launch_distributed(topology)
     try:
-        served = {listener.endpoint: proc.pid for proc, listener in host.listeners}
-        placed = {listener.endpoint: proc.pid for each in cluster.hosts.values()
-                  for proc, listener in each.listeners}
-        for node in topology.all_nodes():
-            pid = attach_point(topology, node)[0]
-            assert served[endpoints[node]] == placed[cluster.endpoints[node]] == pid
-        assert served[endpoints["@root"]] == placed[cluster.endpoints["@root"]] == "root"
+        # the cluster binds its own ring and tree links first, each at both ends
+        deadline = time.monotonic() + 5.0
+        while sum(len(each.links) for each in cluster.hosts.values()) < 2 * len(
+                overlay.overlay_links(topology)):
+            assert time.monotonic() < deadline, "the cluster did not bind its links"
+            for each in cluster.hosts.values():
+                each.pump()
+        for procs, hosts, ends in ((host.by_pid, [host], endpoints),
+                                   (cluster.cores, list(cluster.hosts.values()),
+                                    cluster.endpoints)):
+            for node in topology.all_nodes():
+                domain = topology.domain_of_node(node)
+                pid, link = attach_over_tcp(hosts, ends[node], Attach(
+                    node, domain.domain_id, "agent", domain.lustre_role))
+                assert pid == attach_point(topology, node)[0]
+                assert procs[pid].agent_children[link] == node
+            pid, link = attach_over_tcp(hosts, ends["@root"],
+                                        Attach("probe", "-", "session-client", "-"))
+            assert pid == "root" and procs[pid].client_links[link] == "probe"
     finally:
         host.close()
         cluster.stop()
@@ -457,6 +497,153 @@ def test_bad_frame_closes_only_its_link(frame, reason, caplog):
         assert (record.round, record.aggregate_body) == (1, GOOD_BODY)
     finally:
         rig.close()
+
+
+def gather_links(rig: RelayRig) -> dict:
+    """pid -> (ring predecessor link, producer links of the rig's stream)
+    of every gather node."""
+    return {pid: (proc.ring_prev_link, proc.producer_links(rig.sid))
+            for pid, proc in rig.host.by_pid.items() if isinstance(proc, GatherNode)}
+
+
+@pytest.mark.parametrize("first, reason", [
+    (Data(1, 1, 1, 1, 1, GOOD_BODY), "first frame is Data, not Attach"),
+    (Attach("bigmgr", "big", "manager", "client"),
+     "no process takes an Attach from manager 'bigmgr'"),
+    (Attach("skein", "-", "session-root", "-"),
+     "no process takes an Attach from session-root 'skein'"),
+    (Attach("c999", "big", "agent", "client"), "no process takes an Attach from agent 'c999'"),
+    (None, "connection closed before its Attach"),
+], ids=["data-first", "manager-role", "session-root-role", "unknown-node", "closed-silent"])
+def test_a_connection_without_a_placeable_attach_ends_alone(first, reason, caplog):
+    rig = RelayRig()
+    try:
+        links, bound = gather_links(rig), set(rig.host.links)
+        bad = rig.connect("c004")  # a relay's node: every key names the one endpoint
+        if first is None:
+            bad.close()
+        else:
+            bad.sendall(encode_message(first))
+        pump_until_logged(rig, caplog, f"'link-fault', 0, '-', 'tcp3', {reason!r}")
+        assert not rig.host.unbound
+        if first is not None:  # it reads why, then EOF
+            bad.settimeout(5.0)
+            received = b""
+            while chunk := bad.recv(1 << 16):
+                received += chunk
+            (error,), rest = decode_all(received)
+            assert error == Error("link-fault", reason) and rest == b""
+        rig.produce(1, GOOD_BODY)
+        (record,) = rig.pump_until(rig.cons, Data)
+        assert (record.round, record.aggregate_body) == (1, GOOD_BODY)
+        assert gather_links(rig) == links and set(rig.host.links) == bound
+    finally:
+        rig.close()
+
+
+def test_frames_behind_the_attach_reach_the_process_it_placed():
+    """A child that sends its Attach, a Subscribe and part of a record in one
+    write is placed at its relay with all of it: the Subscribe is handled,
+    the partial frame stays in the link's decoder, and the record completes
+    when the rest comes."""
+    rig = RelayRig()
+    try:
+        data = encode_message(Data(rig.sid, 1, 1, 1, 1, GOOD_BODY))
+        sent = (encode_message(Attach("c021", "big", "relay", "client"))
+                + encode_message(Subscribe(rig.sid, "agent-producer")) + data[:10])
+        child = rig.connect("c021")
+        child.sendall(sent)
+        key = (attach_point(rig.handle.topology, "c021")[0], "tcp3")
+        deadline = time.monotonic() + 5.0
+        while key not in rig.host.links or rig.host.links[key].bytes_received < len(sent):
+            assert time.monotonic() < deadline, "the child's bytes did not all arrive"
+            rig.host.pump()
+        state = rig.host.links[key]
+        assert state.frames_received == 2 and state.decoder.pending_bytes == 10
+        assert rig.host.by_pid[key[0]].producer_children[rig.sid] == {"tcp2", "tcp3"}
+        child.sendall(data[10:])
+        rig.produce(1, GOOD_BODY)
+        (record,) = rig.pump_until(rig.cons, Data)
+        assert record.aggregate_body == "kind=summary\ng tait.7 IO_RD_BW 4 20 4 6"
+        assert (record.expected_contributors, record.actual_contributors) == (2, 2)
+        child.close()
+    finally:
+        rig.close()
+
+
+MEMBERS_4096 = r"""
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+soft = 1024 if hard == resource.RLIM_INFINITY else min(1024, hard)
+resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+from melt.sockethost import serve_overlay
+from melt.topology import parse_topology
+members = ",".join(f"c{i:05d}" for i in range(4096))
+host, handle, endpoints = serve_overlay(parse_topology(
+    f"[domain big]\nmanager = bigmgr\nmembers = {members}\nfanout = 4\n"
+    "role = client\nfs = knot2\n[ring]\norder = big\nroot = skein\n"))
+print(len(host.listeners), len(handle.relays), len(set(endpoints.values())))
+host.close()
+"""
+
+
+def test_serve_overlay_of_4096_members_starts_under_1024_descriptors():
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(sockethost.__file__).resolve().parent.parent)]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", MEMBERS_4096], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    # one listener for the root, the manager and 1,023 relays
+    assert proc.stdout.split() == ["1", "1023", "1"]
+
+
+def descriptors() -> int | None:
+    """Open descriptors of this process, where /proc tells."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("n", [24, 1024])
+def test_serve_overlay_opens_one_listener(n):
+    names = ",".join(f"c{i:05d}" for i in range(n))
+    before = descriptors()
+    host, handle, endpoints = serve_overlay(parse_topology(
+        f"[domain big]\nmanager = bigmgr\nmembers = {names}\nfanout = 4\n"
+        "role = client\nfs = knot2\n[ring]\norder = big\nroot = skein\n"))
+    try:
+        assert len(host.listeners) == 1 and len(handle.relays) == (n - 1) // 4
+        assert set(endpoints.values()) == {host.listeners[0][1].endpoint}
+        if before is not None:  # the listener and the selector
+            assert descriptors() == before + 2
+    finally:
+        host.close()
+
+
+def test_close_also_closes_connections_waiting_for_their_attach():
+    before = descriptors()
+    host, _handle, endpoints = serve_overlay(parse_topology(ONE_DOMAIN))
+    try:
+        endpoint = parse_endpoint(endpoints["@root"])
+        silent = socket.create_connection(endpoint, timeout=5.0)
+        partial = socket.create_connection(endpoint, timeout=5.0)
+        partial.sendall(encode_message(Attach("n1", "solo", "agent", "client"))[:5])
+        placed = socket.create_connection(endpoint, timeout=5.0)
+        placed.sendall(encode_message(Attach("n1", "solo", "agent", "client")))
+        deadline = time.monotonic() + 5.0
+        while len(host.unbound) < 2 or not any(k[1].startswith("tcp") for k in host.links):
+            assert time.monotonic() < deadline, "the host did not accept all three"
+            host.pump()
+    finally:
+        host.close()
+    assert not host.unbound
+    for sock in (silent, partial, placed):
+        sock.settimeout(5.0)
+        while sock.recv(1 << 16):  # placed reads its AttachAck first
+            pass
+        sock.close()
+    if before is not None:
+        assert descriptors() == before
 
 
 def frames_of(data: bytes) -> list[bytes]:

@@ -124,3 +124,11 @@ class TestTreeShape:
         d = DomainSpec("d", "mgr", ("a", "b", "c", "x"), 4, "client")
         assert d.internal_positions() == []
         assert d.tree_parent(4) == 0
+
+    @pytest.mark.parametrize("fanout", range(2, 9))
+    def test_internal_positions_match_the_member_scan(self, fanout):
+        for n in range(1, 301):
+            d = DomainSpec("d", "mgr", tuple(f"n{i}" for i in range(n)), fanout, "client")
+            # the reference: every member position that has a heap child
+            scan = [p for p in range(1, n + 1) if d.tree_children(p)]
+            assert d.internal_positions() == scan, n
