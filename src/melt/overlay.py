@@ -655,9 +655,9 @@ class ClientCore(ProcessCore):
 #
 # The overlay is described once, here, and every deployment places this one
 # description: build_overlay puts every process on one host with in-process
-# links, sockethost.serve_overlay adds TCP attach points to that, and
-# sockethost.launch_distributed gives every process a host of its own and
-# dials every link over TCP. Only build_overlay shares a MergedBodies: the
+# links, sockethost.serve_overlay adds one TCP endpoint that places each
+# connection by its Attach, and sockethost.launch_distributed gives every
+# process a host of its own and dials every link over TCP. Only build_overlay shares a MergedBodies: the
 # processes of launch_distributed share nothing, so each parses its children.
 
 ROOT_PID = "root"
