@@ -37,7 +37,7 @@ class StatsParseError(SourceError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceSnapshot:
     """Cumulative view of one node's counters at a point in time."""
 
@@ -146,24 +146,43 @@ class AgentConfig:
                    osts=domain.osts_of(node_id))
 
 
+# how a metric is derived from two snapshots: (way, the raw counter or gauge
+# names it reads, its catalog entry). The ways: "counted" (the event
+# tallies of its class, which no name selects), "clients" (IO_CLNT_NUM: the
+# groups with io), "average" (a numerator over a denominator counter),
+# "rate" (one counter's delta over the window) and "gauge" (by its own name)
+Derivation = tuple[str, tuple[str, ...], catalog.MetricDef]
+
+
+def _derive(mdef: catalog.MetricDef) -> Derivation:
+    name = mdef.name
+    if mdef.metric_class in catalog.COUNTED_CLASSES:
+        return "counted", (), mdef
+    if name == "IO_CLNT_NUM":
+        return "clients", ("IO_RD_BYTES", "IO_WR_BYTES"), mdef
+    if name in catalog.AVG_SOURCES:
+        return "average", catalog.AVG_SOURCES[name], mdef
+    if mdef.kind == "rate":
+        return "rate", (catalog.RATE_TO_RAW[name],), mdef
+    return "gauge", (name,), mdef
+
+
+_DERIVATIONS = {d.name: _derive(d) for d in catalog.CATALOG}
+
+
+def derivation(metric: str) -> Derivation:
+    """How ``metric`` is derived; UnknownMetricError if the catalog lacks it."""
+    try:
+        return _DERIVATIONS[metric]
+    except KeyError:
+        raise catalog.UnknownMetricError(metric) from None
+
+
 def read_names(metrics) -> frozenset[str]:
     """The raw counter and gauge names a source snapshot must hold for
     these metrics; counted-key metrics read the snapshot's event tallies,
     which no name selects."""
-    names: set[str] = set()
-    for metric in metrics:
-        mdef = catalog.metric(metric)
-        if mdef.metric_class in catalog.COUNTED_CLASSES:
-            continue
-        if metric == "IO_CLNT_NUM":
-            names.update(("IO_RD_BYTES", "IO_WR_BYTES"))
-        elif metric in catalog.AVG_SOURCES:
-            names.update(catalog.AVG_SOURCES[metric])
-        elif mdef.kind == "rate":
-            names.add(catalog.RATE_TO_RAW[metric])
-        else:
-            names.add(metric)  # a gauge, by its own name
-    return frozenset(names)
+    return frozenset(raw for metric in metrics for raw in derivation(metric)[1])
 
 
 # a plan: raw counter name -> sorted (counter key, group or None) pairs
@@ -173,6 +192,7 @@ Plan = dict[str, list[tuple[CounterKey, "str | None"]]]
 @dataclass(slots=True)  # one per agent and stream
 class _StreamProduction:
     metrics: tuple[str, ...]
+    derivations: tuple[Derivation, ...]  # of each metric, in order
     prev: SourceSnapshot
     prev_t: int
     target: Target
@@ -194,6 +214,8 @@ class _RoundDeltas:
     one :meth:`AgentCore.build_contributions` call.
     """
 
+    __slots__ = ("agent", "plan", "counters", "before", "grouped")
+
     def __init__(self, agent: "AgentCore", plan: Plan, snap: SourceSnapshot,
                  prev: SourceSnapshot) -> None:
         self.agent, self.plan = agent, plan
@@ -204,27 +226,25 @@ class _RoundDeltas:
         """Per-group sums of the deltas of ``raw``, added in counter order."""
         grouped = self.grouped.get(raw)
         if grouped is None:
-            grouped = self.grouped[raw] = self._group(raw)
-        sums, resets = grouped
+            counters, before_of = self.counters, self.before
+            sums: dict[str, float] = {}
+            resets: list[str] = []
+            for key, group in self.plan.get(raw, ()):
+                before = before_of.get(key, 0.0)
+                cur = counters[key]
+                if cur < before:
+                    resets.append(key[1])
+                    continue
+                delta = cur - before
+                if delta != 0 and group is not None:
+                    sums[group] = sums.get(group, 0.0) + delta
+            self.grouped[raw] = sums, resets
+        else:
+            sums, resets = grouped
         for fs in resets:
             self.agent.reset_flags.append((raw, fs))
             self.agent.note("counter-reset", self.agent.pid, raw, fs)
         return sums
-
-    def _group(self, raw: str) -> tuple[dict[str, float], list[str]]:
-        counters, before_of = self.counters, self.before
-        sums: dict[str, float] = {}
-        resets: list[str] = []
-        for key, group in self.plan.get(raw, ()):
-            before = before_of.get(key, 0.0)
-            cur = counters[key]
-            if cur < before:
-                resets.append(key[1])
-                continue
-            delta = cur - before
-            if delta != 0 and group is not None:
-                sums[group] = sums.get(group, 0.0) + delta
-        return sums, resets
 
 
 class AgentCore(ProcessCore):
@@ -287,7 +307,7 @@ class AgentCore(ProcessCore):
             self.note("source-failure", self.pid, str(exc))
             baseline = SourceSnapshot(ts=self.clock)
         self.production[spec.stream_id] = _StreamProduction(
-            metrics, baseline, self.clock, target, names)
+            metrics, tuple(map(derivation, metrics)), baseline, self.clock, target, names)
         self.emit("up", wire.Subscribe(spec.stream_id, "agent-producer"))
 
     def apply_rate(self, msg: wire.SetRate) -> None:
@@ -337,8 +357,9 @@ class AgentCore(ProcessCore):
         contributions = self.build_contributions(sid, snap, prod.prev, window)
         prod.prev = snap
         prod.prev_t = now
+        node, note = self.config.node_id, self.notes.append
         for group, metric, value, weight in contributions:
-            self.note("sample", self.config.node_id, sid, now, metric, group, value, weight)
+            note(("sample", node, sid, now, metric, group, value, weight))
         body = leaf_text(contributions, spec.aggregation, spec.hist_edges)
         self.emit("up", wire.Data(sid, now, window, 1, 1, body))
 
@@ -400,36 +421,34 @@ class AgentCore(ProcessCore):
 
         deltas = _RoundDeltas(self, self.plan(prod, spec, snap.counters), snap, prev)
         out: list[tuple[str, str, float, float]] = []
-        for metric in prod.metrics:
-            mdef = catalog.metric(metric)
+        for metric, (way, raws, mdef) in zip(prod.metrics, prod.derivations):
+            if way == "rate":
+                sums = deltas.sums(raws[0])
+                for group in sorted(sums):
+                    out.append((group, metric, sums[group] / window, 1.0))
+                continue
 
-            if mdef.metric_class in catalog.COUNTED_CLASSES:
+            if way == "counted":
+                metric_class = mdef.metric_class
                 for (cls, key), cur in sorted(snap.counted.items()):
-                    if cls != mdef.metric_class:
+                    if cls != metric_class:
                         continue
                     delta = cur - prev.counted.get((cls, key), 0.0)
                     if delta > 0:
                         out.append((key, metric, delta, 1.0))
                 continue
 
-            if metric == "IO_CLNT_NUM":  # every delta is positive
-                active = deltas.sums("IO_RD_BYTES").keys() | deltas.sums("IO_WR_BYTES").keys()
+            if way == "clients":  # every delta is positive
+                active = deltas.sums(raws[0]).keys() | deltas.sums(raws[1]).keys()
                 for group in sorted(active):
                     out.append((group, metric, 1.0, 1.0))
                 continue
 
-            if metric in catalog.AVG_SOURCES:
-                num_raw, den_raw = catalog.AVG_SOURCES[metric]
-                nums, dens = deltas.sums(num_raw), deltas.sums(den_raw)
+            if way == "average":
+                nums, dens = deltas.sums(raws[0]), deltas.sums(raws[1])
                 for group in sorted(dens):
                     if dens[group] > 0:
                         out.append((group, metric, nums.get(group, 0.0) / dens[group], dens[group]))
-                continue
-
-            if mdef.kind == "rate":
-                sums = deltas.sums(catalog.RATE_TO_RAW[metric])
-                for group in sorted(sums):
-                    out.append((group, metric, sums[group] / window, 1.0))
                 continue
 
             # plain gauges: node loads, dirty bytes, lock counts

@@ -87,7 +87,9 @@ def _num(x: float) -> str:
 
 
 def _esc(token: str) -> str:
-    return token.replace("%", "%25").replace(" ", "%20").replace("\n", "%0A")
+    if "%" in token or " " in token or "\n" in token:
+        return token.replace("%", "%25").replace(" ", "%20").replace("\n", "%0A")
+    return token
 
 
 def _unesc(token: str) -> str:

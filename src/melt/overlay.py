@@ -161,6 +161,9 @@ class GatherNode(ProcessCore):
         self.emitted: dict[int, int] = {}
         self.spec_seen: dict[int, int] = {}
         self.dead_links: set[str] = set()
+        # stream -> producer_links and live_producers, until the links change
+        self._producers: dict[int, list[str]] = {}
+        self._live: dict[int, list[str]] = {}
         self.clock = 0
         self.merged_bodies: MergedBodies | None = None  # shared by the nodes of a host
 
@@ -170,13 +173,30 @@ class GatherNode(ProcessCore):
         """Bind a link another process opened to this one, by that process's
         role: a ring predecessor (data flows in only from a manager) or a
         tree child."""
+        self.links_changed()
         if opener_role in RING_ROLES:
             self.ring_prev_link = link
             self.ring_prev_produces = opener_role == "manager"
         elif link not in self.tree_children:
             self.tree_children.append(link)
 
+    def links_changed(self) -> None:
+        """Forget the producer links worked out so far: a link was bound,
+        subscribed, removed or found closed."""
+        self._producers.clear()
+        self._live.clear()
+
     def producer_links(self, stream_id: int) -> list[str]:
+        """The links a stream's rounds merge, in merge order: a producing
+        ring predecessor, then the subscribed tree children. Kept until
+        :meth:`links_changed`; a caller must not change the list."""
+        links = self._producers.get(stream_id)
+        if links is None:
+            links = self._producers[stream_id] = self.find_producer_links(stream_id)
+        return links
+
+    def find_producer_links(self, stream_id: int) -> list[str]:
+        """producer_links worked out from the links as they are now."""
         links = []
         if self.ring_prev_link is not None and self.ring_prev_produces:
             links.append(self.ring_prev_link)
@@ -185,7 +205,12 @@ class GatherNode(ProcessCore):
         return links
 
     def live_producers(self, stream_id: int) -> list[str]:
-        return [l for l in self.producer_links(stream_id) if l not in self.dead_links]
+        """The producer links not found closed; kept as producer_links is."""
+        links = self._live.get(stream_id)
+        if links is None:
+            links = self._live[stream_id] = [l for l in self.producer_links(stream_id)
+                                             if l not in self.dead_links]
+        return links
 
     def effective_interval(self, stream_id: int) -> int:
         return overridden_interval(self.specs[stream_id], self.overrides)
@@ -193,12 +218,12 @@ class GatherNode(ProcessCore):
     # --- message handling ----------------------------------------------------
 
     def on_message(self, link: str, msg: wire.Message) -> None:
-        if isinstance(msg, wire.Attach):
+        if type(msg) is wire.Data:  # the message of every round, by far the most
+            self.handle_data(link, msg)
+        elif isinstance(msg, wire.Attach):
             self.handle_attach(link, msg)
         elif isinstance(msg, wire.Subscribe) and msg.direction == "agent-producer":
             self.handle_producer_subscribe(link, msg)
-        elif isinstance(msg, wire.Data):
-            self.handle_data(link, msg)
         elif isinstance(msg, wire.CreateStream):
             self.handle_stream_spec(link, msg)
         elif isinstance(msg, wire.SetRate):
@@ -233,6 +258,7 @@ class GatherNode(ProcessCore):
     def handle_producer_subscribe(self, link: str, msg: wire.Subscribe) -> None:
         first = not self.producer_children.get(msg.stream_id)
         self.producer_children.setdefault(msg.stream_id, set()).add(link)
+        self.links_changed()
         self.ever_producers.add(msg.stream_id)
         if link in self.agent_children:
             self.emit(link, wire.SubscribeAck(msg.stream_id))
@@ -275,6 +301,7 @@ class GatherNode(ProcessCore):
     def on_link_closed(self, link: str) -> None:
         if link == self.ring_prev_link or link in self.tree_children:
             self.dead_links.add(link)
+            self.links_changed()
             self.recheck_pending()
         elif link == "up":
             self.dead_links.add(link)
@@ -282,6 +309,7 @@ class GatherNode(ProcessCore):
                 self.note(self.up_lost_note, self.pid)
 
     def remove_child(self, link: str, clean: bool) -> None:
+        self.links_changed()
         if link in self.tree_children:
             self.tree_children.remove(link)
         self.agent_children.pop(link, None)
@@ -301,7 +329,7 @@ class GatherNode(ProcessCore):
     def try_complete(self, sid: int, rnd: int) -> None:
         have = self.pending.get((sid, rnd), {})
         needed = self.live_producers(sid)
-        if needed and all(l in have for l in needed):
+        if needed and len(have) >= len(needed) and all(l in have for l in needed):
             self.complete_round(sid, rnd)
 
     def complete_round(self, sid: int, rnd: int) -> None:

@@ -363,6 +363,13 @@ class WorkloadModel:
         # node -> the filesystem its counters carry: its domain's first
         self.fs_of = {node: domain.filesystems[0] if domain.filesystems else ""
                       for domain in topology.domains for node in domain.member_nodes}
+        self.role_of = {node: domain.lustre_role
+                        for domain in topology.domains for node in domain.member_nodes}
+        # a client snapshot's counter keys, made once per (fs, names) and per
+        # (fs, ost, names): every snapshot reuses the same key objects, so a
+        # grouping plan and the snapshot an agent keeps share them
+        self._fs_keys: dict[tuple, tuple[tuple, dict]] = {}
+        self._ost_keys: dict[tuple, tuple[tuple[int, tuple], ...]] = {}
         self.jobs = {j.job_id: j for j in workload.jobs}
         all_osts = [(ost, d.filesystems) for d in topology.domains if d.lustre_role == "oss"
                     for ost in d.osts]
@@ -475,15 +482,36 @@ class WorkloadModel:
                     out[raw] = out.get(raw, 0.0) + share * w / total_w
         return out
 
+    def _client_fs_keys(self, fs: str, names: frozenset[str]) -> tuple[tuple, dict]:
+        """The filesystem-level keys of a client snapshot of ``names``: the
+        ones it zeroes, in order, and raw name -> key of all it may write."""
+        keys = self._fs_keys.get((fs, names))
+        if keys is None:
+            key_of = {raw: (raw, fs, "", "", "")
+                      for raw in (*CLIENT_FS_COUNTERS, *META_OP_RAW.values()) if raw in names}
+            zeroed = tuple(key_of[raw] for raw in CLIENT_FS_COUNTERS if raw in names)
+            keys = self._fs_keys[(fs, names)] = (zeroed, key_of)
+        return keys
+
+    def _client_ost_keys(self, fs: str, ost: str,
+                         names: frozenset[str]) -> tuple[tuple[int, tuple], ...]:
+        """(position in a per-OST row, key) of each per-OST counter of ``names``."""
+        keys = self._ost_keys.get((fs, ost, names))
+        if keys is None:
+            keys = self._ost_keys[(fs, ost, names)] = tuple(
+                (i, (raw, fs, ost, "", "")) for i, raw in enumerate(CLIENT_OST_COUNTERS)
+                if raw in names)
+        return keys
+
     def snapshot_client(self, node: str, t: int,
                         names: frozenset[str] = CLIENT_NAMES) -> SourceSnapshot:
         """A client's counters and gauges; only those of ``names``."""
         snap = SourceSnapshot(ts=t)
         counters = snap.counters
         fs = self.fs_of[node]
-        for raw in CLIENT_FS_COUNTERS:
-            if raw in names:
-                counters[(raw, fs, "", "", "")] = 0.0
+        zeroed, fs_key = self._client_fs_keys(fs, names)
+        for key in zeroed:
+            counters[key] = 0.0
         if not names.isdisjoint(CLIENT_OST_COUNTERS):
             for ost, cell in self._client_io(node, t):
                 rd, wr = cell[0], cell[1]
@@ -491,19 +519,18 @@ class WorkloadModel:
                 # operation and request counters are integral, like the real thing
                 row = (rd, wr, float(math.floor(cell[2])), float(math.floor(cell[3])),
                        cell[4], cell[5], reqs, reqs * RPC_WAIT_SECS)
-                for raw, value in zip(CLIENT_OST_COUNTERS, row):
-                    if raw in names:
-                        counters[(raw, fs, ost, "", "")] = value
+                for i, key in self._client_ost_keys(fs, ost, names):
+                    counters[key] = row[i]
         if not names.isdisjoint(CLIENT_META_READERS):
             ops = self._client_meta_ops(node, t)
             for raw, value in sorted(ops.items()):
                 if raw in names:
-                    counters[(raw, fs, "", "", "")] = float(math.floor(value))
+                    counters[fs_key[raw]] = float(math.floor(value))
             meta_ops = float(math.floor(ops["META_OPS"]))
             if "RPC_REQS" in names:
-                counters[("RPC_REQS", fs, "", "", "")] = meta_ops
+                counters[fs_key["RPC_REQS"]] = meta_ops
             if "RPC_WAIT_SUM" in names:
-                counters[("RPC_WAIT_SUM", fs, "", "", "")] = meta_ops * RPC_WAIT_SECS
+                counters[fs_key["RPC_WAIT_SUM"]] = meta_ops * RPC_WAIT_SECS
         if "IO_CLNT_DIRTY" in names:
             dirty = 0.0
             for flow in self.flows_of.get(node, ()):
@@ -626,7 +653,9 @@ class WorkloadModel:
     def snapshot(self, node: str, t: int, names: frozenset[str] | None = None) -> SourceSnapshot:
         """The node's snapshot at ``t``; a client's holds only ``names``,
         if given, and every other role's is whole."""
-        role = self.topology.domain_of_node(node).lustre_role
+        role = self.role_of.get(node)
+        if role is None:  # an unknown node: the topology's KeyError
+            role = self.topology.domain_of_node(node).lustre_role
         if role == "client":
             return self.snapshot_client(node, t, CLIENT_NAMES if names is None else names)
         if role == "oss":

@@ -5,9 +5,11 @@ each process outbox through the wire codec, delivers received messages,
 tells a process when one of its links closes, and counts the frames and
 bytes each link sends and receives. :class:`SimHost` runs every link in
 process on a logical clock: each logical second every process gets a tick
-in registration order, then messages are pumped until the network is
-quiescent, so rounds are barrier-complete. The socket backend
-(:class:`melt.sockethost.SocketHost`) adds TCP links to the same loop.
+in registration order, and is flushed right after it if the tick emitted or
+noted something (most processes, most seconds, do neither), then messages
+are pumped until the network is quiescent, so rounds are barrier-complete.
+The socket backend (:class:`melt.sockethost.SocketHost`) adds TCP links to
+the same loop.
 
 Every send is encoded by :func:`~melt.wire.encode_message`, which checks
 the message and gives the frame that is counted and sent. A message sent
@@ -89,8 +91,7 @@ class LinkState:
 
 
 def _msg_key(msg: wire.Message):
-    if isinstance(msg, (wire.Data, wire.SetRate, wire.Subscribe, wire.SubscribeAck,
-                        wire.StreamCreated)):
+    if isinstance(msg, (wire.SetRate, wire.Subscribe, wire.SubscribeAck, wire.StreamCreated)):
         return msg.stream_id
     if isinstance(msg, wire.CreateStream):
         return msg.spec.stream_id
@@ -189,8 +190,9 @@ class SimHost:
 
     def flush(self, proc) -> None:
         """Encode and send everything in a process outbox; drain its notes."""
+        now = self.now
         for note in proc.notes:
-            self.record((note[0], self.now) + tuple(note[1:]))
+            self.record((note[0], now) + note[1:])
         proc.notes.clear()
         for link, msg in proc.outbox:
             self.send(proc, link, msg)
@@ -223,12 +225,12 @@ class SimHost:
             return
         state.frames_sent += 1
         state.bytes_sent += len(frame)
-        event = ("send", self.now, proc.pid, "-" if peer is None else peer.pid,
-                 type(msg).__name__, _msg_key(msg))
-        if isinstance(msg, wire.Data):
-            event += (msg.round, msg.window_secs, msg.expected_contributors,
-                      msg.actual_contributors)
-        self.record(event)
+        to = "-" if peer is None else peer.pid
+        if type(msg) is wire.Data:
+            self.record(("send", self.now, proc.pid, to, "Data", msg.stream_id, msg.round,
+                         msg.window_secs, msg.expected_contributors, msg.actual_contributors))
+        else:
+            self.record(("send", self.now, proc.pid, to, type(msg).__name__, _msg_key(msg)))
         if peer is not None:
             self.wake(peer)
 
@@ -321,11 +323,14 @@ class SimHost:
             self._arrived, self._arrived_frame = None, b""
 
     def tick(self, now: int) -> None:
-        """Advance the logical clock one step: timers first, then delivery."""
+        """Advance the logical clock one step: timers first, each process
+        flushed right after its own if it emitted or noted something, then
+        delivery."""
         self.now = now
         for proc in list(self.by_pid.values()):
             proc.on_tick(now)
-            self.flush(proc)
+            if proc.outbox or proc.notes:
+                self.flush(proc)
         self.pump()
 
     def counters_snapshot(self) -> list[tuple]:

@@ -21,7 +21,9 @@ added as a ``tcp<n>`` link of that process, with its decoder and byte
 count, and the process is handed the Attach and every frame read behind
 it. Anything else ends the connection as a link fault, like a malformed
 frame on a link: a first frame that is not an Attach, an Attach that the
-route refuses, a malformed first frame, and EOF before the first frame.
+route refuses, a malformed first frame, EOF before the first frame, and
+a first frame not whole ``ATTACH_SECONDS`` after the accept, so a silent
+peer cannot hold a descriptor open.
 
 The socket backend keeps no transcript: sends and receives are counted
 per link, and notes, sends and link closures go to this module's logger
@@ -50,6 +52,7 @@ from .topology import OverlayTopology
 from .transport import ChannelClosedError, TcpChannel, TcpListener, transport_connect
 
 LINGER_SECONDS = 2.0  # longest a released socket is drained before it is closed
+ATTACH_SECONDS = 10.0  # longest an accepted connection may take to complete its first frame
 
 
 class SocketHost(SimHost):
@@ -63,7 +66,8 @@ class SocketHost(SimHost):
         super().__init__()
         self.log = logging.getLogger(__name__)
         self.listeners: list[tuple[object, TcpListener]] = []  # (route, listener)
-        self.unbound: set[TcpChannel] = set()  # accepted, waiting for a whole Attach
+        # accepted, waiting for a whole Attach -> the deadline to complete it
+        self.unbound: dict[TcpChannel, float] = {}
         self.selector = selectors.DefaultSelector()
         self._accept_seq = 0
         self.lingering: dict[TcpChannel, float] = {}  # half-closed socket -> close deadline
@@ -144,7 +148,7 @@ class SocketHost(SimHost):
             self._refuse(state, f"no process takes an Attach from {first.process_role} "
                                 f"{first.node_id!r}")
             return
-        self.unbound.discard(channel)
+        del self.unbound[channel]
         self.add_link(proc, state.name, state)
         self.selector.modify(channel, selectors.EVENT_READ, state)
         arrived = [(None, msg) for msg in msgs]
@@ -156,7 +160,7 @@ class SocketHost(SimHost):
     def _refuse(self, state: LinkState, reason: str) -> None:
         """End an unbound connection: tell the peer why, if it still
         reads, and release it as a link."""
-        self.unbound.discard(state.channel)
+        self.unbound.pop(state.channel, None)
         try:
             state.channel.send(wire.encode_message(wire.Error("link-fault", reason)))
         except ChannelClosedError:
@@ -165,13 +169,19 @@ class SocketHost(SimHost):
         self.release(state)
 
     def pump(self) -> None:
-        """Close half-closed sockets past their deadline, queue readable
-        sockets, accept on readable listeners and place what unbound
-        connections bring, then deliver until quiescent; never blocks."""
+        """Close half-closed sockets past their deadline, refuse unbound
+        connections past theirs, queue readable sockets, accept on readable
+        listeners and place what unbound connections bring, then deliver
+        until quiescent; never blocks."""
         if self.lingering:
             now = time.monotonic()
             for channel in [c for c, deadline in self.lingering.items() if deadline <= now]:
                 self._drop_lingering(channel)
+        if self.unbound:
+            now = time.monotonic()
+            for channel in [c for c, deadline in self.unbound.items() if deadline <= now]:
+                _route, state = self.selector.get_key(channel).data
+                self._refuse(state, f"no Attach within {ATTACH_SECONDS:g} s")
         for key, _events in self.selector.select(0):
             if isinstance(key.data, LinkState):
                 self.wake(key.data)
@@ -186,7 +196,7 @@ class SocketHost(SimHost):
                     self._accept_seq += 1
                     state = LinkState(channel, decoder=wire.FrameDecoder(),
                                       name=f"tcp{self._accept_seq}")
-                    self.unbound.add(channel)
+                    self.unbound[channel] = time.monotonic() + ATTACH_SECONDS
                     self.selector.register(channel, selectors.EVENT_READ, (key.data, state))
                     self._place(key.data, state)  # the peer may have sent already
         super().pump()

@@ -385,6 +385,25 @@ class TestGroupingPlan:
         assert (agent.jobmap_epoch, agent.my_job) == (2, "j1")
         assert agent.production[sid].plan is plan
 
+    def test_a_kept_plan_and_each_round_s_snapshot_share_their_counter_keys(self):
+        """A synthetic client's snapshots reuse the same key objects round
+        after round, so the keys a kept plan was built on are the very ones
+        the agent's last snapshot holds, not equal copies of them."""
+        host, handle, client, sid = synthetic_sim(interval=1)
+        agent = handle.agents["n1"]
+        prod = agent.production[sid]
+        run_ticks(host, 1, 1)
+        first, plan_keys = list(prod.prev.counters), prod.plan_keys
+        run_ticks(host, 2, 1)
+        second = list(prod.prev.counters)
+        assert len(first) == 4 and first == second
+        assert all(a is b for a, b in zip(first, second))
+        assert prod.plan_keys is plan_keys
+        assert {id(key) for key in prod.plan_keys} == {id(key) for key in second}
+        model = agent.source.model
+        early, late = model.snapshot("n1", 3, agent.names), model.snapshot("n1", 30, agent.names)
+        assert [id(key) for key in early.counters] == [id(key) for key in late.counters]
+
     def test_the_testbed_builds_a_plan_in_at_most_a_third_of_its_uses(self, monkeypatch):
         from melt.scenario import load_scenario
         from melt.simharness import SimCluster, resolve_scenario_path

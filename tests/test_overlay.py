@@ -5,11 +5,14 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from melt import aggregates, overlay, wire
+from melt import aggregates, catalog, overlay, wire
 from melt.aggregates import body_from_text, body_to_text
 from melt.overlay import (MergedBodies, RelayProcess, attach_point, overlay_links,
                           overlay_processes)
+from melt.simnet import SimHost
 from melt.streams import StreamSpec
 from melt.topology import parse_topology
 
@@ -576,3 +579,110 @@ class TestMergedBodies:
         memo.release(1, 10)  # not the round held
         memo.release(2, 5)
         assert memo.rounds == {1: (11, second)}
+
+
+# --- the producer-link cache ----------------------------------------------------
+
+
+def reference_producer_links(node, stream_id):
+    """``GatherNode.producer_links`` worked out from the node's links on
+    every call, with no cache."""
+    links = []
+    if node.ring_prev_link is not None and node.ring_prev_produces:
+        links.append(node.ring_prev_link)
+    subscribed = node.producer_children.get(stream_id, set())
+    links.extend(l for l in node.tree_children if l in subscribed)
+    return links
+
+
+def reference_live_producers(node, stream_id):
+    return [l for l in reference_producer_links(node, stream_id) if l not in node.dead_links]
+
+
+class UncachedRelay(RelayProcess):
+    producer_links = reference_producer_links
+    live_producers = reference_live_producers
+
+
+CACHE_LINKS = ("c1", "c2", "a3", "a4", "ring_prev")
+CACHE_STEPS = st.one_of(
+    st.tuples(st.just("attach"), st.sampled_from(CACHE_LINKS),
+              st.sampled_from(("relay", "agent", "manager", "session-root"))),
+    st.tuples(st.just("subscribe"), st.sampled_from(CACHE_LINKS), st.sampled_from((1, 2))),
+    st.tuples(st.just("detach"), st.sampled_from(CACHE_LINKS)),
+    st.tuples(st.just("closed"), st.sampled_from(CACHE_LINKS)),
+    st.tuples(st.just("data"), st.sampled_from(CACHE_LINKS), st.sampled_from((1, 2)),
+              st.integers(1, 4)),
+)
+
+
+def apply_cache_step(node, step) -> None:
+    kind, link, *args = step
+    if kind == "attach":  # a tree child or a ring predecessor, by its role
+        node.on_message(link, wire.Attach(f"n.{link}", "big", args[0], "client"))
+    elif kind == "subscribe":
+        node.on_message(link, wire.Subscribe(args[0], "agent-producer"))
+    elif kind == "detach":
+        node.on_message(link, wire.Detach(f"n.{link}"))
+    elif kind == "closed":
+        node.on_link_closed(link)
+    else:
+        sid, rnd = args
+        node.on_message(link, wire.Data(sid, rnd, 10, 1, 1, "kind=summary\ng j1 IO_RD_BW 1 5 5 5"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CACHE_STEPS, max_size=40))
+def test_cached_producer_links_match_a_cache_free_reference(steps):
+    """Through any sequence of tree and ring attaches, producer Subscribes,
+    clean Detaches, closed links and Data, the cached producer and live
+    links equal the ones worked out anew, and the rounds a node completes,
+    everything it sends and notes, equal those of a node with no cache."""
+    cached, reference = RelayProcess("rel.x", "x"), UncachedRelay("rel.x", "x")
+    for node in (cached, reference):
+        for sid in (1, 2):
+            node.specs[sid] = io_stream_spec(name=f"s/{sid}", interval=10)
+    for step in steps:
+        for node in (cached, reference):
+            apply_cache_step(node, step)
+        for sid in (1, 2):
+            assert cached.producer_links(sid) == reference_producer_links(cached, sid)
+            assert cached.live_producers(sid) == reference_live_producers(cached, sid)
+        assert cached.outbox == reference.outbox and cached.notes == reference.notes
+
+
+def test_a_steady_client_round_redoes_nothing_that_only_the_topology_changes(monkeypatch):
+    """In rounds 2-5 of a 64-agent client domain, only the processes that
+    send or note something are flushed, each once: the agents, the 15
+    relays, the manager and the root. No agent looks a metric up in the
+    catalog, and no gather node works its producer links out again."""
+    nodes = " ".join(f"n{i:03d}" for i in range(64))
+    host, handle, model = make_sim(
+        deep_domain(64), (f"job 0 20 j1 {nodes}", "io 0 20 j1 1M 2M roundrobin"))
+    attach_agents(handle, model)
+    client = add_driver(handle)
+    sid = create_stream(handle, client, io_stream_spec(
+        metrics=("IO_RD_BW", "IO_WR_BW"), group_by="client"))
+    client.subscribe(sid)
+    host.flush(client)
+    host.pump()
+    run_ticks(host, 1, 1)
+    flushed: list = []  # (pid, whether it had something to send or note)
+    flush, metric = SimHost.flush, catalog.metric
+    looked_up: list = []
+    found: list = []
+    find = overlay.GatherNode.find_producer_links
+    monkeypatch.setattr(SimHost, "flush", lambda self, proc: flushed.append(
+        (proc.pid, bool(proc.outbox or proc.notes))) or flush(self, proc))
+    monkeypatch.setattr(catalog, "metric", lambda name: looked_up.append(name) or metric(name))
+    monkeypatch.setattr(overlay.GatherNode, "find_producer_links",
+                        lambda self, sid: found.append(self.pid) or find(self, sid))
+    for t in range(2, 6):
+        flushed.clear()
+        run_ticks(host, t, 1)
+        assert len(flushed) == 64 + 15 + 1 + 1
+        assert len({pid for pid, _ in flushed}) == len(flushed)
+        assert all(had for _pid, had in flushed)
+    assert looked_up == [] and found == []
+    assert [r.round for r in client.records] == [1, 2, 3, 4, 5]
+    assert {(r.expected_contributors, r.actual_contributors) for r in client.records} == {(64, 64)}

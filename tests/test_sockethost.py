@@ -708,3 +708,95 @@ def test_a_tcp_agent_below_two_relay_hops_gets_the_frames_the_root_encoded(monke
         assert frames == [encode(m) for m in got]
     finally:
         rig.close()
+
+
+def test_a_connection_without_a_whole_attach_by_its_deadline_reads_error_then_eof(monkeypatch):
+    """A connection that sends nothing, and one that sends part of an
+    Attach, end as link faults once ATTACH_SECONDS have passed: each reads
+    why, then EOF, and once both close, the process holds no descriptor
+    more than before they connected."""
+    host, _handle, endpoints = serve_overlay(parse_topology(ONE_DOMAIN))
+    try:
+        before = descriptors()
+        monkeypatch.setattr(sockethost, "ATTACH_SECONDS", 0.0)
+        endpoint = parse_endpoint(endpoints["@root"])
+        silent = socket.create_connection(endpoint, timeout=5.0)
+        partial = socket.create_connection(endpoint, timeout=5.0)
+        partial.sendall(encode_message(Attach("n1", "solo", "agent", "client"))[:5])
+        deadline = time.monotonic() + 5.0
+        while len(host.lingering) < 2:  # accepted by one pump, refused by a later one
+            assert time.monotonic() < deadline, "the host did not refuse both"
+            host.pump()
+        assert not host.unbound and not any(name.startswith("tcp") for _pid, name in host.links)
+        for sock in (silent, partial):
+            received = b""
+            while chunk := sock.recv(1 << 16):
+                received += chunk
+            (error,), rest = decode_all(received)
+            assert error == Error("link-fault", "no Attach within 0 s") and rest == b""
+            sock.close()
+        deadline = time.monotonic() + 5.0
+        while host.lingering:  # each is closed at its peer's EOF
+            assert time.monotonic() < deadline, "the refused sockets stayed open"
+            host.pump()
+        if before is not None:
+            assert descriptors() == before
+    finally:
+        host.close()
+
+
+def test_a_tcp_agent_that_goes_away_keeps_its_count_and_a_new_one_is_waited_for():
+    """An agent attached over TCP produces at a relay, then its socket
+    closes: the next round completes without it, the relay counting its
+    last expected contributor but not its contribution. An agent that then
+    attaches and subscribes at that relay is waited for again."""
+    rig = RelayRig()
+    try:
+        domain = rig.handle.topology.domain("big")
+        deepest = domain.internal_positions()[-1]
+        relay_node = domain.node_at(deepest)
+        relay = rig.host.by_pid[attach_point(rig.handle.topology, relay_node)[0]]
+        leaves = [domain.node_at(pos) for pos in domain.tree_children(deepest)]
+
+        def attach_agent(leaf: str) -> socket.socket:
+            sock = rig.connect(relay_node)
+            rig.send(sock, Attach(leaf, "big", "agent", "client"))
+            rig.pump_until(sock, CreateStream)
+            rig.send(sock, Subscribe(rig.sid, "agent-producer"))
+            rig.pump_until(sock, SubscribeAck)
+            return sock
+
+        def record_of(rnd: int, *agents: socket.socket) -> tuple[int, int, int]:
+            rig.produce(rnd, GOOD_BODY)
+            for sock in agents:
+                rig.send(sock, Data(rig.sid, rnd, 1, 1, 1, GOOD_BODY))
+            (record,) = rig.pump_until(rig.cons, Data)
+            return record.round, record.expected_contributors, record.actual_contributors
+
+        first = attach_agent(leaves[1])
+        (link,) = [l for l, node in relay.agent_children.items() if node == leaves[1]]
+        assert link in relay.live_producers(rig.sid)
+        assert record_of(1, first) == (1, 2, 2)
+        first.close()
+        deadline = time.monotonic() + 5.0
+        while link in relay.live_producers(rig.sid):
+            assert time.monotonic() < deadline, "the relay did not see the socket close"
+            rig.host.pump()
+        assert link in relay.producer_links(rig.sid)  # still counted in expected
+        assert record_of(2) == (2, 2, 1)
+
+        second = attach_agent(leaves[2])
+        rig.produce(3, GOOD_BODY)
+        until = time.monotonic() + 0.2
+        while time.monotonic() < until:
+            rig.host.pump()
+        with pytest.raises(BlockingIOError):  # round 3 waits for the new agent
+            rig.cons.recv(1 << 16)
+        rig.send(second, Data(rig.sid, 3, 1, 1, 1, GOOD_BODY))
+        (record,) = rig.pump_until(rig.cons, Data)
+        assert (record.round, record.expected_contributors, record.actual_contributors) \
+            == (3, 3, 2)
+        assert record.aggregate_body == "kind=summary\ng tait.7 IO_RD_BW 4 20 4 6"
+        second.close()
+    finally:
+        rig.close()
