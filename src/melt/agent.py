@@ -248,8 +248,6 @@ class _RoundDeltas:
 
 
 class AgentCore(ProcessCore):
-    kind = "agent"
-
     def __init__(self, config: AgentConfig, source,
                  topology: OverlayTopology | None = None) -> None:
         super().__init__(f"agent.{config.node_id}", config.node_id)

@@ -50,8 +50,6 @@ def jobs_changed(a: dict[str, tuple[str, ...]], b: dict[str, tuple[str, ...]]) -
 
 
 class FileJobSource:
-    kind = "file"
-
     def __init__(self, path: str) -> None:
         self.path = path
 
@@ -61,8 +59,6 @@ class FileJobSource:
 
 
 class CommandJobSource:
-    kind = "command"
-
     def __init__(self, argv: list[str]) -> None:
         if not argv:
             raise ValueError("command adapter needs an argv")
@@ -79,8 +75,6 @@ class CommandJobSource:
 
 class WorkloadJobSource:
     """In-simulation adapter fed by the scenario's workload model."""
-
-    kind = "workload"
 
     def __init__(self, model, clock) -> None:
         self.model = model

@@ -73,8 +73,6 @@ _ROUND_FAULT = re.compile(r"stream ([0-9]+) round ([0-9]+): (.*)", re.DOTALL)
 class ProcessCore:
     """Base event-loop state machine; the host drains ``outbox`` after each call."""
 
-    kind = "process"
-
     def __init__(self, pid: str, node_id: str) -> None:
         self.pid = pid
         self.node_id = node_id
@@ -155,7 +153,6 @@ class GatherNode(ProcessCore):
         self.producer_children: dict[int, set[str]] = {}
         self.ring_prev_link: str | None = None
         self.ring_prev_produces = False
-        self.ever_producers: set[int] = set()
         self.pending: dict[tuple[int, int], dict[str, wire.Data]] = {}
         self.last_expected: dict[tuple[str, int], int] = {}
         self.emitted: dict[int, int] = {}
@@ -259,7 +256,6 @@ class GatherNode(ProcessCore):
         first = not self.producer_children.get(msg.stream_id)
         self.producer_children.setdefault(msg.stream_id, set()).add(link)
         self.links_changed()
-        self.ever_producers.add(msg.stream_id)
         if link in self.agent_children:
             self.emit(link, wire.SubscribeAck(msg.stream_id))
         if first:
@@ -372,7 +368,7 @@ class GatherNode(ProcessCore):
                 continue
             if self.live_producers(sid):
                 continue
-            if self.always_emits or sid in self.ever_producers:
+            if self.always_emits or sid in self.producer_children:
                 self.complete_round(sid, now)
         self.expire_stale_rounds(now)
 
@@ -406,14 +402,12 @@ class GatherNode(ProcessCore):
 class RelayProcess(GatherNode):
     """Internal tree process on a member node with heap children."""
 
-    kind = "relay"
     forward_subscribe = GatherNode.send_up
 
 
 class ManagerProcess(GatherNode):
     """Domain tree root and ring member."""
 
-    kind = "manager"
     always_emits = True
     up_lost_note = "ring-link-lost"
 
@@ -457,7 +451,6 @@ class StreamState:
 class RootProcess(GatherNode):
     """Session root: top-level aggregator, stream registry, client attach point."""
 
-    kind = "root"
     always_emits = True
 
     def __init__(self, pid: str, node_id: str, topology: OverlayTopology) -> None:
@@ -610,8 +603,6 @@ class ClientCore(ProcessCore):
     Subclasses (the monitoring daemon, the interactive tool, test drivers)
     override the ``on_*`` hooks.
     """
-
-    kind = "client"
 
     def __init__(self, pid: str, client_name: str) -> None:
         super().__init__(pid, client_name)

@@ -130,6 +130,13 @@ def _rate(token: str, where: str) -> float:
         raise ConfigError(f"{where}: bad rate value {token!r}") from None
 
 
+def _integer(token: str, where: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ConfigError(f"{where}: {what} must be an integer, not {token!r}") from None
+
+
 def _weights(token: str, where: str) -> tuple[tuple[str, float], ...]:
     out = []
     for part in token.split(","):
@@ -294,11 +301,11 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioSpec:
             for lineno, key, value in pairs:
                 where = f"{source}:{lineno}"
                 if key == "duration":
-                    duration = int(value)
+                    duration = _integer(value, where, "duration")
                 elif key == "seed":
-                    seed = int(value)
+                    seed = _integer(value, where, "seed")
                 elif key == "poll":
-                    poll = int(value)
+                    poll = _integer(value, where, "poll")
                 elif key == "meltmon":
                     if value not in ("on", "off"):
                         raise ConfigError(f"{where}: meltmon must be on or off")
@@ -313,7 +320,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioSpec:
                     parts = value.split()
                     if len(parts) != 3:
                         raise ConfigError(f"{where}: fault wants '<time> <kind> <subject>'")
-                    faults.append(Fault(int(parts[0]), parts[1], parts[2]))
+                    faults.append(Fault(_integer(parts[0], where, "fault time"),
+                                        parts[1], parts[2]))
                 else:
                     raise ConfigError(f"{where}: unknown key {key!r} in [scenario]")
             if bare:

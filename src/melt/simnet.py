@@ -28,16 +28,17 @@ message: no in-process hop decodes. The codec refuses to encode any
 message that its frame would not decode back to, so the message handed
 over is the one a decode would give, its frame is the one encoding it
 would give, and the layers above stay byte-exact with a socket
-deployment. Bytes written to an in-process channel without a message, and
-a whole frame that arrives while the link's decoder holds part of a
-frame, go through the link's :class:`~melt.wire.FrameDecoder`, built on
-the first such bytes, in the order they were sent, as does everything a
-TCP link reads; a message decoded so has no frame to reuse.
+deployment. A read of an in-process link takes every send since the last
+read. Bytes written to it without a message, and a frame that arrives
+while the link's decoder holds part of a frame, go through the link's
+:class:`~melt.wire.FrameDecoder`, built on the first such bytes, in the
+order they were sent, as does everything a TCP link reads; a message
+decoded so has no frame to reuse.
 
 Delivery runs off one heap of ready links; idle links are never polled. A
 link is ready when a send has put bytes on it, when it or its in-process
-peer was closed, when a read left bytes (or a close) behind on it, or, in
-the socket backend, when the selector reports its socket readable. A ready
+peer was closed, when a read left a close behind on it, or, in the socket
+backend, when the selector reports its socket readable. A ready
 link is keyed by (pass, rank of its process, its position among the
 process's links): ``pump`` pops the heap until it is empty, so each pass
 visits processes in registration order and reads their links in the order
@@ -249,7 +250,7 @@ class SimHost:
         if state.peer is None:  # a socket read is bytes
             read = ((read, None),)
         elif state.channel.readable:
-            self.wake(state)  # more than one read's worth, or a close behind it
+            self.wake(state)  # a close behind the read
         decoder = state.decoder
         arrived: list = []  # (frame it arrived with or None, message)
         try:

@@ -7,17 +7,14 @@ drains what it was sent before it sees the close); the TCP backend wraps
 real sockets, with endpoints given as host:port strings.
 
 An in-process send may carry, beside a whole frame, the message that frame
-encodes. A read returns, in send order, the pieces of the first
-``SIM_RECV_BYTES`` pending bytes as (bytes, message or None): a sent frame
-that lies whole in the read comes with its message, and bytes sent without
-one, or the part of a frame that a read boundary cuts, come alone.
+encodes. A read returns every send since the last read, in send order, as
+(bytes, message or None).
 """
 
 from __future__ import annotations
 
 import socket
 
-SIM_RECV_BYTES = 1 << 20  # most bytes one try_recv takes, per backend
 TCP_RECV_BYTES = 1 << 16
 
 
@@ -32,14 +29,13 @@ class ChannelClosedError(TransportError):
 class SimChannelEnd:
     """One end of an in-process duplex channel."""
 
-    __slots__ = ("_rx", "_taken", "closed", "peer")
+    __slots__ = ("_rx", "closed", "peer")
 
     def __init__(self) -> None:
         # (bytes, message or None) sent to this end; a list, not a deque:
         # most channels hold nothing most of the time, and an empty deque
         # takes 760 bytes to an empty list's 56 (CPython 3.11)
         self._rx: list[tuple[bytes, object]] = []
-        self._taken = 0  # bytes of the first entry that earlier reads took
         self.closed = False
         self.peer: "SimChannelEnd" | None = None
 
@@ -52,36 +48,19 @@ class SimChannelEnd:
             self.peer._rx.append((data, msg))
 
     def try_recv(self) -> list[tuple[bytes, object]]:
-        """The pieces of the first ``SIM_RECV_BYTES`` pending bytes (see the
-        module docstring); [] when nothing is pending."""
+        """Every (bytes, message or None) sent since the last read, in send
+        order; [] when nothing is pending. Raises ChannelClosedError once
+        the channel is closed and nothing is pending."""
         rx = self._rx
-        if not rx:
-            if self.closed:
-                raise ChannelClosedError("recv on closed channel")
-            return []
-        pieces = []
-        budget = SIM_RECV_BYTES
-        start = self._taken
-        done = 0  # entries read to their end
-        for data, msg in rx:
-            size = len(data) - start
-            if size > budget:  # the read ends inside this entry
-                pieces.append((data[start:start + budget], None))
-                start += budget
-                break
-            pieces.append((data, msg) if start == 0 else (data[start:], None))
-            done += 1
-            start = 0
-            budget -= size
-            if not budget:
-                break
-        del rx[:done]
-        self._taken = start
-        return pieces
+        if rx:
+            self._rx = []
+        elif self.closed:
+            raise ChannelClosedError("recv on closed channel")
+        return rx
 
     @property
     def readable(self) -> bool:
-        """Whether ``try_recv`` would return pieces or raise ChannelClosedError."""
+        """Whether ``try_recv`` would return entries or raise ChannelClosedError."""
         return bool(self._rx) or self.closed
 
     def close(self) -> None:

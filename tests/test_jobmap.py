@@ -61,8 +61,8 @@ class TestAdapters:
             source.read()
 
     def test_adapter_spec_parsing(self):
-        assert parse_adapter_spec("file:/tmp/x").kind == "file"
-        assert parse_adapter_spec("cmd:squeue --melt").kind == "command"
+        assert isinstance(parse_adapter_spec("file:/tmp/x"), FileJobSource)
+        assert isinstance(parse_adapter_spec("cmd:squeue --melt"), CommandJobSource)
         with pytest.raises(ValueError):
             parse_adapter_spec("carrier:x")
         with pytest.raises(ValueError):

@@ -157,6 +157,16 @@ class TestGatherMerge:
         assert len(sends) == 1
         assert sends[0].actual_contributors == 1
 
+    def test_a_relay_whose_producers_all_detached_still_emits_empty_rounds(self):
+        relay = self.make_relay()
+        relay.specs[2] = io_stream_spec(interval=10)  # no child ever produced it
+        for link in ("a1", "a2"):
+            relay.remove_child(link, clean=True)
+        relay.on_tick(10)
+        sends = [m for _, m in relay.outbox if isinstance(m, wire.Data)]
+        assert [(m.stream_id, m.round, m.expected_contributors, m.actual_contributors)
+                for m in sends] == [(1, 10, 0, 0)]
+
     def assert_merge_fault(self, bad, reason):
         relay = self.make_relay()
         relay.on_message("a1", wire.Data(1, 10, 10, 1, 1, self.body_text(1, 5, 5, 5)))

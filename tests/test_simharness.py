@@ -235,6 +235,19 @@ class TestMeltsimCli:
         assert main([]) == 1
         assert main(["walk"]) == 1
 
+    @pytest.mark.parametrize("line, what", [
+        ("duration = ten", "duration"), ("seed = 1.5", "seed"), ("poll = x", "poll"),
+        ("fault = x detach-agent n1", "fault time")])
+    def test_a_non_integer_scenario_value_is_a_config_error(self, line, what, tmp_path,
+                                                            capsys):
+        head = ONE_DOMAIN + "[scenario]\nduration = 6\n"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(head + line + "\n")
+        assert main(["run", str(cfg)]) == 1
+        lineno, value = head.count("\n") + 1, line.split()[2]
+        assert capsys.readouterr().err == (
+            f"meltsim: {cfg}:{lineno}: {what} must be an integer, not {value!r}\n")
+
 
 class TestTcpDeployment:
     def test_external_agent_and_tool_over_sockets(self):

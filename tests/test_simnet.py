@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melt import simnet, transport, wire
+from melt import simnet, wire
 from melt.simnet import SimHost
 from melt.transport import ChannelClosedError, SimChannelEnd
 
@@ -449,12 +449,11 @@ def test_raw_garbage_after_a_handed_over_frame_faults_the_link_after_it():
     assert received(host) == {"a": 2, "b": 1}
 
 
-def test_a_read_takes_the_frames_that_end_within_its_bytes(monkeypatch):
-    """Five 300 KB frames on one link and a small one on the next: the first
-    read takes the three that end within SIM_RECV_BYTES, the next pass the
-    rest, as when every frame was decoded off the bytes."""
+def test_a_read_takes_every_frame_sent_since_the_last_one(monkeypatch):
+    """Five 300 KB frames on one link and a small one on the next arrive
+    whole, in scan order, without a decode, and leave the same log,
+    transcript and counters as when every frame was decoded off the bytes."""
     big = 300_000
-    assert 3 * big < transport.SIM_RECV_BYTES < 4 * big
 
     def run(monkeypatch) -> tuple:
         decodes = []
@@ -475,8 +474,8 @@ def test_a_read_takes_the_frames_that_end_within_its_bytes(monkeypatch):
     with monkeypatch.context() as patch:
         got = run(patch)
     assert got[0] == [("b", "ab", "0"), ("b", "ab", "1"), ("b", "ab", "2"),
-                      ("b", "cb", "s"), ("b", "ab", "3"), ("b", "ab", "4")]
-    assert got[3] == 1  # the frame that the read boundary cut is decoded
+                      ("b", "ab", "3"), ("b", "ab", "4"), ("b", "cb", "s")]
+    assert got[3] == 0
     with monkeypatch.context() as patch:
         decode_every_frame(patch)
         want = run(patch)

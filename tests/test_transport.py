@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melt import transport
 from melt.transport import (
     ChannelClosedError, TcpListener, TransportError, sim_channel_pair, transport_connect,
 )
@@ -33,58 +32,33 @@ class TestSimTransport:
         with pytest.raises(ChannelClosedError):
             server.send(b"nope")
 
-    @pytest.mark.parametrize("size", [15, 16, 17, 53])
-    def test_a_lone_entry_comes_whole_or_is_cut_at_the_read_boundary(self, size, monkeypatch):
-        """A lone entry that fits one read is that read, with its message;
-        a longer one is cut into reads of SIM_RECV_BYTES, without it."""
-        monkeypatch.setattr(transport, "SIM_RECV_BYTES", 16)
-        client, server = sim_channel_pair()
-        data = bytes(range(size))
-        client.send(data, "msg")
-        reads = []
-        while server.readable:
-            reads.append(server.try_recv())
-        if size <= 16:
-            assert reads == [[(data, "msg")]]
-        else:
-            assert reads == [[(data[i:i + 16], None)] for i in range(0, size, 16)]
-        client.send(b"next", "m2")  # a read after a cut starts afresh
-        assert server.try_recv() == [(b"next", "m2")]
-
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.tuples(st.just("send"), st.binary(min_size=1, max_size=40),
                                     st.booleans()),
                           st.just(("read",))), max_size=30))
-def test_a_sim_read_takes_what_a_byte_pipe_read_would(steps):
-    """Each read takes the first SIM_RECV_BYTES pending bytes, as a read of
-    one byte pipe would, and a frame sent with its message comes with it
-    exactly when it lies whole in one read."""
-    budget = 16
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(transport, "SIM_RECV_BYTES", budget)
-        client, server = sim_channel_pair()
-        pipe = b""
-        spans = {}  # message -> (first, last + 1) offset of its frame in the pipe
-        whole, got = set(), set()
-        read_at = 0
-        for i, (kind, *args) in enumerate(steps + [("read",)] * 100):
-            if kind == "send":
-                data, with_msg = args
-                client.send(data, i if with_msg else None)
-                if with_msg:
-                    spans[i] = (len(pipe), len(pipe) + len(data))
-                pipe += data
-                continue
-            pieces = server.try_recv()
-            taken = b"".join(data for data, _msg in pieces)
-            assert taken == pipe[read_at:read_at + budget]
-            whole |= {i for i, (first, end) in spans.items()
-                      if read_at <= first and end <= read_at + len(taken)}
-            got |= {msg for data, msg in pieces if msg is not None and data == steps[msg][1]}
-            read_at += len(taken)
-        assert read_at == len(pipe) and not server.readable
-        assert got == whole
+def test_a_sim_read_takes_every_send_since_the_last_read(steps):
+    """Each read returns every entry sent since the last read, in send
+    order, each with its message or None; a close is seen only after the
+    entries drain."""
+    client, server = sim_channel_pair()
+    sent = []
+    for i, (kind, *args) in enumerate(steps):
+        if kind == "send":
+            data, with_msg = args
+            entry = (data, i if with_msg else None)
+            client.send(*entry)
+            sent.append(entry)
+        else:
+            assert server.try_recv() == sent
+            assert not server.readable
+            sent = []
+    client.close()
+    assert server.readable
+    if sent:
+        assert server.try_recv() == sent
+    with pytest.raises(ChannelClosedError):
+        server.try_recv()
 
 
 class TestTcpTransport:
