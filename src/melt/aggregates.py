@@ -509,6 +509,15 @@ def _fold_runs(parsed: list[tuple], kind: str, drop_empty: bool) -> list[tuple]:
     return out
 
 
+def _spelled_as(text: str, head: str, entries: list[tuple]) -> bool:
+    """Whether ``text``, whose checked lines are ``entries`` under the
+    header line(s) ``head``, is exactly ``head`` and those lines joined: it
+    starts with ``head`` and has no byte more, so no blank line and no
+    other spelling of the edges."""
+    return text.startswith(head) and len(text) == (
+        len(head) + len(entries) + sum(map(len, map(itemgetter(1), entries))))
+
+
 def merge_texts(texts: list[str], aggregation: str, edges: tuple[float, ...] = (),
                 merged: dict | None = None) -> str:
     """A relay's hop: merge child body texts, in producer order, into the
@@ -523,7 +532,10 @@ def merge_texts(texts: list[str], aggregation: str, edges: tuple[float, ...] = (
     (a summary line with count 0 is dropped). A key that several children
     send takes each child's last line for it, is folded in producer order
     as :func:`merge_all` folds, and is formatted anew. When no key is
-    shared or repeated, the sorted lines are joined as they are.
+    shared or repeated, the sorted lines are joined as they are; a lone
+    child that is that join already (its keys sorted and unique, no summary
+    line with count 0, its header the one its aggregation writes, no blank
+    line) is returned itself.
 
     For every body :func:`body_to_text` wrote, the result is byte-identical
     to ``body_to_text(merge_all(...))`` of the same children. A valid but
@@ -571,13 +583,18 @@ def merge_texts(texts: list[str], aggregation: str, edges: tuple[float, ...] = (
     for _kind, _edges, child in parsed:
         entries += child
     keys = list(map(itemgetter(0), entries))
-    if len(set(keys)) == len(keys):  # every line passes through
+    text = None
+    if len(set(keys)) != len(keys):
+        entries = _fold_runs(parsed, out.kind, drop_empty)
+    elif len(texts) == 1 and not drop_empty and keys == sorted(keys) \
+            and _spelled_as(texts[0], head, entries):
+        text = texts[0]  # a lone child that is already canonical
+    else:  # every line passes through
         entries.sort(key=itemgetter(0))
         if drop_empty:
             entries = [entry for entry in entries if entry[2][0] != 0]
-    else:
-        entries = _fold_runs(parsed, out.kind, drop_empty)
-    text = "\n".join([head, *map(itemgetter(1), entries)])
+    if text is None:
+        text = "\n".join([head, *map(itemgetter(1), entries)])
     if merged is not None:
         for child in texts:
             merged.pop(child, None)

@@ -353,7 +353,14 @@ class GatherNode(ProcessCore):
         window = (contributions[present[0]].window_secs if present
                   else self.effective_interval(sid))
         self.emitted[sid] = rnd
-        record = wire.Data(sid, rnd, window, expected, actual, body)
+        # a lone child's record goes on as itself when the merge left its
+        # body as it came and no silent link adds to its expected count
+        # (its window and actual count are the record's), so a host that
+        # kept the frame it came in sends that frame
+        record = contributions[present[0]] if len(present) == 1 else None
+        if record is None or record.expected_contributors != expected \
+                or record.aggregate_body != body:
+            record = wire.Data(sid, rnd, window, expected, actual, body)
         self.deliver_up(record)
 
     def on_tick(self, now: int) -> None:

@@ -153,8 +153,10 @@ def _weights(token: str, where: str) -> tuple[tuple[str, float], ...]:
     return tuple(out)
 
 
-def parse_workload(lines, source: str = "<workload>") -> WorkloadScript:
-    """Parse (lineno, text) pairs into a validated workload script."""
+def parse_workload(lines, source: str = "<workload>",
+                   located: dict | None = None) -> WorkloadScript:
+    """Parse (lineno, text) pairs into a validated workload script; if
+    ``located`` is given, map each event in it to its ``<source>:<lineno>``."""
     jobs: list[JobEvent] = []
     io: list[IoEvent] = []
     meta: list[MetaEvent] = []
@@ -178,7 +180,8 @@ def parse_workload(lines, source: str = "<workload>") -> WorkloadScript:
             if len(parts) < 5:
                 raise ConfigError(f"{where}: job needs start end id and at least one node")
             start, end = span(parts[1], parts[2], where)
-            jobs.append(JobEvent(start, end, parts[3], tuple(parts[4:])))
+            ev = JobEvent(start, end, parts[3], tuple(parts[4:]))
+            jobs.append(ev)
         elif kind == "io":
             if len(parts) != 7:
                 raise ConfigError(f"{where}: io needs start end job read write spread")
@@ -186,27 +189,33 @@ def parse_workload(lines, source: str = "<workload>") -> WorkloadScript:
             spread = parts[6]
             if spread != "roundrobin" and not spread.startswith("single:"):
                 raise ConfigError(f"{where}: spread must be roundrobin or single:<oss>")
-            io.append(IoEvent(start, end, parts[3], _rate(parts[4], where),
-                              _rate(parts[5], where), spread))
+            ev = IoEvent(start, end, parts[3], _rate(parts[4], where),
+                         _rate(parts[5], where), spread)
+            io.append(ev)
         elif kind == "meta":
             if len(parts) != 6:
                 raise ConfigError(f"{where}: meta needs start end job rate weights")
             start, end = span(parts[1], parts[2], where)
-            meta.append(MetaEvent(start, end, parts[3], _rate(parts[4], where),
-                                  _weights(parts[5], where)))
+            ev = MetaEvent(start, end, parts[3], _rate(parts[4], where),
+                           _weights(parts[5], where))
+            meta.append(ev)
         elif kind == "paths":
             if len(parts) != 5:
                 raise ConfigError(f"{where}: paths needs start end job weights")
             start, end = span(parts[1], parts[2], where)
-            paths.append(PathsEvent(start, end, parts[3], _weights(parts[4], where)))
+            ev = PathsEvent(start, end, parts[3], _weights(parts[4], where))
+            paths.append(ev)
         elif kind == "load":
             if len(parts) != 6:
                 raise ConfigError(f"{where}: load needs node start end cpu mem")
             start, end = span(parts[2], parts[3], where)
-            loads.append(LoadEvent(parts[1], start, end,
-                                   _rate(parts[4], where), _rate(parts[5], where)))
+            ev = LoadEvent(parts[1], start, end,
+                           _rate(parts[4], where), _rate(parts[5], where))
+            loads.append(ev)
         else:
             raise ConfigError(f"{where}: unknown workload event {kind!r}")
+        if located is not None:
+            located.setdefault(ev, where)
 
     declared = {j.job_id for j in jobs}
     if len(declared) != len(jobs):
@@ -250,40 +259,54 @@ class ScenarioSpec:
     base_time: int = DEFAULT_BASE_TIME
     faults: tuple[Fault, ...] = ()
 
-    def validate(self) -> None:
+    def validate(self, located: dict | None = None) -> None:
+        """Raise ConfigError for a scenario that cannot run. ``located``, if
+        given, maps "duration", "poll", and each fault and workload event, to
+        the ``<file>:<line>`` that set it, and an error about one of them
+        starts with that."""
+        located = located or {}
+
+        def error(item, message: str) -> ConfigError:
+            where = located.get(item)
+            return ConfigError(f"{where}: {message}" if where else message)
+
         if self.duration <= 0:
-            raise ConfigError("scenario duration must be positive")
+            raise error("duration", "scenario duration must be positive")
         if self.poll_secs < 1:
-            raise ConfigError("poll interval must be >= 1 second")
+            raise error("poll", "poll interval must be >= 1 second")
         for group in (self.workload.jobs, self.workload.io, self.workload.meta,
                       self.workload.paths, self.workload.loads):
             for ev in group:
                 if ev.end > self.duration:
-                    raise ConfigError(f"workload event ends at {ev.end}, after the "
-                                      f"{self.duration}s scenario")
+                    raise error(ev, f"workload event ends at {ev.end}, after the "
+                                    f"{self.duration}s scenario")
         for job in self.workload.jobs:
             for node in job.nodes:
                 if not self.topology.has_node(node):
-                    raise ConfigError(f"job {job.job_id} references unknown node {node!r}")
+                    raise error(job, f"job {job.job_id} references unknown node {node!r}")
         for ev in self.workload.loads:
             if not self.topology.has_node(ev.node):
-                raise ConfigError(f"load event references unknown node {ev.node!r}")
+                raise error(ev, f"load event references unknown node {ev.node!r}")
         for ev in self.workload.io:
             if ev.spread.startswith("single:"):
                 oss = ev.spread[len("single:"):]
                 if oss not in self.topology.servers("oss"):
-                    raise ConfigError(f"io spread references unknown oss {oss!r}")
+                    raise error(ev, f"io spread references unknown oss {oss!r}")
+        detached: set[str] = set()
         for fault in self.faults:
             if fault.kind == "detach-agent":
                 if not self.topology.has_node(fault.subject):
-                    raise ConfigError(f"fault subject {fault.subject!r} is not a node")
+                    raise error(fault, f"fault subject {fault.subject!r} is not a node")
+                if fault.subject in detached:  # it has no agent left to detach
+                    raise error(fault, f"the agent on {fault.subject} is already detached")
+                detached.add(fault.subject)
             elif fault.kind == "drop-ring-link":
                 if fault.subject not in self.topology.ring_order:
-                    raise ConfigError(f"fault subject {fault.subject!r} is not a domain")
+                    raise error(fault, f"fault subject {fault.subject!r} is not a domain")
             else:
-                raise ConfigError(f"unknown fault kind {fault.kind!r}")
+                raise error(fault, f"unknown fault kind {fault.kind!r}")
             if not 0 <= fault.time <= self.duration:
-                raise ConfigError("fault time outside scenario duration")
+                raise error(fault, "fault time outside scenario duration")
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioSpec:
@@ -295,11 +318,14 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioSpec:
     base_time = DEFAULT_BASE_TIME
     faults: list[Fault] = []
     workload_lines: list[tuple[int, str]] = []
+    located: dict = {}  # what validate names by its line
 
     for header, pairs, bare in sections:
         if header == "scenario":
             for lineno, key, value in pairs:
                 where = f"{source}:{lineno}"
+                if key in ("duration", "poll"):
+                    located[key] = where
                 if key == "duration":
                     duration = _integer(value, where, "duration")
                 elif key == "seed":
@@ -322,6 +348,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioSpec:
                         raise ConfigError(f"{where}: fault wants '<time> <kind> <subject>'")
                     faults.append(Fault(_integer(parts[0], where, "fault time"),
                                         parts[1], parts[2]))
+                    located.setdefault(faults[-1], where)
                 else:
                     raise ConfigError(f"{where}: unknown key {key!r} in [scenario]")
             if bare:
@@ -331,10 +358,10 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioSpec:
             if pairs:
                 raise ConfigError(f"{source}:{pairs[0][0]}: workload lines must not contain '='")
 
-    workload = parse_workload(workload_lines, source)
+    workload = parse_workload(workload_lines, source, located)
     spec = ScenarioSpec(topology, workload, duration, seed, poll,
                         meltmon_enabled, base_time, tuple(faults))
-    spec.validate()
+    spec.validate(located)
     return spec
 
 
@@ -362,7 +389,17 @@ class _Flow:
 
 
 class WorkloadModel:
-    """Closed-form counter trajectories for every node in a scenario."""
+    """Closed-form counter trajectories for every node in a scenario.
+
+    Client nodes fall into classes: two clients share a class when they
+    share every input of a client snapshot, that is their filesystem, io
+    flows, metadata events and load events, as the nodes of one job with no
+    load event of their own do. A client snapshot is computed once per
+    class, names and tick, and every client of the class gets that same
+    object; the model keeps the current tick's snapshots only. Snapshots
+    are read-only: an agent keeps one as its previous round's and reads
+    it, and must never change it.
+    """
 
     def __init__(self, topology: OverlayTopology, workload: WorkloadScript,
                  seed: int = 0) -> None:
@@ -402,6 +439,21 @@ class WorkloadModel:
             if ev is not None:
                 for node in dict.fromkeys(self.jobs[ev.job_id].nodes):
                     self.meta_of.setdefault(node, []).append(ev)
+        self.loads_of: dict[str, list[LoadEvent]] = {}
+        for ev in workload.loads:
+            self.loads_of.setdefault(ev.node, []).append(ev)
+        # client -> its class, numbered by the filesystem and the identities
+        # of the flows, meta events and load events a client snapshot reads;
+        # and the current tick with its snapshots by (class, names)
+        classes: dict[tuple, int] = {}
+        self.class_of = {
+            node: classes.setdefault(
+                (self.fs_of[node], *map(id, self.flows_of.get(node, ())),
+                 *map(id, self.meta_of.get(node, ())), *map(id, self.loads_of.get(node, ()))),
+                len(classes))
+            for node, role in self.role_of.items() if role == "client"}
+        self._shared_t = -1
+        self._shared: dict[tuple[int, frozenset[str]], SourceSnapshot] = {}
         # server -> its OSTs, and the io flows that touch them in script
         # order, so a server snapshot visits only its own flows and sums in
         # the same order
@@ -513,7 +565,17 @@ class WorkloadModel:
 
     def snapshot_client(self, node: str, t: int,
                         names: frozenset[str] = CLIENT_NAMES) -> SourceSnapshot:
-        """A client's counters and gauges; only those of ``names``."""
+        """A client's counters and gauges; only those of ``names``. The
+        clients of one class get the same read-only object at one tick."""
+        if t != self._shared_t:
+            self._shared_t, self._shared = t, {}
+        key = (self.class_of[node], names)
+        snap = self._shared.get(key)
+        if snap is None:
+            snap = self._shared[key] = self._client_snapshot(node, t, names)
+        return snap
+
+    def _client_snapshot(self, node: str, t: int, names: frozenset[str]) -> SourceSnapshot:
         snap = SourceSnapshot(ts=t)
         counters = snap.counters
         fs = self.fs_of[node]
@@ -651,8 +713,8 @@ class WorkloadModel:
     def _loads(self, node: str, t: int, snap: SourceSnapshot,
                names: frozenset[str] = CLIENT_NAMES) -> None:
         cpu = mem = 0.0
-        for ev in self.workload.loads:
-            if ev.node == node and ev.start <= t < ev.end:
+        for ev in self.loads_of.get(node, ()):
+            if ev.start <= t < ev.end:
                 cpu, mem = ev.cpu_pct, ev.mem_pct
         for name, value in zip(LOAD_GAUGES, (cpu, mem)):
             if name in names:
@@ -674,7 +736,9 @@ class WorkloadModel:
 
 
 class SyntheticSource:
-    """MetricSource over the workload model for one node."""
+    """MetricSource over the workload model for one node. Its snapshots are
+    read-only: a client's is shared with the other clients of its class
+    (see :class:`WorkloadModel`)."""
 
     def __init__(self, model: WorkloadModel, node: str) -> None:
         self.model = model

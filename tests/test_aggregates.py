@@ -527,6 +527,28 @@ def test_a_lone_known_child_is_passed_on_as_it_is():
         "kind=histogram\nedges 1 9007199254740994.0"
 
 
+def test_a_lone_fresh_child_that_is_canonical_is_passed_on_as_it_is():
+    """A lone child parsed anew is returned itself when it is what its
+    merge would write, and merged as any other when it is not: a key out of
+    order, a summary line with count 0, a blank line, edges spelled apart."""
+    child = "kind=summary\ng a M 1.0 5 5 5\ng b M 1 2 2 2"
+    table: dict = {}
+    assert agg.merge_texts([child], "summary", (), table) is child
+    assert table == {child: agg._parse(child)}
+    hist = "kind=histogram\nedges 1 10\nh a M 1 2 3"
+    assert agg.merge_texts([hist], "histogram", (1.0, 10.0)) is hist
+    assert agg.merge_texts(["kind=counted-key"], "counted-key") == "kind=counted-key"
+    for text, aggregation, edges in [
+            ("kind=summary\ng b M 1 2 2 2\ng a M 1 5 5 5", "summary", ()),
+            ("kind=summary\ng a M 1 5 5 5\ng b M 0 2 2 2", "summary", ()),
+            ("kind=summary\ng a M 1 5 5 5\n", "summary", ()),
+            ("kind=summary\n\ng a M 1 5 5 5", "summary", ()),
+            ("kind=histogram\nedges 1 10.0\nh a M 1 2 3", "histogram", (1.0, 10.0)),
+            ("kind=histogram\nedges 1 10\n\nh a M 1 2 3", "histogram", (1.0, 10.0))]:
+        out = agg.merge_texts([text], aggregation, edges)
+        assert out is not text and out == reference_merge_texts([text], aggregation, edges)
+
+
 def test_two_identical_known_children_fold_as_two():
     table: dict = {}
     child = agg.merge_texts([child_text("counted-key", [("k", 3), ("j", 1)], True)],

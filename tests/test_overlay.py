@@ -12,6 +12,7 @@ from melt import aggregates, catalog, overlay, wire
 from melt.aggregates import body_from_text, body_to_text
 from melt.overlay import (MergedBodies, RelayProcess, attach_point, overlay_links,
                           overlay_processes)
+from melt.scenario import WorkloadModel
 from melt.simnet import SimHost
 from melt.streams import StreamSpec
 from melt.topology import parse_topology
@@ -134,6 +135,31 @@ class TestGatherMerge:
         sends = [m for l, m in relay.outbox if isinstance(m, wire.Data)]
         assert len(sends) == 1
         assert body_from_text(sends[0].aggregate_body).entries == body_from_text(body).entries
+
+    def test_a_lone_child_s_record_goes_on_as_itself_when_nothing_changes_it(self):
+        relay = self.make_relay()
+        relay.remove_child("a2", clean=True)
+        record = wire.Data(1, 10, 10, 1, 1, self.body_text(2, 10, 1, 9))
+        relay.on_message("a1", record)
+        (sent,) = [m for _l, m in relay.outbox if isinstance(m, wire.Data)]
+        assert sent is record
+        # a body out of key order is merged into a new record
+        relay.outbox.clear()
+        unsorted = "kind=summary\ng b IO_RD_BW 1 2 2 2\ng a IO_RD_BW 1 5 5 5"
+        relay.on_message("a1", wire.Data(1, 20, 10, 1, 1, unsorted))
+        (sent,) = [m for _l, m in relay.outbox if isinstance(m, wire.Data)]
+        assert sent == wire.Data(1, 20, 10, 1, 1, body_to_text(body_from_text(unsorted)))
+
+    def test_a_lone_child_s_record_is_not_forwarded_when_a_closed_link_still_counts(self):
+        relay = self.make_relay()
+        for link in ("a1", "a2"):
+            relay.on_message(link, wire.Data(1, 10, 10, 1, 1, self.body_text(1, 5, 5, 5)))
+        relay.on_link_closed("a2")
+        relay.outbox.clear()
+        record = wire.Data(1, 20, 10, 1, 1, self.body_text(2, 10, 1, 9))
+        relay.on_message("a1", record)
+        (sent,) = [m for _l, m in relay.outbox if isinstance(m, wire.Data)]
+        assert sent == wire.Data(1, 20, 10, 2, 1, record.aggregate_body)
 
     def test_two_child_merge_matches_flat_fold(self):
         relay = self.make_relay()
@@ -696,3 +722,38 @@ def test_a_steady_client_round_redoes_nothing_that_only_the_topology_changes(mon
     assert looked_up == [] and found == []
     assert [r.round for r in client.records] == [1, 2, 3, 4, 5]
     assert {(r.expected_contributors, r.actual_contributors) for r in client.records} == {(64, 64)}
+
+
+def test_a_steady_client_round_computes_one_snapshot_per_class(monkeypatch):
+    """In rounds 2-5 of a 64-agent client domain, every agent asks for its
+    snapshot once, and one snapshot is computed per class of clients: the
+    other 31 nodes of one job, the 32 of a second job, and the one node with
+    a load event of its own."""
+    nodes = [f"n{i:03d}" for i in range(64)]
+    host, handle, model = make_sim(deep_domain(64), (
+        f"job 0 20 j1 {' '.join(nodes[:32])}", f"job 0 20 j2 {' '.join(nodes[32:])}",
+        "io 0 20 j1 1M 2M roundrobin", "io 0 20 j2 3M 0 roundrobin",
+        "load n005 0 20 50 20"))
+    attach_agents(handle, model)
+    client = add_driver(handle)
+    sid = create_stream(handle, client, io_stream_spec(
+        metrics=("IO_RD_BW", "IO_WR_BW"), group_by="client"))
+    client.subscribe(sid)
+    host.flush(client)
+    host.pump()
+    run_ticks(host, 1, 1)
+    asked: list = []
+    computed: list = []
+    snapshot, compute = WorkloadModel.snapshot, WorkloadModel._client_snapshot
+    monkeypatch.setattr(WorkloadModel, "snapshot", lambda self, node, *args: (
+        asked.append(node) or snapshot(self, node, *args)))
+    monkeypatch.setattr(WorkloadModel, "_client_snapshot", lambda self, node, *args: (
+        computed.append(node) or compute(self, node, *args)))
+    for t in range(2, 6):
+        asked.clear()
+        computed.clear()
+        run_ticks(host, t, 1)
+        assert sorted(asked) == nodes
+        assert len(computed) == 3 and "n005" in computed
+        assert len({model.class_of[node] for node in computed}) == 3
+    assert [r.round for r in client.records] == [1, 2, 3, 4, 5]

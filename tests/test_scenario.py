@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melt.agent import read_names
 from melt.scenario import (
-    DEFAULT_BASE_TIME, RPC_BYTES, JobEvent, WorkloadModel, _overlap, load_scenario,
-    parse_scenario, parse_workload,
+    CLIENT_NAMES, DEFAULT_BASE_TIME, RPC_BYTES, IoEvent, JobEvent, LoadEvent, WorkloadModel,
+    WorkloadScript, _overlap, load_scenario, parse_scenario, parse_workload,
 )
-from melt.simharness import resolve_scenario_path
+from melt.simharness import SimCluster, resolve_scenario_path
 from melt.topology import ConfigError, parse_topology
 
-from simutil import FIVE_DOMAINS, ONE_DOMAIN, TWO_FILESYSTEMS, assert_body_matches_oracle
+from simutil import (
+    FIVE_DOMAINS, ONE_DOMAIN, TWO_FILESYSTEMS, DriverClient, assert_body_matches_oracle,
+    create_stream, io_stream_spec, random_scenario, random_stream_specs,
+)
 
 MI = 1024 * 1024
 
@@ -367,3 +374,84 @@ def test_a_partial_snapshot_is_the_whole_one_cut_to_its_names():
                 assert bits(part.counters, names) == bits(whole.counters, names)
                 assert bits(part.gauges, names) == bits(whole.gauges, names)
                 assert {k[0] for k in [*part.counters, *part.gauges]} <= names
+
+
+SHARED_NAME_SETS = (CLIENT_NAMES, read_names(("IO_RD_BW",)),
+                    read_names(("IO_WR_BW", "META_OP_RATE", "LOAD_CPU_PCT")))
+
+
+def with_own_classes(spec, rng):
+    """``spec`` with a load event for one client, and, if a client runs no
+    job, a job with io of its own for it; (spec, load node, own-job node)."""
+    clients = [n for n in spec.topology.all_nodes()
+               if spec.topology.domain_of_node(n).lustre_role == "client"]
+    in_jobs = {n for job in spec.workload.jobs for n in job.nodes}
+    loaded = rng.choice(clients)
+    idle = [n for n in clients if n not in in_jobs and n != loaded]
+    alone = rng.choice(idle) if idle else None
+    jobs, io = spec.workload.jobs, spec.workload.io
+    if alone is not None:
+        jobs += (JobEvent(0, spec.duration, "job.own", (alone,)),)
+        io += (IoEvent(0, spec.duration, "job.own", 3 * MI, MI, "roundrobin"),)
+    workload = WorkloadScript(jobs, io, spec.workload.meta, spec.workload.paths,
+                              (LoadEvent(loaded, 1, spec.duration - 2, 40.0, 20.0),))
+    return dataclasses.replace(spec, workload=workload), loaded, alone
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_the_clients_of_one_class_share_a_snapshot_equal_to_a_fresh_one(seed, data):
+    """At ticks drawn in any order, every client snapshot equals, field for
+    field, the one a fresh model gives; two clients of one job, or two that
+    run none, get the same object, and a client with a load event or a job
+    of its own shares its snapshot with no other."""
+    rng = random.Random(seed)
+    spec, loaded, alone = with_own_classes(random_scenario(rng, max_leaves=24), rng)
+    model = WorkloadModel(spec.topology, spec.workload, spec.seed)
+    clients = [n for n in spec.topology.all_nodes()
+               if spec.topology.domain_of_node(n).lustre_role == "client"]
+    job_of = {n: job.job_id for job in spec.workload.jobs for n in job.nodes}
+    ticks = data.draw(st.lists(st.integers(0, spec.duration), min_size=1, max_size=6))
+    for t in ticks:
+        names = data.draw(st.sampled_from(SHARED_NAME_SETS))
+        snaps = {node: model.snapshot(node, t, names) for node in clients}
+        for node, snap in snaps.items():
+            fresh = WorkloadModel(spec.topology, spec.workload, spec.seed)
+            assert snap == fresh.snapshot(node, t, names)
+            assert snap is model.snapshot(node, t, names)
+        for a in clients:
+            for b in clients:
+                shared = a == b or (loaded not in (a, b) and job_of.get(a) == job_of.get(b))
+                assert (snaps[a] is snaps[b]) == shared, (a, b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32))
+def test_no_agent_changes_a_shared_snapshot(seed):
+    """After every round of a random scenario, each snapshot that a client's
+    agent was handed still equals a copy made when it was handed out, and a
+    fresh model's snapshot of that client, tick and names."""
+    rng = random.Random(seed)
+    spec, _loaded, _alone = with_own_classes(random_scenario(rng, max_leaves=24), rng)
+    cluster = SimCluster(spec)
+    handed: list[tuple] = []  # (node, t, names, snapshot, its copy then)
+    snapshot = cluster.model.snapshot
+
+    def recording(node, t, names=None):
+        snap = snapshot(node, t, names)
+        if cluster.model.role_of[node] == "client":
+            handed.append((node, t, names, snap, copy.deepcopy(snap)))
+        return snap
+
+    cluster.model.snapshot = recording
+    driver = cluster.add_client(DriverClient("shared"))
+    for stream in [*random_stream_specs(rng, spec.topology), io_stream_spec(
+            name="s/own", metrics=("IO_RD_BW", "IO_WR_BW", "LOAD_CPU_PCT"),
+            group_by="client")]:
+        create_stream(cluster.handle, driver, stream)
+    cluster.advance(spec.duration)
+    assert handed
+    fresh = WorkloadModel(spec.topology, spec.workload, spec.seed)
+    for node, t, names, snap, then in handed:
+        assert snap == then
+        assert then == fresh.snapshot(node, t, names)

@@ -249,6 +249,25 @@ class TestMeltsimCli:
             f"meltsim: {cfg}:{lineno}: {what} must be an integer, not {value!r}\n")
 
 
+    @pytest.mark.parametrize("lines, message", [
+        (["duration = -5"], "scenario duration must be positive"),
+        (["poll = 0"], "poll interval must be >= 1 second"),
+        (["fault = 99 detach-agent n1"], "fault time outside scenario duration"),
+        (["fault = 2 detach-agent n1", "fault = 4 detach-agent n1"],
+         "the agent on n1 is already detached"),
+        (["[workload]", "job 0 6 j1 n1", "load n1 0 9 5 5"],
+         "workload event ends at 9, after the 6s scenario")],
+        ids=["duration", "poll", "fault-time", "detached-twice", "event-end"])
+    def test_a_scenario_that_cannot_run_is_refused_at_its_line(self, lines, message,
+                                                              tmp_path, capsys):
+        head = ONE_DOMAIN + "[scenario]\nduration = 6\n"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(head + "\n".join(lines) + "\n")
+        assert main(["run", str(cfg)]) == 1
+        lineno = head.count("\n") + len(lines)
+        assert capsys.readouterr().err == f"meltsim: {cfg}:{lineno}: {message}\n"
+
+
 class TestTcpDeployment:
     def test_external_agent_and_tool_over_sockets(self):
         topo = parse_topology(ONE_DOMAIN)
