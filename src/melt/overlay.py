@@ -138,7 +138,10 @@ class GatherNode(ProcessCore):
     Contributor accounting is local: each node remembers the last expected
     count a link reported per stream, so a silent or severed link still
     counts toward ``expected_contributors`` while dropping out of ``actual``.
-    A cleanly detached agent is removed from both.
+    A producer link that never reported counts as one expected contributor,
+    which under-counts a silent relay or ring predecessor that carries many
+    producers, but still leaves ``actual < expected``. A cleanly detached
+    agent is removed from both.
     """
 
     always_emits = False  # managers and the root relay every stream every round
@@ -349,7 +352,7 @@ class GatherNode(ProcessCore):
                 expected += contributions[link].expected_contributors
                 actual += contributions[link].actual_contributors
             else:
-                expected += self.last_expected.get((link, sid), 0)
+                expected += self.last_expected.get((link, sid), 1)
         window = (contributions[present[0]].window_secs if present
                   else self.effective_interval(sid))
         self.emitted[sid] = rnd

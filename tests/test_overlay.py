@@ -182,6 +182,8 @@ class TestGatherMerge:
         sends = [m for _, m in relay.outbox if isinstance(m, wire.Data)]
         assert len(sends) == 1
         assert sends[0].actual_contributors == 1
+        assert sends[0].expected_contributors == 2  # a2 never reported: it counts as one
+        assert ("round-timeout", "rel.x", 1, 10) in relay.notes
 
     def test_a_relay_whose_producers_all_detached_still_emits_empty_rounds(self):
         relay = self.make_relay()

@@ -9,18 +9,21 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melt import wire
 from melt.agent import AgentConfig, AgentCore
 from melt.humanize import parse_human
 from melt.meltcli import parse_cli
 from melt.meltmon import parse_log_line
-from melt.scenario import SyntheticSource, WorkloadModel, load_scenario, parse_scenario
+from melt.scenario import Fault, SyntheticSource, WorkloadModel, load_scenario, parse_scenario
 from melt.simharness import (
     SimCluster, main, message_accounting, oracle_aggregate, resolve_scenario_path,
     run_scenario,
 )
 from melt.sockethost import SocketHost, serve_overlay
+from melt.streams import expected_producers
 from melt.topology import parse_topology
 from melt.transport import SimChannelEnd, transport_connect
 
@@ -410,6 +413,103 @@ io 0 24 j1 1M 0 roundrobin
         assert all(r.actual_contributors == 4 for r in before)
         assert all(r.actual_contributors == 3 for r in after)
         assert all(r.expected_contributors == 4 for r in driver.records)
+
+    def test_a_producer_lost_before_its_first_round_still_counts(self):
+        """An agent that subscribed and then went away before it ever
+        reported counts as one expected contributor at its relay."""
+        text = ONE_DOMAIN.replace("members = n1", "members = n1,n2,n3,n4") + """
+[scenario]
+duration = 10
+meltmon = off
+fault = 1 detach-agent n4
+[workload]
+job 0 10 j1 n1 n2 n3 n4
+io 0 10 j1 1M 0 roundrobin
+"""
+        cluster = SimCluster(parse_scenario(text))
+        from simutil import DriverClient, io_stream_spec
+        driver = cluster.add_client(DriverClient("faulty"))
+        driver.create_stream(io_stream_spec(interval=5))
+        cluster.host.flush(driver)
+        cluster.host.pump()
+        sid = driver.created[-1]
+        driver.subscribe(sid)
+        cluster.host.flush(driver)
+        cluster.host.pump()
+        cluster.advance(10)
+        result = cluster.result()
+        assert [(r.round, r.expected_contributors, r.actual_contributors)
+                for r in driver.records] == [(5, 4, 3), (10, 4, 3)]
+        for record in driver.records:
+            assert_body_matches_oracle(record, oracle_aggregate(result, sid, record.round))
+
+
+def run_with_random_faults(seed: int) -> tuple:
+    """A random scenario, 1-3 random streams and a random fault schedule,
+    all drawn from ``seed``: 0-3 unclean agent detaches on distinct nodes,
+    and with probability 0.4 a dropped ring link. Returns the result, the
+    driver's records and (stream id -> round from which it lost a
+    producer)."""
+    from simutil import DriverClient
+
+    rng = random.Random(seed)
+    spec = random_scenario(rng, max_leaves=24)
+    streams = random_stream_specs(rng, spec.topology)
+    topology = spec.topology
+    nodes = rng.sample(topology.all_nodes(), rng.randint(0, min(3, len(topology.all_nodes()))))
+    faults = [Fault(rng.randint(1, spec.duration), "detach-agent", node) for node in nodes]
+    if rng.random() < 0.4:
+        faults.append(Fault(rng.randint(1, spec.duration), "drop-ring-link",
+                            rng.choice(topology.ring_order)))
+    spec.faults = tuple(faults)
+    cluster = SimCluster(spec)
+    driver = cluster.add_client(DriverClient("faults"))
+    for stream in streams:
+        driver.create_stream(stream)
+        cluster.host.flush(driver)
+        cluster.host.pump()
+    for sid in driver.created:
+        driver.subscribe(sid)
+    cluster.host.flush(driver)
+    cluster.host.pump()
+    cluster.advance(spec.duration)
+    result = cluster.result()
+
+    lost_at = {}  # node -> time its contributions stop reaching the root
+    for fault in faults:
+        if fault.kind == "detach-agent":
+            lost = [fault.subject]
+        else:  # data flows up the ring from the first manager
+            order = topology.ring_order
+            upstream = order[:order.index(fault.subject) + 1]
+            lost = [n for d in upstream for n in topology.domain(d).member_nodes]
+        for node in lost:
+            lost_at[node] = min(lost_at.get(node, fault.time), fault.time)
+    first_loss = {}
+    for sid, stream in result.streams.items():
+        times = [lost_at[n] for n in expected_producers(stream, topology) if n in lost_at]
+        if times:
+            first_loss[sid] = min(times)
+    return result, list(driver.records), first_loss
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**16))
+def test_records_under_random_faults_count_every_lost_producer(seed):
+    """Over random fault schedules: runs are deterministic, no record
+    counts more contributors than it expects, a record that reads complete
+    equals the oracle's fold, and a round at or after the loss of one of
+    its stream's producers reads ``actual < expected``."""
+    result, records, first_loss = run_with_random_faults(seed)
+    again, _records, _loss = run_with_random_faults(seed)
+    assert result.transcript_text() == again.transcript_text()
+    for record in records:
+        assert record.actual_contributors <= record.expected_contributors
+        if record.actual_contributors == record.expected_contributors:
+            assert_body_matches_oracle(
+                record, oracle_aggregate(result, record.stream_id, record.round))
+        if first_loss.get(record.stream_id, record.round + 1) <= record.round:
+            assert record.actual_contributors < record.expected_contributors, record
 
 
 # --- handed-over messages against decoded frames ------------------------------
