@@ -19,7 +19,7 @@ from .aggregates import (
     select_topk,
 )
 from .agent import AgentConfig, AgentCore, StatsFileSource, read_stats_file
-from .catalog import CATALOG, MetricDef, catalog_for_role, export_table, metrics_for_class
+from .catalog import CATALOG, MetricDef, metrics_for_class
 from .humanize import humanize, parse_human
 from .jobmap import CommandJobSource, FileJobSource, parse_jobmap_text
 from .meltcli import CliCore, CliInvocation, parse_cli
@@ -47,14 +47,13 @@ __all__ = [
     "ClientCore", "CommandJobSource", "CountedKeyBody", "DomainSpec",
     "FileJobSource", "HistogramBody", "MeltmonCore", "Message", "MetricDef",
     "OverlayHandle", "OverlayTopology", "RunResult", "ScenarioSpec",
-    "SimCluster", "SimHost", "SocketHost", "StatsFileSource",
-    "StreamSpec", "SummaryAgg", "SummaryBody", "SyntheticSource", "Target",
-    "WorkloadModel", "body_from_text", "body_to_text", "build_overlay",
-    "catalog_for_role", "decode_frame", "display_value", "encode_message",
-    "export_table", "fold_samples", "format_log_line", "humanize",
-    "load_scenario", "load_topology", "merge", "message_accounting",
-    "metrics_for_class", "oracle_aggregate", "parse_cli", "parse_human",
-    "parse_jobmap_text", "parse_log_line", "parse_scenario", "parse_target",
-    "parse_topology", "read_stats_file", "run_scenario", "select_topk",
-    "serve_overlay", "transport_connect",
+    "SimCluster", "SimHost", "SocketHost", "StatsFileSource", "StreamSpec",
+    "SummaryAgg", "SummaryBody", "SyntheticSource", "Target", "WorkloadModel",
+    "body_from_text", "body_to_text", "build_overlay", "decode_frame",
+    "display_value", "encode_message", "fold_samples", "format_log_line",
+    "humanize", "load_scenario", "load_topology", "merge",
+    "message_accounting", "metrics_for_class", "oracle_aggregate", "parse_cli",
+    "parse_human", "parse_jobmap_text", "parse_log_line", "parse_scenario",
+    "parse_target", "parse_topology", "read_stats_file", "run_scenario",
+    "select_topk", "serve_overlay", "transport_connect",
 ]

@@ -5,9 +5,8 @@ report. Names beyond the handful grounded in real tool output (IO_RD_BW,
 IO_WR_BW, META_OP_RATE, the client average-size/latency metrics) are
 artifact-defined plumbing.
 
-Two orderings exist on purpose: :func:`catalog_for_role` sorts by name (its
-contract), while display and log output use the curated declaration order
-below ("catalog order"), which is why RD_BW precedes CLNT_DIRTY in a log
+Display and log output use the curated declaration order below ("catalog
+order"), not name order, which is why RD_BW precedes CLNT_DIRTY in a log
 line even though it sorts after it.
 """
 
@@ -131,29 +130,9 @@ def metric(name: str) -> MetricDef:
         raise UnknownMetricError(name) from None
 
 
-def catalog_for_role(role: str) -> list[MetricDef]:
-    """All metrics a node of the given Lustre role can produce, name-sorted."""
-    if role not in ROLE_CLASSES:
-        raise ValueError(f"unknown lustre role {role!r}")
-    classes = ROLE_CLASSES[role]
-    defs = [d for d in CATALOG if d.metric_class in classes and role in d.roles]
-    return sorted(defs, key=lambda d: d.name)
-
-
 def metrics_for_class(metric_class: str) -> list[MetricDef]:
     """Catalog-order metrics of one class."""
     if metric_class not in CLASSES:
         raise ValueError(f"unknown metric class {metric_class!r}")
     return [d for d in CATALOG if d.metric_class == metric_class]
 
-
-def export_table() -> str:
-    """The catalog as a plain-text table (used by docs and -metrics validation)."""
-    rows = [("NAME", "CLASS", "KIND", "UNIT", "LABEL", "ROLES")]
-    for d in CATALOG:
-        rows.append((d.name, d.metric_class, d.kind, d.unit, d.label,
-                     ",".join(sorted(d.roles))))
-    widths = [max(len(r[i]) for r in rows) for i in range(6)]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-             for row in rows]
-    return "\n".join(lines) + "\n"

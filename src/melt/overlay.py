@@ -25,7 +25,7 @@ from .streams import StreamSpec, parse_target, producer_roles_for, validate_targ
 from .topology import DomainSpec, OverlayTopology
 
 SESSION_EPOCH = 1
-ROUND_TIMEOUT_FACTOR = 2  # real-mode straggler bound; never fires in simulation
+ROUND_TIMEOUT_FACTOR = 2  # intervals a round waits for an open producer link that sends nothing
 RING_ROLES = frozenset({"manager", "session-root"})  # openers of a ring link, not a tree link
 RECORDS_KEPT = 1024  # a session client's record history; older records are dropped
 
@@ -132,38 +132,65 @@ class MergedBodies:
             del self.rounds[sid]
 
 
+class Stream:
+    """One stream's round ledger at a gather node.
+
+    It holds the stream's spec; the tree children subscribed to produce it
+    (``None`` until the first Subscribe, so a node can tell a stream that
+    never had a producer from one whose producers all left); the last
+    expected count each producer link reported; the rounds in flight, by
+    round; the last round emitted; and the stream's producer links as
+    ``(merge order, live)``, kept until the node's links change. A producer
+    link with no count here has never reported, and counts as one expected
+    contributor.
+
+    The node keeps three things outside its streams: ``overrides``, the
+    stream -> metric -> interval table that :class:`~melt.agent.AgentCore`
+    keeps too, through :func:`apply_rate_override` and
+    :func:`overridden_interval`; ``spec_seen`` and ``effective_interval``,
+    which ``bench/`` reads by stream id; and the ``on_message``,
+    ``on_tick`` and ``complete_round`` methods, which ``bench/tracing.py``
+    wraps by name.
+    """
+
+    __slots__ = ("spec", "children", "expected", "pending", "emitted", "links")
+
+    def __init__(self, spec: StreamSpec) -> None:
+        self.spec = spec
+        self.children: set[str] | None = None
+        self.expected: dict[str, int] = {}  # producer link -> last expected count
+        self.pending: dict[int, dict[str, wire.Data]] = {}  # round -> link -> its Data
+        self.emitted = -1
+        self.links: tuple[list[str], list[str]] | None = None
+
+
 class GatherNode(ProcessCore):
     """Shared merge/multicast logic for relays, managers, and the root.
 
-    Contributor accounting is local: each node remembers the last expected
-    count a link reported per stream, so a silent or severed link still
-    counts toward ``expected_contributors`` while dropping out of ``actual``.
-    A producer link that never reported counts as one expected contributor,
-    which under-counts a silent relay or ring predecessor that carries many
-    producers, but still leaves ``actual < expected``. A cleanly detached
-    agent is removed from both.
+    Contributor accounting is local: each node's :class:`Stream` remembers
+    the last expected count each producer link reported, so a silent or
+    severed link still counts toward ``expected_contributors`` while
+    dropping out of ``actual``. A producer link that never reported counts
+    as one expected contributor, which under-counts a silent relay or ring
+    predecessor that carries many producers, but still leaves ``actual <
+    expected``. A cleanly detached agent is removed from both.
     """
 
     always_emits = False  # managers and the root relay every stream every round
+    new_stream = Stream
 
     def __init__(self, pid: str, node_id: str) -> None:
         super().__init__(pid, node_id)
-        self.specs: dict[int, StreamSpec] = {}
+        self.streams: dict[int, Stream] = {}
         self.overrides: dict[int, dict[str, int]] = {}
         self.jobmap_msg: wire.JobMapUpdate | None = None
         self.tree_children: list[str] = []
         self.agent_children: dict[str, str] = {}  # link -> node id (attached agents)
-        self.producer_children: dict[int, set[str]] = {}
         self.ring_prev_link: str | None = None
         self.ring_prev_produces = False
-        self.pending: dict[tuple[int, int], dict[str, wire.Data]] = {}
-        self.last_expected: dict[tuple[str, int], int] = {}
-        self.emitted: dict[int, int] = {}
         self.spec_seen: dict[int, int] = {}
         self.dead_links: set[str] = set()
-        # stream -> producer_links and live_producers, until the links change
-        self._producers: dict[int, list[str]] = {}
-        self._live: dict[int, list[str]] = {}
+        self.waiting: set[int] = set()  # streams with rounds in flight; a tick sorts only theirs
         self.clock = 0
         self.merged_bodies: MergedBodies | None = None  # shared by the nodes of a host
 
@@ -181,39 +208,24 @@ class GatherNode(ProcessCore):
             self.tree_children.append(link)
 
     def links_changed(self) -> None:
-        """Forget the producer links worked out so far: a link was bound,
-        subscribed, removed or found closed."""
-        self._producers.clear()
-        self._live.clear()
+        """Forget every stream's producer links: a link was bound, removed
+        or found closed."""
+        for stream in self.streams.values():
+            stream.links = None
 
-    def producer_links(self, stream_id: int) -> list[str]:
-        """The links a stream's rounds merge, in merge order: a producing
-        ring predecessor, then the subscribed tree children. Kept until
-        :meth:`links_changed`; a caller must not change the list."""
-        links = self._producers.get(stream_id)
-        if links is None:
-            links = self._producers[stream_id] = self.find_producer_links(stream_id)
-        return links
-
-    def find_producer_links(self, stream_id: int) -> list[str]:
-        """producer_links worked out from the links as they are now."""
-        links = []
-        if self.ring_prev_link is not None and self.ring_prev_produces:
-            links.append(self.ring_prev_link)
-        subscribed = self.producer_children.get(stream_id, set())
-        links.extend(l for l in self.tree_children if l in subscribed)
-        return links
-
-    def live_producers(self, stream_id: int) -> list[str]:
-        """The producer links not found closed; kept as producer_links is."""
-        links = self._live.get(stream_id)
-        if links is None:
-            links = self._live[stream_id] = [l for l in self.producer_links(stream_id)
-                                             if l not in self.dead_links]
-        return links
+    def producers(self, stream: Stream) -> tuple[list[str], list[str]]:
+        """A stream's producer links in merge order (a producing ring
+        predecessor, then the subscribed tree children), and those of them
+        not found closed. Kept on the stream until the links change; a
+        caller must not change the lists."""
+        if stream.links is None:
+            order = [self.ring_prev_link] if self.ring_prev_produces else []
+            order += [l for l in self.tree_children if l in (stream.children or ())]
+            stream.links = (order, [l for l in order if l not in self.dead_links])
+        return stream.links
 
     def effective_interval(self, stream_id: int) -> int:
-        return overridden_interval(self.specs[stream_id], self.overrides)
+        return overridden_interval(self.streams[stream_id].spec, self.overrides)
 
     # --- message handling ----------------------------------------------------
 
@@ -247,18 +259,26 @@ class GatherNode(ProcessCore):
             return
         if msg.process_role == "agent":
             self.agent_children[link] = msg.node_id
-        for sid in sorted(self.specs):
-            self.emit(link, wire.CreateStream(self.specs[sid]))
-        if self.jobmap_msg is not None:
-            self.emit(link, self.jobmap_msg)
+        self.catch_up(link)
         for sid in sorted(self.overrides):
             for metric in sorted(self.overrides[sid]):
                 self.emit(link, wire.SetRate(sid, (metric,), self.overrides[sid][metric]))
 
+    def catch_up(self, link: str) -> None:
+        """Send a process that attached late every stream spec and the job map."""
+        for sid in sorted(self.streams):
+            self.emit(link, wire.CreateStream(self.streams[sid].spec))
+        if self.jobmap_msg is not None:
+            self.emit(link, self.jobmap_msg)
+
     def handle_producer_subscribe(self, link: str, msg: wire.Subscribe) -> None:
-        first = not self.producer_children.get(msg.stream_id)
-        self.producer_children.setdefault(msg.stream_id, set()).add(link)
-        self.links_changed()
+        stream = self.streams.get(msg.stream_id)
+        if stream is None:
+            self.note("subscribe-for-unknown-stream", self.pid, msg.stream_id)
+            return
+        first = not stream.children
+        stream.children = (stream.children or set()) | {link}
+        stream.links = None
         if link in self.agent_children:
             self.emit(link, wire.SubscribeAck(msg.stream_id))
         if first:
@@ -266,25 +286,27 @@ class GatherNode(ProcessCore):
 
     def handle_data(self, link: str, msg: wire.Data) -> None:
         sid, rnd = msg.stream_id, msg.round
-        if sid not in self.specs:
+        stream = self.streams.get(sid)
+        if stream is None:
             self.note("data-for-unknown-stream", self.pid, sid)
             return
-        if rnd <= self.emitted.get(sid, -1):
+        if rnd <= stream.emitted:
             self.note("late-contribution-dropped", self.pid, sid, rnd, link)
             return
-        self.pending.setdefault((sid, rnd), {})[link] = msg
-        self.last_expected[(link, sid)] = msg.expected_contributors
+        stream.pending.setdefault(rnd, {})[link] = msg
+        self.waiting.add(sid)
+        stream.expected[link] = msg.expected_contributors
         self.try_complete(sid, rnd)
 
     def handle_stream_spec(self, link: str, msg: wire.CreateStream) -> None:
-        if msg.spec.stream_id in self.specs:
+        if msg.spec.stream_id in self.streams:
             return
-        self.specs[msg.spec.stream_id] = msg.spec
+        self.streams[msg.spec.stream_id] = self.new_stream(msg.spec)
         self.spec_seen[msg.spec.stream_id] = self.clock
         self.forward_multicast(msg)
 
     def handle_set_rate(self, link: str, msg: wire.SetRate) -> None:
-        if msg.stream_id in self.specs:
+        if msg.stream_id in self.streams:
             apply_rate_override(self.overrides, msg)
         self.forward_multicast(msg)
 
@@ -312,39 +334,46 @@ class GatherNode(ProcessCore):
         if link in self.tree_children:
             self.tree_children.remove(link)
         self.agent_children.pop(link, None)
-        for subscribed in self.producer_children.values():
-            subscribed.discard(link)
-        if clean:
-            for key in [k for k in self.last_expected if k[0] == link]:
-                del self.last_expected[key]
+        for stream in self.streams.values():
+            if stream.children:
+                stream.children.discard(link)
+            if clean:
+                stream.expected.pop(link, None)
         self.recheck_pending()
 
+    def pending_rounds(self) -> list[tuple[int, int]]:
+        """(stream, round) of every round in flight, in order."""
+        return sorted((sid, rnd) for sid in self.waiting for rnd in self.streams[sid].pending)
+
     def recheck_pending(self) -> None:
-        for sid, rnd in sorted(self.pending):
+        for sid, rnd in self.pending_rounds():
             self.try_complete(sid, rnd)
 
     # --- round completion ------------------------------------------------------
 
     def try_complete(self, sid: int, rnd: int) -> None:
-        have = self.pending.get((sid, rnd), {})
-        needed = self.live_producers(sid)
+        stream = self.streams[sid]
+        have = stream.pending.get(rnd, {})
+        needed = self.producers(stream)[1]
         if needed and len(have) >= len(needed) and all(l in have for l in needed):
             self.complete_round(sid, rnd)
 
     def complete_round(self, sid: int, rnd: int) -> None:
-        spec = self.specs[sid]
-        contributions = self.pending.pop((sid, rnd), {})
-        order = self.producer_links(sid)
+        stream = self.streams[sid]
+        contributions = stream.pending.pop(rnd, {})
+        if not stream.pending:
+            self.waiting.discard(sid)
+        order = self.producers(stream)[0]
         present = [link for link in order if link in contributions]
         texts = [contributions[link].aggregate_body for link in present]
         merged = self.merged_bodies
         table = merged.table(sid, rnd) if merged is not None else None
         try:
-            body = merge_texts(texts, spec.aggregation, spec.hist_edges, table)
+            body = merge_texts(texts, stream.spec.aggregation, stream.spec.hist_edges, table)
         except AggregateError as exc:
             self.note("merge-fault", self.pid, sid, rnd, str(exc))
             self.forward_error(wire.Error("merge-fault", RoundFault(sid, rnd, str(exc)).text()))
-            self.emitted[sid] = rnd
+            stream.emitted = rnd
             return
         expected = actual = 0
         for link in order:
@@ -352,10 +381,10 @@ class GatherNode(ProcessCore):
                 expected += contributions[link].expected_contributors
                 actual += contributions[link].actual_contributors
             else:
-                expected += self.last_expected.get((link, sid), 1)
+                expected += stream.expected.get(link, 1)
         window = (contributions[present[0]].window_secs if present
                   else self.effective_interval(sid))
-        self.emitted[sid] = rnd
+        stream.emitted = rnd
         # a lone child's record goes on as itself when the merge left its
         # body as it came and no silent link adds to its expected count
         # (its window and actual count are the record's), so a host that
@@ -368,22 +397,22 @@ class GatherNode(ProcessCore):
 
     def on_tick(self, now: int) -> None:
         self.clock = now
-        for sid in sorted(self.specs):
+        for sid, stream in sorted(self.streams.items()):
             interval = self.effective_interval(sid)
             if now <= 0 or now % interval != 0:
                 continue
             if now <= self.spec_seen.get(sid, -1):
                 continue
-            if self.emitted.get(sid, -1) >= now:
+            if stream.emitted >= now:
                 continue
-            if self.live_producers(sid):
+            if self.producers(stream)[1]:
                 continue
-            if self.always_emits or sid in self.producer_children:
+            if self.always_emits or stream.children is not None:
                 self.complete_round(sid, now)
         self.expire_stale_rounds(now)
 
     def expire_stale_rounds(self, now: int) -> None:
-        for sid, rnd in sorted(self.pending):
+        for sid, rnd in self.pending_rounds():
             if now >= rnd + ROUND_TIMEOUT_FACTOR * self.effective_interval(sid):
                 self.note("round-timeout", self.pid, sid, rnd)
                 self.complete_round(sid, rnd)
@@ -431,12 +460,12 @@ class ManagerProcess(GatherNode):
     def scope_allows_tree(self, msg) -> bool:
         if not isinstance(msg, wire.SetRate):
             return True
-        spec = self.specs.get(msg.stream_id)
-        if spec is None:
+        stream = self.streams.get(msg.stream_id)
+        if stream is None:
             return False
-        target = parse_target(spec.target)
+        target = parse_target(stream.spec.target)
         return any(self.domain_role in producer_roles_for(target, m)
-                   for m in spec.metric_names)
+                   for m in stream.spec.metric_names)
 
     def forward_multicast(self, msg) -> None:
         if self.scope_allows_tree(msg):
@@ -445,28 +474,29 @@ class ManagerProcess(GatherNode):
             self.send_up(msg)
 
 
-@dataclass
-class StreamState:
-    """Root-side record of one stream: spec, buffer, consumers."""
+class RootStream(Stream):
+    """A stream at the root: its ledger, plus the records kept for a
+    consumer to come (the oldest dropped past the spec's buffer capacity),
+    its consumers, and the last round delivered."""
 
-    spec: StreamSpec
-    buffer: deque = field(default_factory=deque)
-    consumers: list[str] = field(default_factory=list)
-    last_round: int = -1
+    __slots__ = ("buffer", "consumers", "last_round")
 
-    def __post_init__(self) -> None:
-        self.buffer = deque(self.buffer, maxlen=self.spec.buffer_capacity)
+    def __init__(self, spec: StreamSpec) -> None:
+        super().__init__(spec)
+        self.buffer: deque[wire.Data] = deque(maxlen=spec.buffer_capacity)
+        self.consumers: list[str] = []
+        self.last_round = -1
 
 
 class RootProcess(GatherNode):
     """Session root: top-level aggregator, stream registry, client attach point."""
 
     always_emits = True
+    new_stream = RootStream
 
     def __init__(self, pid: str, node_id: str, topology: OverlayTopology) -> None:
         super().__init__(pid, node_id)
         self.topology = topology
-        self.streams: dict[int, StreamState] = {}
         self.by_name: dict[str, int] = {}
         self.next_stream_id = 1
         self.client_links: dict[str, str] = {}  # link -> client name
@@ -487,10 +517,7 @@ class RootProcess(GatherNode):
         if isinstance(msg, wire.Attach):
             self.client_links[link] = msg.node_id
             self.emit(link, wire.AttachAck(SESSION_EPOCH))
-            for sid in sorted(self.streams):
-                self.emit(link, wire.CreateStream(self.streams[sid].spec))
-            if self.jobmap_msg is not None:
-                self.emit(link, self.jobmap_msg)
+            self.catch_up(link)
         elif isinstance(msg, wire.CreateStream):
             self.client_create_stream(link, msg.spec)
         elif isinstance(msg, wire.Subscribe) and msg.direction == "up-consumer":
@@ -519,16 +546,9 @@ class RootProcess(GatherNode):
             return
         sid = self.next_stream_id
         self.next_stream_id += 1
-        spec = spec.with_id(sid)
-        self.register_stream(spec)
-        self.multicast(wire.CreateStream(spec))
+        self.by_name[spec.name] = sid
+        self.handle_stream_spec(link, wire.CreateStream(spec.with_id(sid)))
         self.emit(link, wire.StreamCreated(sid))
-
-    def register_stream(self, spec: StreamSpec) -> None:
-        self.specs[spec.stream_id] = spec
-        self.spec_seen[spec.stream_id] = self.clock
-        self.streams[spec.stream_id] = StreamState(spec)
-        self.by_name[spec.name] = spec.stream_id
 
     def client_subscribe(self, link: str, stream_id: int) -> None:
         state = self.streams.get(stream_id)
@@ -571,7 +591,7 @@ class RootProcess(GatherNode):
         if self.merged_bodies is not None:  # no hop on this host merges the round after the root
             self.merged_bodies.release(sid, rnd)
 
-    def live_consumers(self, state: StreamState) -> list[str]:
+    def live_consumers(self, state: RootStream) -> list[str]:
         return [l for l in state.consumers if l in self.client_links]
 
     def forward_error(self, msg: wire.Error) -> None:

@@ -51,8 +51,9 @@ class TestSampling:
     def test_emitted_metrics_stay_inside_role_catalog(self):
         host, handle, client, sid = synthetic_sim()
         run_ticks(host, 1, 4)
-        from melt.catalog import catalog_for_role
-        allowed = {d.name for d in catalog_for_role("client")}
+        from melt.catalog import CATALOG, ROLE_CLASSES
+        allowed = {d.name for d in CATALOG
+                   if d.metric_class in ROLE_CLASSES["client"] and "client" in d.roles}
         for ev in host.transcript:
             if ev[0] == "sample":
                 assert ev[5] in allowed
@@ -318,8 +319,9 @@ class TestNodeLoad:
         ident = AgentIdentity("n1", "router", ())
         spec = StreamSpec(9, "x", "fs", ("LOAD_CPU_PCT", "IO_RD_BW"))
         assert produced_metrics(spec, ident) == ()
-        from melt.catalog import catalog_for_role
-        assert {d.metric_class for d in catalog_for_role("router")} == {"rpc", "load"}
+        from melt.catalog import CATALOG, ROLE_CLASSES
+        assert {d.metric_class for d in CATALOG if d.metric_class in ROLE_CLASSES["router"]
+                and "router" in d.roles} == {"rpc", "load"}
 
 
 class TestGroupingPlan:
@@ -526,7 +528,11 @@ def reference_produced_metrics(spec, agent) -> tuple[str, ...]:
         if target.name not in agent.filesystems:
             return ()
     out = []
-    role_catalog = {d.name for d in catalog.catalog_for_role(agent.lustre_role)}
+    role = agent.lustre_role
+    if role not in catalog.ROLE_CLASSES:
+        raise ValueError(f"unknown lustre role {role!r}")
+    role_catalog = {d.name for d in catalog.CATALOG
+                    if d.metric_class in catalog.ROLE_CLASSES[role] and role in d.roles}
     for m in spec.metric_names:
         if agent.lustre_role not in producer_roles_for(target, m):
             continue

@@ -14,27 +14,29 @@ def test_names_unique_and_classed():
         assert d.label
 
 
+def role_metrics(role: str) -> list:
+    """The catalog entries a node of one Lustre role produces: those of a
+    class the role has that name the role."""
+    return [d for d in catalog.CATALOG
+            if d.metric_class in catalog.ROLE_CLASSES[role] and role in d.roles]
+
+
 def test_role_class_sets():
-    oss = {d.name for d in catalog.catalog_for_role("oss")}
+    assert set(catalog.ROLE_CLASSES) == set(LUSTRE_ROLES)
+    oss = {d.name for d in role_metrics("oss")}
     assert "IO_RD_BW" in oss
     assert "META_OP_RATE" not in oss
     assert {catalog.metric(n).metric_class for n in oss} <= {"io", "lock", "rpc"}
 
-    clnt = {d.metric_class for d in catalog.catalog_for_role("client")}
+    clnt = {d.metric_class for d in role_metrics("client")}
     assert "load" in clnt
 
-    router = catalog.catalog_for_role("router")
+    router = role_metrics("router")
     assert router
     assert {d.metric_class for d in router} <= {"rpc", "load"}
 
-    mds = {d.metric_class for d in catalog.catalog_for_role("mds")}
+    mds = {d.metric_class for d in role_metrics("mds")}
     assert mds == {"lock", "meta", "op", "path", "client"}
-
-
-def test_catalog_for_role_sorted_by_name():
-    for role in LUSTRE_ROLES:
-        names = [d.name for d in catalog.catalog_for_role(role)]
-        assert names == sorted(names)
 
 
 def test_display_labels():
@@ -69,11 +71,4 @@ def test_unknown_lookups():
     with pytest.raises(catalog.UnknownMetricError):
         catalog.metric("IO_NOPE")
     with pytest.raises(ValueError):
-        catalog.catalog_for_role("tape-robot")
-
-
-def test_export_table_lists_everything():
-    table = catalog.export_table()
-    for d in catalog.CATALOG:
-        assert d.name in table
-    assert table.splitlines()[0].split() == ["NAME", "CLASS", "KIND", "UNIT", "LABEL", "ROLES"]
+        catalog.metrics_for_class("tape-robot")

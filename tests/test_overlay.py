@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from melt import aggregates, catalog, overlay, wire
 from melt.aggregates import body_from_text, body_to_text
-from melt.overlay import (MergedBodies, RelayProcess, attach_point, overlay_links,
+from melt.overlay import (MergedBodies, RelayProcess, Stream, attach_point, overlay_links,
                           overlay_processes)
 from melt.scenario import WorkloadModel
 from melt.simnet import SimHost
@@ -117,7 +117,7 @@ class TestStreams:
 class TestGatherMerge:
     def make_relay(self):
         relay = RelayProcess("rel.x", "x")
-        relay.specs[1] = io_stream_spec(interval=10)
+        relay.streams[1] = Stream(io_stream_spec(interval=10))
         for link in ("a1", "a2"):
             relay.bind_link(link, "agent")
             relay.handle_producer_subscribe(link, wire.Subscribe(1, "agent-producer"))
@@ -185,9 +185,26 @@ class TestGatherMerge:
         assert sends[0].expected_contributors == 2  # a2 never reported: it counts as one
         assert ("round-timeout", "rel.x", 1, 10) in relay.notes
 
+    def test_a_contribution_to_a_timed_out_round_is_dropped(self):
+        relay = self.make_relay()
+        relay.on_message("a1", wire.Data(1, 10, 10, 1, 1, self.body_text(1, 5, 5, 5)))
+        relay.on_tick(30)
+        relay.outbox.clear()
+        relay.on_message("a2", wire.Data(1, 10, 10, 1, 1, self.body_text(1, 5, 5, 5)))
+        assert relay.outbox == []
+        assert relay.notes[-1] == ("late-contribution-dropped", "rel.x", 1, 10, "a2")
+
+    def test_a_subscribe_for_an_unknown_stream_is_dropped(self):
+        relay = self.make_relay()
+        relay.bind_link("c1", "relay")
+        relay.outbox.clear()
+        relay.on_message("c1", wire.Subscribe(999, "agent-producer"))
+        assert relay.outbox == [] and 999 not in relay.streams
+        assert relay.notes == [("subscribe-for-unknown-stream", "rel.x", 999)]
+
     def test_a_relay_whose_producers_all_detached_still_emits_empty_rounds(self):
         relay = self.make_relay()
-        relay.specs[2] = io_stream_spec(interval=10)  # no child ever produced it
+        relay.streams[2] = Stream(io_stream_spec(interval=10))  # no child ever produced it
         for link in ("a1", "a2"):
             relay.remove_child(link, clean=True)
         relay.on_tick(10)
@@ -622,24 +639,18 @@ class TestMergedBodies:
 # --- the producer-link cache ----------------------------------------------------
 
 
-def reference_producer_links(node, stream_id):
-    """``GatherNode.producer_links`` worked out from the node's links on
-    every call, with no cache."""
+def reference_producers(node, stream):
+    """``GatherNode.producers`` worked out from the node's links on every
+    call, with no cache."""
     links = []
     if node.ring_prev_link is not None and node.ring_prev_produces:
         links.append(node.ring_prev_link)
-    subscribed = node.producer_children.get(stream_id, set())
-    links.extend(l for l in node.tree_children if l in subscribed)
-    return links
-
-
-def reference_live_producers(node, stream_id):
-    return [l for l in reference_producer_links(node, stream_id) if l not in node.dead_links]
+    links.extend(l for l in node.tree_children if l in (stream.children or ()))
+    return links, [l for l in links if l not in node.dead_links]
 
 
 class UncachedRelay(RelayProcess):
-    producer_links = reference_producer_links
-    live_producers = reference_live_producers
+    producers = reference_producers
 
 
 CACHE_LINKS = ("c1", "c2", "a3", "a4", "ring_prev")
@@ -679,13 +690,12 @@ def test_cached_producer_links_match_a_cache_free_reference(steps):
     cached, reference = RelayProcess("rel.x", "x"), UncachedRelay("rel.x", "x")
     for node in (cached, reference):
         for sid in (1, 2):
-            node.specs[sid] = io_stream_spec(name=f"s/{sid}", interval=10)
+            node.streams[sid] = Stream(io_stream_spec(name=f"s/{sid}", interval=10))
     for step in steps:
         for node in (cached, reference):
             apply_cache_step(node, step)
-        for sid in (1, 2):
-            assert cached.producer_links(sid) == reference_producer_links(cached, sid)
-            assert cached.live_producers(sid) == reference_live_producers(cached, sid)
+        for stream in cached.streams.values():
+            assert cached.producers(stream) == reference_producers(cached, stream)
         assert cached.outbox == reference.outbox and cached.notes == reference.notes
 
 
@@ -693,7 +703,8 @@ def test_a_steady_client_round_redoes_nothing_that_only_the_topology_changes(mon
     """In rounds 2-5 of a 64-agent client domain, only the processes that
     send or note something are flushed, each once: the agents, the 15
     relays, the manager and the root. No agent looks a metric up in the
-    catalog, and no gather node works its producer links out again."""
+    catalog, and every gather node keeps the producer links it worked out
+    in round 1."""
     nodes = " ".join(f"n{i:03d}" for i in range(64))
     host, handle, model = make_sim(
         deep_domain(64), (f"job 0 20 j1 {nodes}", "io 0 20 j1 1M 2M roundrobin"))
@@ -708,20 +719,20 @@ def test_a_steady_client_round_redoes_nothing_that_only_the_topology_changes(mon
     flushed: list = []  # (pid, whether it had something to send or note)
     flush, metric = SimHost.flush, catalog.metric
     looked_up: list = []
-    found: list = []
-    find = overlay.GatherNode.find_producer_links
+    gathers = [handle.root, *handle.managers.values(), *handle.relays.values()]
+    cached = [node.streams[sid].links for node in gathers]
+    assert all(links is not None for links in cached)
     monkeypatch.setattr(SimHost, "flush", lambda self, proc: flushed.append(
         (proc.pid, bool(proc.outbox or proc.notes))) or flush(self, proc))
     monkeypatch.setattr(catalog, "metric", lambda name: looked_up.append(name) or metric(name))
-    monkeypatch.setattr(overlay.GatherNode, "find_producer_links",
-                        lambda self, sid: found.append(self.pid) or find(self, sid))
     for t in range(2, 6):
         flushed.clear()
         run_ticks(host, t, 1)
         assert len(flushed) == 64 + 15 + 1 + 1
         assert len({pid for pid, _ in flushed}) == len(flushed)
         assert all(had for _pid, had in flushed)
-    assert looked_up == [] and found == []
+    assert looked_up == []
+    assert all(node.streams[sid].links is links for node, links in zip(gathers, cached))
     assert [r.round for r in client.records] == [1, 2, 3, 4, 5]
     assert {(r.expected_contributors, r.actual_contributors) for r in client.records} == {(64, 64)}
 

@@ -503,7 +503,7 @@ def test_bad_frame_closes_only_its_link(frame, reason, caplog):
 def gather_links(rig: RelayRig) -> dict:
     """pid -> (ring predecessor link, producer links of the rig's stream)
     of every gather node."""
-    return {pid: (proc.ring_prev_link, proc.producer_links(rig.sid))
+    return {pid: (proc.ring_prev_link, proc.producers(proc.streams[rig.sid])[0])
             for pid, proc in rig.host.by_pid.items() if isinstance(proc, GatherNode)}
 
 
@@ -561,7 +561,7 @@ def test_frames_behind_the_attach_reach_the_process_it_placed():
             rig.host.pump()
         state = rig.host.links[key]
         assert state.frames_received == 2 and state.decoder.pending_bytes == 10
-        assert rig.host.by_pid[key[0]].producer_children[rig.sid] == {"tcp2", "tcp3"}
+        assert rig.host.by_pid[key[0]].streams[rig.sid].children == {"tcp2", "tcp3"}
         child.sendall(data[10:])
         rig.produce(1, GOOD_BODY)
         (record,) = rig.pump_until(rig.cons, Data)
@@ -776,14 +776,14 @@ def test_a_tcp_agent_that_goes_away_keeps_its_count_and_a_new_one_is_waited_for(
 
         first = attach_agent(leaves[1])
         (link,) = [l for l, node in relay.agent_children.items() if node == leaves[1]]
-        assert link in relay.live_producers(rig.sid)
+        assert link in relay.producers(relay.streams[rig.sid])[1]
         assert record_of(1, first) == (1, 2, 2)
         first.close()
         deadline = time.monotonic() + 5.0
-        while link in relay.live_producers(rig.sid):
+        while link in relay.producers(relay.streams[rig.sid])[1]:
             assert time.monotonic() < deadline, "the relay did not see the socket close"
             rig.host.pump()
-        assert link in relay.producer_links(rig.sid)  # still counted in expected
+        assert link in relay.producers(relay.streams[rig.sid])[0]  # still counted in expected
         assert record_of(2) == (2, 2, 1)
 
         second = attach_agent(leaves[2])
