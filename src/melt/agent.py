@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 
 from . import catalog, wire
@@ -50,7 +51,7 @@ class SourceSnapshot:
 class IdleSource:
     """A source with nothing to report; useful for liveness smoke tests."""
 
-    def snapshot(self, now: int, names=None) -> SourceSnapshot:
+    def snapshot(self, now: int) -> SourceSnapshot:
         return SourceSnapshot(ts=now)
 
 
@@ -118,12 +119,12 @@ def read_stats_file(path: str) -> SourceSnapshot:
 
 class StatsFileSource:
     """Re-reads a complete snapshot file on every tick; the file is parsed
-    whole, whichever names are asked for, so a malformed line rejects it."""
+    whole, so a malformed line rejects it whichever streams are due."""
 
     def __init__(self, path: str) -> None:
         self.path = path
 
-    def snapshot(self, now: int, names=None) -> SourceSnapshot:
+    def snapshot(self, now: int) -> SourceSnapshot:
         try:
             return read_stats_file(self.path)
         except OSError as exc:
@@ -179,9 +180,9 @@ def derivation(metric: str) -> Derivation:
 
 
 def read_names(metrics) -> frozenset[str]:
-    """The raw counter and gauge names a source snapshot must hold for
-    these metrics; counted-key metrics read the snapshot's event tallies,
-    which no name selects."""
+    """The raw counter and gauge names these metrics read of a snapshot,
+    which a stream's grouping plan keeps the counter keys of; counted-key
+    metrics read the snapshot's event tallies, which no name selects."""
     return frozenset(raw for metric in metrics for raw in derivation(metric)[1])
 
 
@@ -196,10 +197,10 @@ class _StreamProduction:
     prev: SourceSnapshot
     prev_t: int
     target: Target
-    names: frozenset[str]  # what the stream reads of a snapshot (read_names)
+    names: frozenset[str]  # the raw names its plan keeps keys of (read_names)
     plan: Plan | None = None
-    plan_keys: frozenset[CounterKey] = frozenset()  # the counter keys it was built on
-    plan_job: str = ""                              # and the agent's job then
+    plan_keys: KeysView[CounterKey] | frozenset = frozenset()  # of the counters it was built on
+    plan_job: str = ""                                        # and the agent's job then
 
 
 class _RoundDeltas:
@@ -242,7 +243,6 @@ class _RoundDeltas:
         else:
             sums, resets = grouped
         for fs in resets:
-            self.agent.reset_flags.append((raw, fs))
             self.agent.note("counter-reset", self.agent.pid, raw, fs)
         return sums
 
@@ -259,12 +259,10 @@ class AgentCore(ProcessCore):
         self.clock = 0
         self.specs: dict[int, StreamSpec] = {}
         self.production: dict[int, _StreamProduction] = {}
-        self.names: frozenset[str] = frozenset()  # what its streams read (read_names)
         self.overrides: dict[int, dict[str, int]] = {}
         self.jobmap_epoch = 0
         self.my_job = ""
         self.health_skips = 0
-        self.reset_flags: list[tuple[str, str]] = []
 
     # --- overlay plumbing ------------------------------------------------------
 
@@ -297,15 +295,14 @@ class AgentCore(ProcessCore):
         metrics = produced_metrics(spec, self.identity, target)
         if not metrics:
             return
-        names = read_names(metrics)
-        self.names = self.names | names if self.names else names  # a first stream shares its set
         try:
-            baseline = self.source.snapshot(self.clock, self.names)
+            baseline = self.source.snapshot(self.clock)
         except SourceError as exc:
             self.note("source-failure", self.pid, str(exc))
             baseline = SourceSnapshot(ts=self.clock)
         self.production[spec.stream_id] = _StreamProduction(
-            metrics, tuple(map(derivation, metrics)), baseline, self.clock, target, names)
+            metrics, tuple(map(derivation, metrics)), baseline, self.clock, target,
+            read_names(metrics))
         self.emit("up", wire.Subscribe(spec.stream_id, "agent-producer"))
 
     def apply_rate(self, msg: wire.SetRate) -> None:
@@ -340,7 +337,7 @@ class AgentCore(ProcessCore):
         if not due:
             return
         try:
-            snap = self.source.snapshot(now, self.names)
+            snap = self.source.snapshot(now)
         except SourceError as exc:
             self.health_skips += 1
             self.note("source-failure", self.pid, str(exc))
@@ -380,7 +377,9 @@ class AgentCore(ProcessCore):
              counters: dict[CounterKey, float]) -> Plan:
         """The stream's grouping plan for a snapshot's counters, rebuilt
         when their key set or the agent's job (the one input of the groups
-        that changes) differs from the one it was built on."""
+        that changes) differs from the one it was built on. It keeps the
+        keys view of the counters it was built on: snapshots are
+        read-only, so the view is as good as a copy of the keys."""
         if prod.plan is not None and prod.plan_job == self.my_job \
                 and counters.keys() == prod.plan_keys:
             return prod.plan
@@ -390,7 +389,7 @@ class AgentCore(ProcessCore):
                 keys_of.setdefault(key[0], []).append(key)
         prod.plan = {raw: [(key, self._group(spec, key)) for key in sorted(keys)]
                      for raw, keys in keys_of.items()}
-        prod.plan_keys = frozenset(counters)
+        prod.plan_keys = counters.keys()
         prod.plan_job = self.my_job
         return prod.plan
 

@@ -134,9 +134,6 @@ class HistogramBody:
             idx += 1
         counts[idx] += int(weight)
 
-    def total(self) -> int:
-        return sum(sum(c) for c in self.entries.values())
-
     def groups(self) -> list[str]:
         return sorted({g for g, _ in self.entries})
 

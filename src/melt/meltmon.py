@@ -250,4 +250,10 @@ def main(argv: list[str] | None = None) -> int:
         daemon.detach()
         daemon.close()
 
-    return run_core("meltmon", daemon, flags["connect"], goodbye)
+    def step() -> bool:
+        for text in daemon.warnings:
+            print(f"meltmon: {text}", file=sys.stderr)
+        daemon.warnings.clear()
+        return False
+
+    return run_core("meltmon", daemon, flags["connect"], goodbye, step)

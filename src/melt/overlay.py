@@ -27,7 +27,7 @@ from .topology import DomainSpec, OverlayTopology
 SESSION_EPOCH = 1
 ROUND_TIMEOUT_FACTOR = 2  # intervals a round waits for an open producer link that sends nothing
 RING_ROLES = frozenset({"manager", "session-root"})  # openers of a ring link, not a tree link
-RECORDS_KEPT = 1024  # a session client's record history; older records are dropped
+RECORDS_KEPT = 1024  # a session client's record and error history; older ones are dropped
 
 
 def apply_rate_override(overrides: dict[int, dict[str, int]], msg: wire.SetRate) -> None:
@@ -138,11 +138,11 @@ class Stream:
     It holds the stream's spec; the tree children subscribed to produce it
     (``None`` until the first Subscribe, so a node can tell a stream that
     never had a producer from one whose producers all left); the last
-    expected count each producer link reported; the rounds in flight, by
-    round; the last round emitted; and the stream's producer links as
-    ``(merge order, live)``, kept until the node's links change. A producer
-    link with no count here has never reported, and counts as one expected
-    contributor.
+    expected count and the last round each producer link sent; the rounds
+    in flight, by round; the last round emitted; and the stream's producer
+    links as ``(merge order, live)``, kept until the node's links change. A
+    producer link with no count here has never reported, and counts as one
+    expected contributor.
 
     The node keeps three things outside its streams: ``overrides``, the
     stream -> metric -> interval table that :class:`~melt.agent.AgentCore`
@@ -153,12 +153,13 @@ class Stream:
     wraps by name.
     """
 
-    __slots__ = ("spec", "children", "expected", "pending", "emitted", "links")
+    __slots__ = ("spec", "children", "expected", "sent", "pending", "emitted", "links")
 
     def __init__(self, spec: StreamSpec) -> None:
         self.spec = spec
         self.children: set[str] | None = None
         self.expected: dict[str, int] = {}  # producer link -> last expected count
+        self.sent: dict[str, int] = {}  # producer link -> last round it sent
         self.pending: dict[int, dict[str, wire.Data]] = {}  # round -> link -> its Data
         self.emitted = -1
         self.links: tuple[list[str], list[str]] | None = None
@@ -174,6 +175,14 @@ class GatherNode(ProcessCore):
     as one expected contributor, which under-counts a silent relay or ring
     predecessor that carries many producers, but still leaves ``actual <
     expected``. A cleanly detached agent is removed from both.
+
+    A link sends a stream's rounds in order, so a link that has sent a
+    later round will never send this one. A round in flight completes once
+    every live producer link has sent it or a later round, at once if no
+    producer link is live, and a stream's rounds complete in round order;
+    a round that one producer skipped thus completes without it when that
+    producer sends its next round. A round still waits, up to
+    ``ROUND_TIMEOUT_FACTOR`` intervals, for a link that is open and silent.
     """
 
     always_emits = False  # managers and the root relay every stream every round
@@ -296,7 +305,8 @@ class GatherNode(ProcessCore):
         stream.pending.setdefault(rnd, {})[link] = msg
         self.waiting.add(sid)
         stream.expected[link] = msg.expected_contributors
-        self.try_complete(sid, rnd)
+        stream.sent[link] = rnd
+        self.try_complete(sid)
 
     def handle_stream_spec(self, link: str, msg: wire.CreateStream) -> None:
         if msg.spec.stream_id in self.streams:
@@ -337,6 +347,7 @@ class GatherNode(ProcessCore):
         for stream in self.streams.values():
             if stream.children:
                 stream.children.discard(link)
+            stream.sent.pop(link, None)
             if clean:
                 stream.expected.pop(link, None)
         self.recheck_pending()
@@ -346,16 +357,25 @@ class GatherNode(ProcessCore):
         return sorted((sid, rnd) for sid in self.waiting for rnd in self.streams[sid].pending)
 
     def recheck_pending(self) -> None:
-        for sid, rnd in self.pending_rounds():
-            self.try_complete(sid, rnd)
+        for sid in sorted(self.waiting):
+            self.try_complete(sid)
 
     # --- round completion ------------------------------------------------------
 
-    def try_complete(self, sid: int, rnd: int) -> None:
+    def try_complete(self, sid: int) -> None:
+        """Complete, in round order, each round in flight of the stream
+        that every live producer link has sent or passed."""
         stream = self.streams[sid]
-        have = stream.pending.get(rnd, {})
-        needed = self.producers(stream)[1]
-        if needed and len(have) >= len(needed) and all(l in have for l in needed):
+        live = self.producers(stream)[1]
+        if len(stream.pending) == 1:  # no link can have sent a later round
+            (rnd, have), = stream.pending.items()
+            if len(have) >= len(live) and all(l in have for l in live):
+                self.complete_round(sid, rnd)
+            return
+        sent = stream.sent
+        for rnd in sorted(stream.pending):
+            if any(sent.get(l, -1) < rnd for l in live):
+                return
             self.complete_round(sid, rnd)
 
     def complete_round(self, sid: int, rnd: int) -> None:
@@ -476,16 +496,15 @@ class ManagerProcess(GatherNode):
 
 class RootStream(Stream):
     """A stream at the root: its ledger, plus the records kept for a
-    consumer to come (the oldest dropped past the spec's buffer capacity),
-    its consumers, and the last round delivered."""
+    consumer to come (the oldest dropped past the spec's buffer capacity)
+    and its consumers."""
 
-    __slots__ = ("buffer", "consumers", "last_round")
+    __slots__ = ("buffer", "consumers")
 
     def __init__(self, spec: StreamSpec) -> None:
         super().__init__(spec)
         self.buffer: deque[wire.Data] = deque(maxlen=spec.buffer_capacity)
         self.consumers: list[str] = []
-        self.last_round = -1
 
 
 class RootProcess(GatherNode):
@@ -608,9 +627,6 @@ class RootProcess(GatherNode):
         state = self.streams.get(record.stream_id)
         if state is None:
             return
-        if record.round <= state.last_round:
-            return
-        state.last_round = record.round
         live = self.live_consumers(state)
         self.note("root-record", record.stream_id, record.round,
                   record.expected_contributors, record.actual_contributors)
@@ -643,7 +659,7 @@ class ClientCore(ProcessCore):
         self.stream_ids: dict[str, int] = {}
         self.created: list[int] = []
         self.records: deque[wire.Data] = deque(maxlen=RECORDS_KEPT)
-        self.errors: list[wire.Error] = []
+        self.errors: deque[wire.Error] = deque(maxlen=RECORDS_KEPT)
         self.jobmap: wire.JobMapUpdate | None = None
 
     def start(self) -> None:

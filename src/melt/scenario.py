@@ -18,11 +18,6 @@ counters stay flat, a node's counters carry the first filesystem its
 domain mounts (none for routers), a ``roundrobin`` io event spreads over
 the OSTs of the OSS domains that serve its clients' filesystems, and only
 the seed-selected MDS node of a fail-over pair reports metadata activity.
-
-A snapshot may be asked for only some counter and gauge names, the ones an
-agent's streams read: a client snapshot then builds only those, with
-the same values, bit for bit, as a whole one. Server and router snapshots
-are always whole.
 """
 
 from __future__ import annotations
@@ -49,11 +44,7 @@ META_OP_RAW = {"open": "META_OPEN", "close": "META_CLOSE", "mkdir": "META_MKDIR"
 CLIENT_FS_COUNTERS = ("IO_RD_BYTES", "IO_WR_BYTES", "META_OPS", "RPC_REQS", "RPC_WAIT_SUM")
 CLIENT_OST_COUNTERS = ("IO_RD_BYTES", "IO_WR_BYTES", "IO_RD_OPS", "IO_WR_OPS",
                        "IO_RD_TIME_SUM", "IO_WR_TIME_SUM", "RPC_REQS", "RPC_WAIT_SUM")
-CLIENT_META_READERS = frozenset(("META_OPS", "RPC_REQS", "RPC_WAIT_SUM",
-                                 *META_OP_RAW.values()))
 LOAD_GAUGES = ("LOAD_CPU_PCT", "LOAD_MEM_PCT")
-CLIENT_NAMES = frozenset((*CLIENT_FS_COUNTERS, *CLIENT_OST_COUNTERS, *CLIENT_META_READERS,
-                          "IO_CLNT_DIRTY", *LOAD_GAUGES))
 
 DEFAULT_BASE_TIME = int(_dt.datetime(2015, 1, 15, 11, 22, 33,
                                      tzinfo=_dt.timezone.utc).timestamp())
@@ -106,7 +97,7 @@ class LoadEvent:
 @dataclass(frozen=True)
 class Fault:
     time: int
-    kind: str     # detach-agent | drop-ring-link
+    kind: str     # detach-agent | fail-source | drop-ring-link
     subject: str  # node id | domain id
 
 
@@ -294,12 +285,18 @@ class ScenarioSpec:
                     raise error(ev, f"io spread references unknown oss {oss!r}")
         detached: set[str] = set()
         for fault in self.faults:
+            if fault.kind in ("detach-agent", "fail-source") \
+                    and not self.topology.has_node(fault.subject):
+                raise error(fault, f"fault subject {fault.subject!r} is not a node")
             if fault.kind == "detach-agent":
-                if not self.topology.has_node(fault.subject):
-                    raise error(fault, f"fault subject {fault.subject!r} is not a node")
                 if fault.subject in detached:  # it has no agent left to detach
                     raise error(fault, f"the agent on {fault.subject} is already detached")
                 detached.add(fault.subject)
+            elif fault.kind == "fail-source":  # its agent must still be there at that tick
+                if any(other.kind == "detach-agent" and other.subject == fault.subject
+                       and other.time <= fault.time for other in self.faults):
+                    raise error(fault, f"the agent on {fault.subject} is detached by "
+                                       f"t={fault.time}")
             elif fault.kind == "drop-ring-link":
                 if fault.subject not in self.topology.ring_order:
                     raise error(fault, f"fault subject {fault.subject!r} is not a domain")
@@ -399,6 +396,9 @@ class WorkloadModel:
     object; the model keeps the current tick's snapshots only. Snapshots
     are read-only: an agent keeps one as its previous round's and reads
     it, and must never change it.
+
+    The model keeps only the io flows, metadata and path events that
+    overlap their job's run, each cut to it.
     """
 
     def __init__(self, topology: OverlayTopology, workload: WorkloadScript,
@@ -410,11 +410,11 @@ class WorkloadModel:
                       for domain in topology.domains for node in domain.member_nodes}
         self.role_of = {node: domain.lustre_role
                         for domain in topology.domains for node in domain.member_nodes}
-        # a client snapshot's counter keys, made once per (fs, names) and per
-        # (fs, ost, names): every snapshot reuses the same key objects, so a
+        # a client snapshot's counter keys, made once per filesystem and per
+        # (fs, ost): every snapshot reuses the same key objects, so a
         # grouping plan and the snapshot an agent keeps share them
-        self._fs_keys: dict[tuple, tuple[tuple, dict]] = {}
-        self._ost_keys: dict[tuple, tuple[tuple[int, tuple], ...]] = {}
+        self._fs_keys: dict[str, dict[str, tuple]] = {}
+        self._ost_keys: dict[tuple[str, str], tuple[tuple, ...]] = {}
         self.jobs = {j.job_id: j for j in workload.jobs}
         all_osts = [(ost, d.filesystems) for d in topology.domains if d.lustre_role == "oss"
                     for ost in d.osts]
@@ -422,29 +422,27 @@ class WorkloadModel:
             shift = seed % len(all_osts)
             all_osts = all_osts[shift:] + all_osts[:shift]
         self.all_osts = tuple(all_osts)
-        self.flows = [self._flow(ev) for ev in workload.io]
+        self.flows = [flow for ev in workload.io if (flow := self._flow(ev)) is not None]
         mds_nodes = topology.servers("mds")
         self.active_mds = mds_nodes[seed % len(mds_nodes)] if mds_nodes else ""
-        self.meta = [self._clamp(ev) for ev in workload.meta]
-        self.paths = [self._clamp(ev) for ev in workload.paths]
+        self.meta = [cut for ev in workload.meta if (cut := self._clamp(ev)) is not None]
+        self.paths = [cut for ev in workload.paths if (cut := self._clamp(ev)) is not None]
         # node -> its io flows and meta events, each in script order, so a
         # client snapshot touches only its own events and sums in the same order
         self.flows_of: dict[str, list[_Flow]] = {}
         for flow in self.flows:
-            if flow is not None:
-                for node in dict.fromkeys(flow.nodes):
-                    self.flows_of.setdefault(node, []).append(flow)
+            for node in dict.fromkeys(flow.nodes):
+                self.flows_of.setdefault(node, []).append(flow)
         self.meta_of: dict[str, list[MetaEvent]] = {}
         for ev in self.meta:
-            if ev is not None:
-                for node in dict.fromkeys(self.jobs[ev.job_id].nodes):
-                    self.meta_of.setdefault(node, []).append(ev)
+            for node in dict.fromkeys(self.jobs[ev.job_id].nodes):
+                self.meta_of.setdefault(node, []).append(ev)
         self.loads_of: dict[str, list[LoadEvent]] = {}
         for ev in workload.loads:
             self.loads_of.setdefault(ev.node, []).append(ev)
         # client -> its class, numbered by the filesystem and the identities
         # of the flows, meta events and load events a client snapshot reads;
-        # and the current tick with its snapshots by (class, names)
+        # and the current tick with its snapshots by class
         classes: dict[tuple, int] = {}
         self.class_of = {
             node: classes.setdefault(
@@ -453,7 +451,7 @@ class WorkloadModel:
                 len(classes))
             for node, role in self.role_of.items() if role == "client"}
         self._shared_t = -1
-        self._shared: dict[tuple[int, frozenset[str]], SourceSnapshot] = {}
+        self._shared: dict[int, SourceSnapshot] = {}
         # server -> its OSTs, and the io flows that touch them in script
         # order, so a server snapshot visits only its own flows and sums in
         # the same order
@@ -467,9 +465,8 @@ class WorkloadModel:
                         servers_of.setdefault(ost, []).append(node)
         self.server_flows_of: dict[str, list[_Flow]] = {}
         for flow in self.flows:
-            if flow is not None:
-                for node in dict.fromkeys(n for ost in flow.osts for n in servers_of.get(ost, ())):
-                    self.server_flows_of.setdefault(node, []).append(flow)
+            for node in dict.fromkeys(n for ost in flow.osts for n in servers_of.get(ost, ())):
+                self.server_flows_of.setdefault(node, []).append(flow)
 
     def _clamp(self, ev):
         job = self.jobs[ev.job_id]
@@ -542,73 +539,60 @@ class WorkloadModel:
                     out[raw] = out.get(raw, 0.0) + share * w / total_w
         return out
 
-    def _client_fs_keys(self, fs: str, names: frozenset[str]) -> tuple[tuple, dict]:
-        """The filesystem-level keys of a client snapshot of ``names``: the
-        ones it zeroes, in order, and raw name -> key of all it may write."""
-        keys = self._fs_keys.get((fs, names))
+    def _client_fs_keys(self, fs: str) -> dict[str, tuple]:
+        """Raw name -> key of each filesystem-level counter a client
+        snapshot may hold."""
+        keys = self._fs_keys.get(fs)
         if keys is None:
-            key_of = {raw: (raw, fs, "", "", "")
-                      for raw in (*CLIENT_FS_COUNTERS, *META_OP_RAW.values()) if raw in names}
-            zeroed = tuple(key_of[raw] for raw in CLIENT_FS_COUNTERS if raw in names)
-            keys = self._fs_keys[(fs, names)] = (zeroed, key_of)
+            keys = self._fs_keys[fs] = {raw: (raw, fs, "", "", "")
+                                        for raw in (*CLIENT_FS_COUNTERS, *META_OP_RAW.values())}
         return keys
 
-    def _client_ost_keys(self, fs: str, ost: str,
-                         names: frozenset[str]) -> tuple[tuple[int, tuple], ...]:
-        """(position in a per-OST row, key) of each per-OST counter of ``names``."""
-        keys = self._ost_keys.get((fs, ost, names))
+    def _client_ost_keys(self, fs: str, ost: str) -> tuple[tuple, ...]:
+        """The key of each per-OST counter, in the order of a per-OST row."""
+        keys = self._ost_keys.get((fs, ost))
         if keys is None:
-            keys = self._ost_keys[(fs, ost, names)] = tuple(
-                (i, (raw, fs, ost, "", "")) for i, raw in enumerate(CLIENT_OST_COUNTERS)
-                if raw in names)
+            keys = self._ost_keys[(fs, ost)] = tuple(
+                (raw, fs, ost, "", "") for raw in CLIENT_OST_COUNTERS)
         return keys
 
-    def snapshot_client(self, node: str, t: int,
-                        names: frozenset[str] = CLIENT_NAMES) -> SourceSnapshot:
-        """A client's counters and gauges; only those of ``names``. The
-        clients of one class get the same read-only object at one tick."""
+    def snapshot_client(self, node: str, t: int) -> SourceSnapshot:
+        """A client's counters and gauges. The clients of one class get the
+        same read-only object at one tick."""
         if t != self._shared_t:
             self._shared_t, self._shared = t, {}
-        key = (self.class_of[node], names)
-        snap = self._shared.get(key)
+        cls = self.class_of[node]
+        snap = self._shared.get(cls)
         if snap is None:
-            snap = self._shared[key] = self._client_snapshot(node, t, names)
+            snap = self._shared[cls] = self._client_snapshot(node, t)
         return snap
 
-    def _client_snapshot(self, node: str, t: int, names: frozenset[str]) -> SourceSnapshot:
+    def _client_snapshot(self, node: str, t: int) -> SourceSnapshot:
         snap = SourceSnapshot(ts=t)
         counters = snap.counters
         fs = self.fs_of[node]
-        zeroed, fs_key = self._client_fs_keys(fs, names)
-        for key in zeroed:
-            counters[key] = 0.0
-        if not names.isdisjoint(CLIENT_OST_COUNTERS):
-            for ost, cell in self._client_io(node, t):
-                rd, wr = cell[0], cell[1]
-                reqs = float(math.floor((rd + wr) / RPC_BYTES))
-                # operation and request counters are integral, like the real thing
-                row = (rd, wr, float(math.floor(cell[2])), float(math.floor(cell[3])),
-                       cell[4], cell[5], reqs, reqs * RPC_WAIT_SECS)
-                for i, key in self._client_ost_keys(fs, ost, names):
-                    counters[key] = row[i]
-        if not names.isdisjoint(CLIENT_META_READERS):
-            ops = self._client_meta_ops(node, t)
-            for raw, value in sorted(ops.items()):
-                if raw in names:
-                    counters[fs_key[raw]] = float(math.floor(value))
-            meta_ops = float(math.floor(ops["META_OPS"]))
-            if "RPC_REQS" in names:
-                counters[fs_key["RPC_REQS"]] = meta_ops
-            if "RPC_WAIT_SUM" in names:
-                counters[fs_key["RPC_WAIT_SUM"]] = meta_ops * RPC_WAIT_SECS
-        if "IO_CLNT_DIRTY" in names:
-            dirty = 0.0
-            for flow in self.flows_of.get(node, ()):
-                if flow.start <= t < flow.end:
-                    dirty += flow.write_bps * DIRTY_SECONDS
-            snap.gauges[("IO_CLNT_DIRTY", fs)] = dirty
-        if not names.isdisjoint(LOAD_GAUGES):
-            self._loads(node, t, snap, names)
+        fs_key = self._client_fs_keys(fs)
+        for raw in CLIENT_FS_COUNTERS:
+            counters[fs_key[raw]] = 0.0
+        for ost, cell in self._client_io(node, t):
+            rd, wr = cell[0], cell[1]
+            reqs = float(math.floor((rd + wr) / RPC_BYTES))
+            # operation and request counters are integral, like the real thing
+            row = (rd, wr, float(math.floor(cell[2])), float(math.floor(cell[3])),
+                   cell[4], cell[5], reqs, reqs * RPC_WAIT_SECS)
+            counters.update(zip(self._client_ost_keys(fs, ost), row))
+        ops = self._client_meta_ops(node, t)
+        for raw, value in sorted(ops.items()):
+            counters[fs_key[raw]] = float(math.floor(value))
+        meta_ops = float(math.floor(ops["META_OPS"]))
+        counters[fs_key["RPC_REQS"]] = meta_ops
+        counters[fs_key["RPC_WAIT_SUM"]] = meta_ops * RPC_WAIT_SECS
+        dirty = 0.0
+        for flow in self.flows_of.get(node, ()):
+            if flow.start <= t < flow.end:
+                dirty += flow.write_bps * DIRTY_SECONDS
+        snap.gauges[("IO_CLNT_DIRTY", fs)] = dirty
+        self._loads(node, t, snap)
         return snap
 
     def snapshot_oss(self, node: str, t: int) -> SourceSnapshot:
@@ -652,8 +636,6 @@ class WorkloadModel:
         per_op: dict[str, float] = {}
         per_client: dict[str, float] = {}
         for ev in self.meta:
-            if ev is None:
-                continue
             ov = _overlap(t, ev.start, ev.end)
             amount = ev.ops_per_s * ov
             total += amount
@@ -679,8 +661,6 @@ class WorkloadModel:
         for client, count in sorted(per_client.items()):
             snap.counted[("client", client)] = math.floor(count)
         for ev in self.paths:
-            if ev is None:
-                continue
             ov = _overlap(t, ev.start, ev.end)
             for path, per_sec in ev.weights:
                 key = ("path", path)
@@ -696,13 +676,9 @@ class WorkloadModel:
         total_bytes = 0.0
         total_meta = 0.0
         for flow in self.flows:
-            if flow is None:
-                continue
             ov = _overlap(t, flow.start, flow.end)
             total_bytes += (flow.read_bps + flow.write_bps) * ov * len(flow.nodes)
         for ev in self.meta:
-            if ev is None:
-                continue
             total_meta += ev.ops_per_s * _overlap(t, ev.start, ev.end)
         reqs = float(math.floor((total_bytes / RPC_BYTES + total_meta) * share))
         snap.counters[("RPC_REQS", "", "", "", "")] = reqs
@@ -710,24 +686,21 @@ class WorkloadModel:
         self._loads(node, t, snap)
         return snap
 
-    def _loads(self, node: str, t: int, snap: SourceSnapshot,
-               names: frozenset[str] = CLIENT_NAMES) -> None:
+    def _loads(self, node: str, t: int, snap: SourceSnapshot) -> None:
         cpu = mem = 0.0
         for ev in self.loads_of.get(node, ()):
             if ev.start <= t < ev.end:
                 cpu, mem = ev.cpu_pct, ev.mem_pct
         for name, value in zip(LOAD_GAUGES, (cpu, mem)):
-            if name in names:
-                snap.gauges[(name, "")] = value
+            snap.gauges[(name, "")] = value
 
-    def snapshot(self, node: str, t: int, names: frozenset[str] | None = None) -> SourceSnapshot:
-        """The node's snapshot at ``t``; a client's holds only ``names``,
-        if given, and every other role's is whole."""
+    def snapshot(self, node: str, t: int) -> SourceSnapshot:
+        """The node's snapshot at ``t``."""
         role = self.role_of.get(node)
         if role is None:  # an unknown node: the topology's KeyError
             role = self.topology.domain_of_node(node).lustre_role
         if role == "client":
-            return self.snapshot_client(node, t, CLIENT_NAMES if names is None else names)
+            return self.snapshot_client(node, t)
         if role == "oss":
             return self.snapshot_oss(node, t)
         if role == "mds":
@@ -744,5 +717,5 @@ class SyntheticSource:
         self.model = model
         self.node = node
 
-    def snapshot(self, now: int, names: frozenset[str] | None = None) -> SourceSnapshot:
-        return self.model.snapshot(self.node, now, names)
+    def snapshot(self, now: int) -> SourceSnapshot:
+        return self.model.snapshot(self.node, now)

@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .agent import AgentConfig, AgentCore
+from .agent import AgentConfig, AgentCore, SourceError
 from .aggregates import Body, fold_samples
 from .jobmap import WorkloadJobSource
 from .meltcli import CliCore, CliInvocation, parse_cli
@@ -32,6 +32,21 @@ from .streams import StreamSpec
 from .topology import ConfigError
 
 SIM_PID = 123  # deterministic pid for in-simulation daemons and tools
+
+
+class FailingSource:
+    """An agent's source whose snapshot at one tick raises SourceError, as
+    a stats file that is unreadable for one tick does; at every other tick
+    it is ``source``."""
+
+    def __init__(self, source, tick: int) -> None:
+        self.source = source
+        self.tick = tick
+
+    def snapshot(self, now: int):
+        if now == self.tick:
+            raise SourceError(f"fail-source fault at t={now}")
+        return self.source.snapshot(now)
 
 
 class SimCluster:
@@ -73,6 +88,9 @@ class SimCluster:
             self.host.transcript.append(("fault", t, fault.kind, fault.subject))
             if fault.kind == "detach-agent":
                 self.handle.detach_agent(fault.subject, clean=False)
+            elif fault.kind == "fail-source":
+                agent = self.handle.agents[fault.subject]
+                agent.source = FailingSource(agent.source, t)
             else:  # drop-ring-link: sever the domain's outgoing data-direction edge
                 self.host.sever_link(self.handle.managers[fault.subject].pid, "up")
 

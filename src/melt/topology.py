@@ -230,7 +230,7 @@ def topology_from_sections(sections, source: str) -> OverlayTopology:
                     ring_order = _split_list(value)
                 else:
                     root_node = value
-        elif header in ("scenario", "workload", "endpoints"):
+        elif header in ("scenario", "workload"):
             continue  # owned by other parsers
         else:
             raise ConfigError(f"{source}: unknown section [{header}]")

@@ -161,7 +161,7 @@ def create_stream(handle: OverlayHandle, client: DriverClient, spec: StreamSpec)
     handle.host.flush(client)
     handle.host.pump()
     if len(client.created) == before:
-        raise AssertionError(f"stream not created: {client.errors[-1:]}" )
+        raise AssertionError(f"stream not created: {list(client.errors)[-1:]}")
     return client.created[-1]
 
 

@@ -10,6 +10,7 @@ from melt.agent import (
     StatsParseError, read_names, read_stats_file,
 )
 from melt.aggregates import body_from_text
+from melt.scenario import CLIENT_FS_COUNTERS, CLIENT_OST_COUNTERS
 
 from simutil import (
     ONE_DOMAIN, add_driver, attach_agents, create_stream, io_stream_spec,
@@ -214,7 +215,7 @@ class TestStatsFileAgent:
         run_ticks(host, 3, 2)
         body = body_from_text(client.records[-1].aggregate_body)
         assert ("", "IO_WR_BW") not in body.entries
-        assert ("IO_WR_BYTES", "knot2") in agent.reset_flags
+        assert ("counter-reset", 4, agent.pid, "IO_WR_BYTES", "knot2") in host.transcript
 
         # next window resumes from the reset baseline
         path.write_text("ts 6\nIO_WR_BYTES knot2 1049600\n", encoding="utf-8")
@@ -277,11 +278,9 @@ class TestNodeLoad:
         prev = SourceSnapshot(counters={wr: 100.0, ops: 1.0, rd: 0.0})
         snap = SourceSnapshot(counters={wr: 50.0, ops: 3.0, rd: 8.0})
         agent.notes.clear()
-        agent.reset_flags.clear()
         tuples = agent.build_contributions(sid, snap, prev, 2)
         # IO_WR_BYTES is grouped once but read by three metrics
         assert agent.notes == [("counter-reset", agent.pid, "IO_WR_BYTES", "knot2")] * 3
-        assert agent.reset_flags == [("IO_WR_BYTES", "knot2")] * 3
         assert tuples == [("", "IO_CLNT_NUM", 1.0, 1.0), ("", "IO_CLNT_AVG_WR_SZ", 0.0, 2.0),
                           ("", "IO_RD_BW", 4.0, 1.0)]
 
@@ -398,12 +397,14 @@ class TestGroupingPlan:
         first, plan_keys = list(prod.prev.counters), prod.plan_keys
         run_ticks(host, 2, 1)
         second = list(prod.prev.counters)
-        assert len(first) == 4 and first == second
+        # a whole snapshot, with one (unserved) OST, of which the plan keeps 4
+        assert len(first) == len(CLIENT_FS_COUNTERS) + len(CLIENT_OST_COUNTERS)
+        assert sum(map(len, prod.plan.values())) == 4 and first == second
         assert all(a is b for a, b in zip(first, second))
         assert prod.plan_keys is plan_keys
         assert {id(key) for key in prod.plan_keys} == {id(key) for key in second}
         model = agent.source.model
-        early, late = model.snapshot("n1", 3, agent.names), model.snapshot("n1", 30, agent.names)
+        early, late = model.snapshot("n1", 3), model.snapshot("n1", 30)
         assert [id(key) for key in early.counters] == [id(key) for key in late.counters]
 
     def test_the_testbed_builds_a_plan_in_at_most_a_third_of_its_uses(self, monkeypatch):
@@ -464,17 +465,17 @@ class TestGroupingPlan:
 
 
 class RecordingSource:
-    """The names each snapshot was asked for, over an idle source."""
+    """The ticks each snapshot was asked at, over an idle source."""
 
     def __init__(self) -> None:
-        self.asked: list[frozenset[str] | None] = []
+        self.asked: list[int] = []
 
-    def snapshot(self, now, names=None):
-        self.asked.append(names)
+    def snapshot(self, now):
+        self.asked.append(now)
         return SourceSnapshot(ts=now)
 
 
-def test_a_source_is_asked_for_the_names_every_stream_of_the_agent_reads():
+def test_a_source_is_asked_once_at_each_tick_a_stream_of_the_agent_is_due():
     host, handle, model = make_sim(ONE_DOMAIN)
     source = RecordingSource()
     agent = AgentCore(AgentConfig.from_topology(handle.topology, "n1"), source, handle.topology)
@@ -483,14 +484,12 @@ def test_a_source_is_asked_for_the_names_every_stream_of_the_agent_reads():
     io_metrics, load_metrics = ("IO_RD_BW", "IO_CLNT_AVG_WR_SZ"), ("LOAD_CPU_PCT",)
     create_stream(handle, client, io_stream_spec(name="io", metrics=io_metrics, interval=2))
     create_stream(handle, client, io_stream_spec(name="load", metrics=load_metrics, interval=3))
-    io_names = {"IO_RD_BYTES", "IO_WR_BYTES", "IO_WR_OPS"}
-    assert read_names(io_metrics) == io_names and read_names(load_metrics) == {"LOAD_CPU_PCT"}
-    every = io_names | {"LOAD_CPU_PCT"}
-    assert source.asked == [io_names, every]  # each stream's baseline, as the set grows
-    assert agent.names == every
+    assert read_names(io_metrics) == {"IO_RD_BYTES", "IO_WR_BYTES", "IO_WR_OPS"}
+    assert read_names(load_metrics) == {"LOAD_CPU_PCT"}
+    assert source.asked == [0, 0]  # each stream's baseline
     source.asked.clear()
     run_ticks(host, 1, 6)
-    assert source.asked == [every] * 4  # the ticks where a stream is due: 2, 3, 4 and 6
+    assert source.asked == [2, 3, 4, 6]  # the ticks where a stream is due
 
 
 def test_an_agent_parses_the_target_of_a_stream_it_produces_once(monkeypatch):

@@ -196,3 +196,27 @@ class TestPolling:
         daemon.poll_jobs(5)
         assert daemon.epoch == 1
         assert "gone" in daemon.warnings[-1]
+
+
+def test_main_prints_each_poll_warning_once_and_clears_it(tmp_path, monkeypatch, capsys):
+    from melt import meltmon, sockethost
+
+    config = tmp_path / "overlay.cfg"
+    config.write_text(ONE_DOMAIN)
+    kept = []
+
+    def serve(prog, core, endpoint, goodbye, step=None):
+        for now in (5, 10):
+            core.poll_jobs(now)  # the job map file is missing: each poll warns
+            assert step() is False
+        assert step() is False
+        kept.extend(core.warnings)
+        return 0
+
+    monkeypatch.setattr(sockethost, "run_core", serve)
+    assert meltmon.main(["--connect=127.0.0.1:9", f"--config={config}",
+                         f"--jobmap=file:{tmp_path / 'absent'}", f"--log-dir={tmp_path}"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and kept == []
+    assert all(line.startswith("meltmon: job map poll failed, keeping epoch 0: ")
+               for line in lines)

@@ -185,6 +185,16 @@ class TestGatherMerge:
         assert sends[0].expected_contributors == 2  # a2 never reported: it counts as one
         assert ("round-timeout", "rel.x", 1, 10) in relay.notes
 
+    def test_a_round_in_flight_completes_when_its_last_producer_link_closes(self):
+        relay = self.make_relay()
+        relay.on_message("a1", wire.Data(1, 10, 10, 1, 1, self.body_text(1, 5, 5, 5)))
+        relay.on_link_closed("a1")
+        assert not [m for _, m in relay.outbox if isinstance(m, wire.Data)]  # a2 may send it
+        relay.on_link_closed("a2")  # no live producer link is left to wait for
+        (sent,) = [m for _, m in relay.outbox if isinstance(m, wire.Data)]
+        assert (sent.round, sent.expected_contributors, sent.actual_contributors) == (10, 2, 1)
+        assert not [n for n in relay.notes if n[0] == "round-timeout"]
+
     def test_a_contribution_to_a_timed_out_round_is_dropped(self):
         relay = self.make_relay()
         relay.on_message("a1", wire.Data(1, 10, 10, 1, 1, self.body_text(1, 5, 5, 5)))

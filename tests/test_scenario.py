@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melt.agent import read_names
 from melt.scenario import (
-    CLIENT_NAMES, DEFAULT_BASE_TIME, RPC_BYTES, IoEvent, JobEvent, LoadEvent, WorkloadModel,
+    DEFAULT_BASE_TIME, RPC_BYTES, IoEvent, JobEvent, LoadEvent, WorkloadModel,
     WorkloadScript, _overlap, load_scenario, parse_scenario, parse_workload,
 )
 from melt.simharness import SimCluster, resolve_scenario_path
@@ -348,38 +347,6 @@ def test_every_filesystem_io_stream_carries_its_clients():
         assert seen == groups, fs
 
 
-def test_a_partial_snapshot_is_the_whole_one_cut_to_its_names():
-    from melt import catalog
-    from melt.agent import read_names
-    from melt.meltmon import default_stream_specs
-
-    model, duration = model_of_testbed(0)
-    name_sets = {read_names((d.name,)) for d in catalog.CATALOG}
-    name_sets |= {read_names(spec.metric_names) for spec in default_stream_specs(model.topology)}
-    name_sets.discard(frozenset())
-
-    def bits(values, names):
-        return {k: repr(v) for k, v in values.items() if k[0] in names}
-
-    for node in model.topology.all_nodes():
-        for t in range(duration + 1):
-            whole = model.snapshot(node, t)
-            assert model.snapshot(node, t, None) == whole
-            for names in name_sets:
-                part = model.snapshot(node, t, names)
-                if model.topology.domain_of_node(node).lustre_role != "client":
-                    # servers and routers are whole
-                    assert part == whole
-                    continue
-                assert bits(part.counters, names) == bits(whole.counters, names)
-                assert bits(part.gauges, names) == bits(whole.gauges, names)
-                assert {k[0] for k in [*part.counters, *part.gauges]} <= names
-
-
-SHARED_NAME_SETS = (CLIENT_NAMES, read_names(("IO_RD_BW",)),
-                    read_names(("IO_WR_BW", "META_OP_RATE", "LOAD_CPU_PCT")))
-
-
 def with_own_classes(spec, rng):
     """``spec`` with a load event for one client, and, if a client runs no
     job, a job with io of its own for it; (spec, load node, own-job node)."""
@@ -413,12 +380,11 @@ def test_the_clients_of_one_class_share_a_snapshot_equal_to_a_fresh_one(seed, da
     job_of = {n: job.job_id for job in spec.workload.jobs for n in job.nodes}
     ticks = data.draw(st.lists(st.integers(0, spec.duration), min_size=1, max_size=6))
     for t in ticks:
-        names = data.draw(st.sampled_from(SHARED_NAME_SETS))
-        snaps = {node: model.snapshot(node, t, names) for node in clients}
+        snaps = {node: model.snapshot(node, t) for node in clients}
         for node, snap in snaps.items():
             fresh = WorkloadModel(spec.topology, spec.workload, spec.seed)
-            assert snap == fresh.snapshot(node, t, names)
-            assert snap is model.snapshot(node, t, names)
+            assert snap == fresh.snapshot(node, t)
+            assert snap is model.snapshot(node, t)
         for a in clients:
             for b in clients:
                 shared = a == b or (loaded not in (a, b) and job_of.get(a) == job_of.get(b))
@@ -430,17 +396,17 @@ def test_the_clients_of_one_class_share_a_snapshot_equal_to_a_fresh_one(seed, da
 def test_no_agent_changes_a_shared_snapshot(seed):
     """After every round of a random scenario, each snapshot that a client's
     agent was handed still equals a copy made when it was handed out, and a
-    fresh model's snapshot of that client, tick and names."""
+    fresh model's snapshot of that client and tick."""
     rng = random.Random(seed)
     spec, _loaded, _alone = with_own_classes(random_scenario(rng, max_leaves=24), rng)
     cluster = SimCluster(spec)
-    handed: list[tuple] = []  # (node, t, names, snapshot, its copy then)
+    handed: list[tuple] = []  # (node, t, snapshot, its copy then)
     snapshot = cluster.model.snapshot
 
-    def recording(node, t, names=None):
-        snap = snapshot(node, t, names)
+    def recording(node, t):
+        snap = snapshot(node, t)
         if cluster.model.role_of[node] == "client":
-            handed.append((node, t, names, snap, copy.deepcopy(snap)))
+            handed.append((node, t, snap, copy.deepcopy(snap)))
         return snap
 
     cluster.model.snapshot = recording
@@ -452,6 +418,6 @@ def test_no_agent_changes_a_shared_snapshot(seed):
     cluster.advance(spec.duration)
     assert handed
     fresh = WorkloadModel(spec.topology, spec.workload, spec.seed)
-    for node, t, names, snap, then in handed:
+    for node, t, snap, then in handed:
         assert snap == then
-        assert then == fresh.snapshot(node, t, names)
+        assert then == fresh.snapshot(node, t)

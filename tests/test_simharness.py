@@ -443,13 +443,57 @@ io 0 10 j1 1M 0 roundrobin
         for record in driver.records:
             assert_body_matches_oracle(record, oracle_aggregate(result, sid, record.round))
 
+    def test_a_round_that_one_agent_skips_completes_without_it(self):
+        """n4's source fails at t=5 only, so n4 sends no round 5. Its relay
+        completes round 5 when n4 sends round 10, and every hop above takes
+        it in order: no round is lost, timed out or dropped as late."""
+        text = """
+[domain c]
+manager = m
+members = n1,n2,n3,n4
+fanout = 2
+role = client
+fs = f
+[ring]
+order = c
+root = r
+[scenario]
+duration = 30
+meltmon = off
+fault = 5 fail-source n4
+[workload]
+job 0 30 j1 n1 n2 n3 n4
+io 0 30 j1 1M 2M roundrobin
+"""
+        from simutil import DriverClient, io_stream_spec
+        cluster = SimCluster(parse_scenario(text))
+        driver = cluster.add_client(DriverClient("skipped"))
+        driver.create_stream(io_stream_spec(target="fs=f", interval=5))
+        cluster.host.flush(driver)
+        cluster.host.pump()
+        sid = driver.created[-1]
+        driver.subscribe(sid)
+        cluster.host.flush(driver)
+        cluster.host.pump()
+        cluster.advance(30)
+        result = cluster.result()
+        assert [(r.round, r.expected_contributors, r.actual_contributors)
+                for r in driver.records] == [(5, 4, 3)] + [(t, 4, 4) for t in range(10, 31, 5)]
+        for record in driver.records:
+            assert_body_matches_oracle(record, oracle_aggregate(result, sid, record.round))
+        kinds = {event[0] for event in result.transcript}
+        assert "source-failure" in kinds
+        assert not kinds & {"round-timeout", "late-contribution-dropped"}
+
 
 def run_with_random_faults(seed: int) -> tuple:
     """A random scenario, 1-3 random streams and a random fault schedule,
     all drawn from ``seed``: 0-3 unclean agent detaches on distinct nodes,
-    and with probability 0.4 a dropped ring link. Returns the result, the
-    driver's records and (stream id -> round from which it lost a
-    producer)."""
+    with probability 0.4 a dropped ring link, and 0-2 source failures, each
+    at one tick of a node whose agent is still attached then. Returns the
+    result, the driver's records, (stream id -> round from which it lost a
+    producer) and the (stream id, round) pairs that a producer's failed
+    source skipped."""
     from simutil import DriverClient
 
     rng = random.Random(seed)
@@ -461,6 +505,11 @@ def run_with_random_faults(seed: int) -> tuple:
     if rng.random() < 0.4:
         faults.append(Fault(rng.randint(1, spec.duration), "drop-ring-link",
                             rng.choice(topology.ring_order)))
+    detached_at = {f.subject: f.time for f in faults if f.kind == "detach-agent"}
+    for node in rng.sample(topology.all_nodes(), rng.randint(0, min(2, len(topology.all_nodes())))):
+        t = rng.randint(1, spec.duration)
+        if detached_at.get(node, t + 1) > t:
+            faults.append(Fault(t, "fail-source", node))
     spec.faults = tuple(faults)
     cluster = SimCluster(spec)
     driver = cluster.add_client(DriverClient("faults"))
@@ -476,7 +525,11 @@ def run_with_random_faults(seed: int) -> tuple:
     result = cluster.result()
 
     lost_at = {}  # node -> time its contributions stop reaching the root
+    failed: dict[str, set[int]] = {}  # node -> ticks its source failed at
     for fault in faults:
+        if fault.kind == "fail-source":
+            failed.setdefault(fault.subject, set()).add(fault.time)
+            continue
         if fault.kind == "detach-agent":
             lost = [fault.subject]
         else:  # data flows up the ring from the first manager
@@ -485,30 +538,38 @@ def run_with_random_faults(seed: int) -> tuple:
             lost = [n for d in upstream for n in topology.domain(d).member_nodes]
         for node in lost:
             lost_at[node] = min(lost_at.get(node, fault.time), fault.time)
-    first_loss = {}
+    first_loss, skipped = {}, set()
     for sid, stream in result.streams.items():
-        times = [lost_at[n] for n in expected_producers(stream, topology) if n in lost_at]
+        producers = expected_producers(stream, topology)
+        times = [lost_at[n] for n in producers if n in lost_at]
         if times:
             first_loss[sid] = min(times)
-    return result, list(driver.records), first_loss
+        skipped |= {(sid, t) for n in producers for t in failed.get(n, ())}
+    return result, list(driver.records), first_loss, skipped
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**16))
 def test_records_under_random_faults_count_every_lost_producer(seed):
-    """Over random fault schedules: runs are deterministic, no record
-    counts more contributors than it expects, a record that reads complete
-    equals the oracle's fold, and a round at or after the loss of one of
-    its stream's producers reads ``actual < expected``."""
-    result, records, first_loss = run_with_random_faults(seed)
-    again, _records, _loss = run_with_random_faults(seed)
+    """Over random fault schedules: runs are deterministic, each stream's
+    records arrive in strictly increasing round order, no record counts
+    more contributors than it expects, a record that reads complete equals
+    the oracle's fold, and a round at or after the loss of one of its
+    stream's producers, or at a tick where one of them failed its source,
+    reads ``actual < expected``."""
+    result, records, first_loss, skipped = run_with_random_faults(seed)
+    again, _records, _loss, _skipped = run_with_random_faults(seed)
     assert result.transcript_text() == again.transcript_text()
+    last_round: dict[int, int] = {}
     for record in records:
+        assert record.round > last_round.get(record.stream_id, -1), record
+        last_round[record.stream_id] = record.round
         assert record.actual_contributors <= record.expected_contributors
         if record.actual_contributors == record.expected_contributors:
             assert_body_matches_oracle(
                 record, oracle_aggregate(result, record.stream_id, record.round))
-        if first_loss.get(record.stream_id, record.round + 1) <= record.round:
+        if first_loss.get(record.stream_id, record.round + 1) <= record.round \
+                or (record.stream_id, record.round) in skipped:
             assert record.actual_contributors < record.expected_contributors, record
 
 

@@ -72,6 +72,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="ring"):
             parse_topology(bad)
 
+    def test_an_endpoints_section_is_an_unknown_section(self):
+        with pytest.raises(ConfigError, match=r"unknown section \[endpoints\]"):
+            parse_topology(SMALL + "[endpoints]\nskein = skein:9000\n")
+
     def test_line_numbers_in_errors(self):
         with pytest.raises(ConfigError, match=":2:"):
             parse_topology("\nstray = line\n")
